@@ -3,6 +3,8 @@
 Exit codes: 0 for success or an affirmative verdict, 1 for malformed input or
 usage problems, 2 for a negative mathematical verdict (not a positroid, not
 sparse paving, oracle discrepancy), so scripts can tell the cases apart.
+When the reader closes stdout early (`positroids enumerate ... | head -1`),
+the command stops quietly with status 0 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from .decorated import (
@@ -324,7 +327,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten buffer cannot raise a second time at shutdown.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except NegativeVerdict as verdict:
         print(str(verdict), file=sys.stderr)
         return 2

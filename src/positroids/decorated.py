@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .matroid import KSubset
+from .matroid import KSubset, json_int, json_ints
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
@@ -64,11 +64,17 @@ class DecoratedPermutation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecoratedPermutation":
-        perm = [int(x) for x in data["perm"]]
-        if len(perm) != int(data["n"]):
+        perm = json_ints(data["perm"], "perm")
+        if len(perm) != json_int(data["n"], "n"):
             raise ValueError("one-line length differs from n")
-        colors = {int(i): int(c) for i, c in data.get("colors", {}).items()}
-        return cls.make(perm, colors)
+        colors = data.get("colors", {})
+        if not isinstance(colors, dict):
+            raise ValueError("colors must be an object")
+        for i in colors:
+            if not (isinstance(i, str) and i.isascii() and i.isdigit()):
+                raise ValueError(f"color key {i!r} is not a decimal string")
+        return cls.make(perm, {int(i): json_int(c, "color")
+                               for i, c in colors.items()})
 
 
 def necklace_to_decperm(neck: GrassmannNecklace) -> DecoratedPermutation:
@@ -112,16 +118,10 @@ def decperm_to_necklace(dp: DecoratedPermutation, k: int) -> GrassmannNecklace:
                        and cyclic_pos(t, j, n) < cyclic_pos(t, inv[j], n))]
         entries.append(KSubset.of(n, members))
     derived = len(entries[0])
-    if any(len(e) != derived for e in entries):
-        raise RuntimeError("internal: reconstructed entries mix sizes")
     if derived != k:
         raise ValueError(
             f"permutation determines rank {derived}, not {k}")
-    neck = GrassmannNecklace(n, k, tuple(entries))
-    if necklace_to_decperm(neck) != dp:
-        raise RuntimeError("internal: necklace reconstruction broke the "
-                           "round trip")
-    return neck
+    return GrassmannNecklace(n, k, tuple(entries))
 
 
 def top_permutation(k: int, n: int,

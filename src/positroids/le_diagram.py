@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .matroid import KSubset, Matroid, as_mask, k_subset_masks, members_of
+from .matroid import (
+    KSubset,
+    Matroid,
+    as_mask,
+    json_int,
+    json_ints,
+    json_list,
+    k_subset_masks,
+    members_of,
+)
 
 
 @dataclass(frozen=True)
@@ -72,8 +81,12 @@ class LeDiagram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LeDiagram":
-        return cls.make(int(data["k"]), int(data["n"]),
-                        data["shape"], data["filling"])
+        filling = [json_ints(row, "filling row")
+                   for row in json_list(data["filling"], "filling")]
+        if any(x not in (0, 1) for row in filling for x in row):
+            raise ValueError("filling cells must be 0 or 1")
+        return cls.make(json_int(data["k"], "k"), json_int(data["n"], "n"),
+                        json_ints(data["shape"], "shape"), filling)
 
 
 def le_violation(diag: LeDiagram) -> tuple[int, int] | None:

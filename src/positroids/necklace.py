@@ -10,7 +10,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .matroid import KSubset, Matroid, k_subset_masks, members_of
+from .matroid import (
+    KSubset,
+    MaskSet,
+    Matroid,
+    json_int,
+    json_ints,
+    json_list,
+    k_subset_masks,
+    members_of,
+)
 
 
 def mod1(i: int, n: int) -> int:
@@ -166,58 +175,30 @@ class GrassmannNecklace:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrassmannNecklace":
-        n = int(data["n"])
-        neck = cls.of(n, [KSubset.of(n, e) for e in data["entries"]])
-        if neck.k != int(data["k"]):
+        n = json_int(data["n"], "n")
+        neck = cls.of(n, [KSubset.of(n, json_ints(e, "entry"))
+                          for e in json_list(data["entries"], "entries")])
+        if neck.k != json_int(data["k"], "k"):
             raise ValueError("declared k differs from the entry size")
         return neck
 
 
-@dataclass(frozen=True)
-class NonAdjacentSet:
+class NonAdjacentSet(MaskSet):
     """Subset of the cyclic ground set [n] in which no two distinct elements
     are consecutive modulo n."""
 
-    n: int
-    mask: int = 0
-
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("ground size must be positive")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError("mask holds elements outside the ground set")
+        super().__post_init__()
         if not nonadjacent_mask_ok(self.mask, self.n):
             raise ValueError("set contains cyclically adjacent elements")
-
-    @classmethod
-    def of(cls, n: int, members: Iterable[int]) -> "NonAdjacentSet":
-        m = 0
-        for x in members:
-            x = int(x)
-            if not 1 <= x <= n:
-                raise ValueError(f"element {x} outside ground set [1, {n}]")
-            m |= 1 << (x - 1)
-        return cls(n, m)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return members_of(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, x: int) -> bool:
-        return 1 <= x <= self.n and self.mask >> (x - 1) & 1 == 1
 
     def to_dict(self) -> dict:
         return {"n": self.n, "members": list(self.members)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "NonAdjacentSet":
-        return cls.of(int(data["n"]), data["members"])
+        return cls.of(json_int(data["n"], "n"),
+                      json_ints(data["members"], "members"))
 
 
 def nonadjacent_mask_ok(mask: int, n: int) -> bool:

@@ -2,9 +2,20 @@
 
 Everything here works with plain frozensets and itertools, deliberately
 avoiding the package's bit mask machinery so the two routes stay separate.
+The one exception is checked_sparse_paving, which deliberately drives the
+package: it pins the classical equivalence of the three sparse paving
+definitions on the package's own circuit-hyperplane and relaxation code.
 """
 
 from itertools import chain, combinations
+
+from positroids import (
+    KSubset,
+    circuit_hyperplanes,
+    is_sparse_paving,
+    k_subset_masks,
+    relax,
+)
 
 
 def powerset(universe):
@@ -92,3 +103,19 @@ def all_basis_families(n, k):
                         if bits >> i & 1)
         if brute_exchange(fam):
             yield fam
+
+
+def checked_sparse_paving(m):
+    """is_sparse_paving(m), after asserting that the two other definitions
+    agree with it on the matroid m: the missing k-sets are exactly the
+    circuit-hyperplanes, and relaxing every circuit-hyperplane in turn
+    reaches the uniform matroid."""
+    everything = frozenset(k_subset_masks(m.n, m.k))
+    chs = circuit_hyperplanes(m).masks() if m.k else frozenset()
+    ladder = m
+    for c in sorted(chs):
+        ladder = relax(ladder, KSubset(m.n, c))
+    verdict = is_sparse_paving(m)
+    assert (chs == everything - m.bases) == verdict
+    assert (ladder.bases == everything) == verdict
+    return verdict

@@ -21,7 +21,6 @@ from positroids import (
     decperm_to_necklace,
     enumerate_sparse_paving,
     is_realizable,
-    is_sparse_paving,
     k_subset_masks,
     le_from_removals,
     lucas,
@@ -40,6 +39,8 @@ from positroids import (
 )
 from positroids import cli
 from positroids.matroid import _exchange_masks
+
+from oracles import checked_sparse_paving
 
 
 def report(number, name, ok, detail=""):
@@ -101,8 +102,7 @@ def test_c3_oracle_equivalence(capsys):
                             if bits >> i & 1)
             if not _exchange_masks(fam):
                 continue
-            # raises internally if the three sparse paving tests disagree
-            is_sparse_paving(Matroid(n, k, fam))
+            checked_sparse_paving(Matroid(n, k, fam))
     elapsed = time.monotonic() - start
     with capsys.disabled():
         report(3, "oracle equivalence", ok,
@@ -120,7 +120,7 @@ def test_c3_optional_full_scan_6_3(capsys):
         if not _exchange_masks(fam):
             continue
         matroids += 1
-        is_sparse_paving(Matroid(6, 3, fam))
+        checked_sparse_paving(Matroid(6, 3, fam))
     elapsed = time.monotonic() - start
     with capsys.disabled():
         report(3, "optional (6,3) full scan", elapsed < 600,

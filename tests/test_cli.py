@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -73,12 +76,68 @@ class TestValidate:
         assert code == 1
         assert "line" in err and "column" in err
 
+    def test_decperm_color_keys_are_decimal_strings(self, tmp_path, capsys):
+        payload = {"n": 3, "perm": [3, 2, 1], "colors": {"2": -1}}
+        path = write_json(tmp_path, "perm.json", payload)
+        code, out, err = run(capsys, ["validate", "--kind", "decperm", path])
+        assert code == 0
+        assert out == "valid\n"
+
     def test_reads_stdin(self, capsys, monkeypatch):
         code, out, err = run(capsys, ["validate", "--kind", "nonadjacent"],
                              stdin=json.dumps({"n": 5, "members": [1, 3]}),
                              monkeypatch=monkeypatch)
         assert code == 0
         assert out == "valid\n"
+
+
+class TestStrictPayloads:
+    """Integers must be JSON integers and lists must be JSON lists: booleans,
+    floats and strings are rejected with status 1, never coerced."""
+
+    @pytest.mark.parametrize("argv,payload", [
+        pytest.param(["check-sp", "--kind", "nonadjacent", "--k", "3"],
+                     {"n": 6, "members": [3.7]}, id="float-member"),
+        pytest.param(["validate", "--kind", "nonadjacent"],
+                     {"n": True, "members": [1]}, id="bool-n"),
+        pytest.param(["convert", "--from", "decperm", "--to", "necklace",
+                      "--k", "3"],
+                     {"n": 6, "perm": "456123"}, id="string-perm"),
+        pytest.param(["validate", "--kind", "nonadjacent"],
+                     {"n": 6, "members": [3, 3]}, id="repeated-member"),
+        pytest.param(["validate", "--kind", "nonadjacent"],
+                     {"n": 6, "members": ["3"]}, id="string-member"),
+        pytest.param(["validate", "--kind", "necklace"],
+                     {"n": 4, "k": 2.0,
+                      "entries": [[1, 2], [2, 3], [3, 4], [4, 1]]},
+                     id="float-k"),
+        pytest.param(["validate", "--kind", "necklace"],
+                     {"n": 4, "k": 2, "entries": ["12", "23", "34", "41"]},
+                     id="string-entries"),
+        pytest.param(["validate", "--kind", "bases"],
+                     {"n": 4, "k": 2, "bases": [[1, "2"]]},
+                     id="string-basis-element"),
+        pytest.param(["validate", "--kind", "bases"],
+                     {"n": 4, "k": 1, "bases": "12"}, id="string-bases"),
+        pytest.param(["validate", "--kind", "le"],
+                     {"k": 2, "n": 4, "shape": [2, True],
+                      "filling": [[1, 1], [1]]}, id="bool-shape"),
+        pytest.param(["validate", "--kind", "le"],
+                     {"k": 2, "n": 4, "shape": [2, 2],
+                      "filling": [[1, 1], [1, 2]]}, id="filling-cell-2"),
+        pytest.param(["validate", "--kind", "decperm"],
+                     {"n": 3, "perm": [3, 2, 1], "colors": {"2": True}},
+                     id="bool-color"),
+        pytest.param(["validate", "--kind", "decperm"],
+                     {"n": 3, "perm": [3, 2, 1], "colors": {"+2": -1}},
+                     id="signed-color-key"),
+    ])
+    def test_rejected(self, argv, payload, tmp_path, capsys):
+        path = write_json(tmp_path, "payload.json", payload)
+        code, out, err = run(capsys, argv + [path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid:")
 
 
 class TestConvert:
@@ -229,6 +288,22 @@ class TestEnumerate:
     def test_census_rejects_extreme_rank(self, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", "5", "--k", "1"])
         assert code == 1
+
+    def test_closed_stdout_exits_quietly(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "positroids.cli",
+             "enumerate", "--n", "10", "--k", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path))
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert json.loads(first)["A"] == []
+        assert proc.returncode == 0
+        assert err == b""
 
     def test_byte_determinism(self, capsys):
         argv = ["enumerate", "--n", "5", "--k", "2"]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,23 @@ LOOP_NECKLACE = necklace(4, [{1, 2}, {2, 3}, {1, 3}, {1, 2}])
 # The positroid with bases {12, 13, 23} on [4]: reading the insertion rule
 # around the necklace gives 1 -> 3 -> 2 -> 1 with 4 a loop marked +1.
 LOOP_PERM = DecoratedPermutation.make((3, 1, 2, 4), {4: 1})
+
+
+def fixed_points(perm):
+    return [i for i, x in enumerate(perm, 1) if x == i]
+
+
+def determined_rank(dp):
+    """Size of the first necklace entry: the anti-exceedances i with
+    perm(i) < i, plus the fixed points marked -1."""
+    return (sum(1 for i in range(1, dp.n + 1) if dp.apply(i) < i)
+            + sum(1 for _, c in dp.colors if c == -1))
+
+
+def assert_round_trip(perm, marks):
+    dp = DecoratedPermutation.make(perm, dict(zip(fixed_points(perm), marks)))
+    neck = decperm_to_necklace(dp, determined_rank(dp))
+    assert necklace_to_decperm(neck) == dp
 
 
 class TestType:
@@ -97,6 +116,22 @@ class TestDecpermToNecklace:
             for neck in all_necklaces(k, n):
                 dp = necklace_to_decperm(neck)
                 assert decperm_to_necklace(dp, k) == neck
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_round_trip_over_all_decorated_permutations(self, n):
+        for perm in itertools.permutations(range(1, n + 1)):
+            fixed = len(fixed_points(perm))
+            for marks in itertools.product((1, -1), repeat=fixed):
+                assert_round_trip(perm, marks)
+
+    @given(st.integers(7, 10), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_random_decorated_permutations(self, n, data):
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        fixed = len(fixed_points(perm))
+        marks = data.draw(st.lists(st.sampled_from((1, -1)),
+                                   min_size=fixed, max_size=fixed))
+        assert_round_trip(perm, marks)
 
 
 class TestTopPermutation:

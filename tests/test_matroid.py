@@ -29,6 +29,7 @@ from oracles import (
     brute_exchange,
     brute_hyperplanes,
     brute_rank,
+    checked_sparse_paving,
 )
 
 
@@ -220,22 +221,22 @@ class TestPaving:
 
 class TestSparsePaving:
     def test_uniform(self):
-        assert is_sparse_paving(uniform(2, 4))
-        assert is_sparse_paving(uniform(0, 3))
-        assert is_sparse_paving(uniform(3, 3))
+        assert checked_sparse_paving(uniform(2, 4))
+        assert checked_sparse_paving(uniform(0, 3))
+        assert checked_sparse_paving(uniform(3, 3))
 
     def test_two_missing_bases_far_apart(self):
         m = matroid_of(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}])
-        assert is_sparse_paving(m)
+        assert checked_sparse_paving(m)
 
     def test_loop_matroid_is_not(self):
         m = matroid_of(4, [{1, 2}, {1, 3}, {2, 3}])
-        assert not is_sparse_paving(m)
+        assert not checked_sparse_paving(m)
 
-    def test_fast_path_matches_full_check(self):
+    def test_matches_checked_helper(self):
         for fam in all_basis_families(4, 2):
             m = Matroid.from_sets(4, fam)
-            assert is_sparse_paving(m, full_check=False) == is_sparse_paving(m)
+            assert is_sparse_paving(m) == checked_sparse_paving(m)
 
 
 class TestUniform:
@@ -272,27 +273,29 @@ class TestAgainstBruteForce:
             m = Matroid.from_sets(n, fam)
             assert dual(dual(m)) == m
             assert _exchange_masks(dual(m).bases)
-            assert is_sparse_paving(m) == (is_paving(m) and is_paving(dual(m)))
+            assert checked_sparse_paving(m) == \
+                (is_paving(m) and is_paving(dual(m)))
 
 
 class TestPositroidPool:
-    """Every positroid on [6] (read off every necklace of every rank)
-    satisfies the duality and paving-split identities."""
+    """Every positroid on [n] for n = 4..6 (read off every necklace of every
+    rank) satisfies the duality and paving-split identities and the three
+    sparse paving definitions agree on it."""
 
     def test_dual_and_paving_split(self):
         from positroids import all_necklaces, necklace_to_positroid
-        for k in range(0, 7):
-            for neck in all_necklaces(k, 6):
-                m = necklace_to_positroid(neck)
-                assert dual(dual(m)) == m
-                assert is_sparse_paving(m) == \
-                    (is_paving(m) and is_paving(dual(m)))
+        for n in range(4, 7):
+            for k in range(0, n + 1):
+                for neck in all_necklaces(k, n):
+                    m = necklace_to_positroid(neck)
+                    assert dual(dual(m)) == m
+                    assert checked_sparse_paving(m) == \
+                        (is_paving(m) and is_paving(dual(m)))
 
 
 class TestThreeDefinitionsAgree:
     """Exhaustive scan over every subset family of k-subsets: whenever the
-    exchange axiom holds, the three sparse paving tests coincide (a
-    disagreement would raise inside is_sparse_paving)."""
+    exchange axiom holds, the three sparse paving tests coincide."""
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3)])
     def test_power_set_scan(self, n, k):
@@ -304,5 +307,5 @@ class TestThreeDefinitionsAgree:
             if not _exchange_masks(fam):
                 continue
             seen += 1
-            is_sparse_paving(Matroid(n, k, fam))
+            checked_sparse_paving(Matroid(n, k, fam))
         assert seen > 0

@@ -14,7 +14,6 @@ from positroids import (
     cyclic_le,
     gale_le,
     is_positroid,
-    is_sparse_paving,
     is_valid_necklace,
     k_subset_masks,
     necklace_from_nonadjacent,
@@ -27,7 +26,12 @@ from positroids import (
 )
 from positroids.matroid import _exchange_masks
 
-from oracles import all_basis_families, brute_gale_min, brute_nonadjacent
+from oracles import (
+    all_basis_families,
+    brute_gale_min,
+    brute_nonadjacent,
+    checked_sparse_paving,
+)
 
 
 def ks(n, members):
@@ -297,7 +301,8 @@ class TestWitness:
     def test_agrees_with_matroid_classifier(self, n, k):
         for neck in all_necklaces(k, n):
             m = necklace_to_positroid(neck)
-            assert (sparse_paving_witness(neck) is not None) == is_sparse_paving(m)
+            assert (sparse_paving_witness(neck) is not None) == \
+                checked_sparse_paving(m)
 
 
 class TestFromNonAdjacent:
