@@ -19,7 +19,6 @@ from .decorated import (
     DecoratedPermutation,
     decperm_to_necklace,
     necklace_to_decperm,
-    perm_sparse_paving_witness,
 )
 from .enumeration import count_sparse_paving, enumerate_sparse_paving
 from .le_diagram import (
@@ -33,8 +32,7 @@ from .matroid import (
     Matroid,
     _exchange_masks,
     is_sparse_paving,
-    k_subset_masks,
-    members_of,
+    lex_subsets,
 )
 from .necklace import (
     GrassmannNecklace,
@@ -163,11 +161,11 @@ def _from_necklace(kind: str, neck: GrassmannNecklace):
 def _violating_pair(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lexicographically first pair of missing k-sets at symmetric
     difference two; exists whenever the matroid is not sparse paving."""
-    nonbases = sorted((x for x in k_subset_masks(m.n, m.k)
-                       if x not in m.bases), key=members_of)
-    for a, b in itertools.combinations(nonbases, 2):
+    nonbases = [(mask, members) for mask, members in lex_subsets(m.n, m.k)
+                if mask not in m.bases]
+    for (a, first), (b, second) in itertools.combinations(nonbases, 2):
         if (a ^ b).bit_count() == 2:
-            return members_of(a), members_of(b)
+            return first, second
     raise RuntimeError("internal: no violating pair in a non sparse paving "
                        "matroid")
 
@@ -195,33 +193,15 @@ def cmd_check_sp(args) -> int:
     n, k = _dims(args.kind, obj, args.k)
     if not 2 <= k <= n - 2:
         raise CliError(f"classification needs 2 <= k <= n-2, got k={k}, n={n}")
-    matroid = None
-    if args.kind == "nonadjacent":
-        witness = obj
-    elif args.kind == "decperm":
-        witness = perm_sparse_paving_witness(obj, k)
-        if witness is None:
-            matroid = necklace_to_positroid(decperm_to_necklace(obj, k))
-    else:
-        if args.kind == "necklace":
-            neck = obj
-        elif args.kind == "bases":
-            if not is_positroid(obj):
-                raise NegativeVerdict("not a positroid")
-            neck = positroid_necklace(obj)
-        else:
-            matroid = realizable_sets(obj)
-            neck = positroid_necklace(matroid)
-        witness = sparse_paving_witness(neck)
-        if witness is None and matroid is None:
-            matroid = necklace_to_positroid(neck)
+    neck = _as_necklace(args.kind, obj, k)
+    witness = sparse_paving_witness(neck)
     if witness is not None:
         inner = ",".join(map(str, witness.members))
         print(f"sparse-paving A={{{inner}}}")
         chs = [list(cyclic_interval(k, n, i).members) for i in witness.members]
         print(f"circuit-hyperplanes: {_dumps(chs)}")
         return 0
-    first, second = _violating_pair(matroid)
+    first, second = _violating_pair(necklace_to_positroid(neck))
     print("not sparse-paving")
     print(f"witness: {_dumps(list(first))} {_dumps(list(second))}")
     return 2

@@ -40,8 +40,9 @@ class DecoratedPermutation:
     @classmethod
     def make(cls, perm: Iterable[int],
              colors: Mapping[int, int] | None = None) -> "DecoratedPermutation":
-        line = tuple(int(x) for x in perm)
-        marks = tuple(sorted((int(i), int(c))
+        line = tuple(json_int(x, "perm entry") for x in perm)
+        marks = tuple(sorted((json_int(i, "mark position"),
+                              json_int(c, "mark"))
                              for i, c in (colors or {}).items()))
         return cls(len(line), line, marks)
 

@@ -57,8 +57,8 @@ class LeDiagram:
     @classmethod
     def make(cls, k: int, n: int, shape: Iterable[int],
              filling: Iterable[Iterable]) -> "LeDiagram":
-        parts = [int(w) for w in shape]
-        rows = [tuple(bool(x) for x in row) for row in filling]
+        parts = [json_int(w, "shape width") for w in shape]
+        rows = [tuple(_cell(x) for x in row) for row in filling]
         while parts and parts[-1] == 0:
             parts.pop()
             if len(rows) > len(parts) and not rows[-1]:
@@ -83,10 +83,16 @@ class LeDiagram:
     def from_dict(cls, data: dict) -> "LeDiagram":
         filling = [json_ints(row, "filling row")
                    for row in json_list(data["filling"], "filling")]
-        if any(x not in (0, 1) for row in filling for x in row):
-            raise ValueError("filling cells must be 0 or 1")
         return cls.make(json_int(data["k"], "k"), json_int(data["n"], "n"),
                         json_ints(data["shape"], "shape"), filling)
+
+
+def _cell(x) -> bool:
+    """A filling cell: 0 or False is empty, 1 or True is a bullet; anything
+    else is rejected rather than read by truth value."""
+    if type(x) not in (int, bool) or x not in (0, 1):
+        raise ValueError("filling cells must be 0 or 1")
+    return bool(x)
 
 
 def le_violation(diag: LeDiagram) -> tuple[int, int] | None:
@@ -376,7 +382,7 @@ def le_from_removals(removed, k: int, n: int) -> LeDiagram:
     if hasattr(removed, "members"):
         labels = set(removed.members)
     else:
-        labels = {int(x) for x in removed}
+        labels = {json_int(x, "label") for x in removed}
     for x in labels:
         if not 1 <= x <= n:
             raise ValueError(f"label {x} outside [1, {n}]")

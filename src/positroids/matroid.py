@@ -17,7 +17,7 @@ def mask_of(members: Iterable[int], n: int) -> int:
     """Pack a subset of [n] into a bit mask, rejecting bad elements."""
     m = 0
     for x in members:
-        x = int(x)
+        x = json_int(x, "element")
         if not 1 <= x <= n:
             raise ValueError(f"element {x} outside ground set [1, {n}]")
         bit = 1 << (x - 1)
@@ -38,22 +38,26 @@ def members_of(mask: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def k_subset_masks(n: int, k: int) -> tuple[int, ...]:
-    """Masks of every k-element subset of [n], in ascending mask order."""
+def lex_subsets(n: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every k-subset of [n] as a (mask, sorted members) pair, in
+    lexicographic order of the member tuples.  Whatever lists subsets in
+    sorted order walks this table, so it alone defines that order."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"no {k}-subsets on ground set [{n}]")
-    masks = []
-    for combo in itertools.combinations(range(n), k):
-        m = 0
-        for p in combo:
-            m |= 1 << p
-        masks.append(m)
-    return tuple(sorted(masks))
+    return tuple((sum(1 << (x - 1) for x in combo), combo)
+                 for combo in itertools.combinations(range(1, n + 1), k))
+
+
+@lru_cache(maxsize=None)
+def k_subset_masks(n: int, k: int) -> tuple[int, ...]:
+    """Masks of every k-element subset of [n], in ascending mask order."""
+    return tuple(sorted(mask for mask, _ in lex_subsets(n, k)))
 
 
 def json_int(value, what: str) -> int:
-    """An integer read from a JSON payload.  Booleans, floats and strings are
-    rejected rather than coerced, so `true`, `3.7` and `"3"` never pass."""
+    """An integer read from a JSON payload or passed to a constructor.
+    Booleans, floats and strings are rejected rather than coerced, so `true`,
+    `3.7` and `"3"` never pass."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got "
                          f"{type(value).__name__}")
@@ -157,8 +161,9 @@ class Matroid:
         return cls(n, k, masks)
 
     def basis_subsets(self) -> tuple[KSubset, ...]:
-        return tuple(KSubset(self.n, m)
-                     for m in sorted(self.bases, key=members_of))
+        return tuple(KSubset(self.n, mask)
+                     for mask, _ in lex_subsets(self.n, self.k)
+                     if mask in self.bases)
 
     def has_basis(self, subset) -> bool:
         return as_mask(subset, self.n) in self.bases
@@ -167,7 +172,9 @@ class Matroid:
         return {
             "n": self.n,
             "k": self.k,
-            "bases": sorted(list(members_of(b)) for b in self.bases),
+            "bases": [list(members)
+                      for mask, members in lex_subsets(self.n, self.k)
+                      if mask in self.bases],
         }
 
     @classmethod

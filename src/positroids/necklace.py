@@ -2,12 +2,19 @@
 
 Index arithmetic is 1-based and wraps modulo n with representatives in [n],
 so the successor of n is 1.
+
+The Gale order at t is read through prefix counts.  Rotate [n] to start at t
+and let P_1, P_2, ..., P_n be its prefixes {t}, {t, t+1}, ....  For subsets I
+and J of equal size, I <=_t J (componentwise on the rotated, sorted members)
+exactly when |J & P_m| <= |I & P_m| for every m.  The positroid of a necklace
+is the intersection of the n shifted Schubert matroids {J : I_t <=_t J}
+(Oh, "Positroids and Schubert matroids", JCTA 118 (2011)), so both
+conversions between necklaces and positroids reduce to these counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .matroid import (
@@ -18,7 +25,6 @@ from .matroid import (
     json_ints,
     json_list,
     k_subset_masks,
-    members_of,
 )
 
 
@@ -40,6 +46,36 @@ def cyclic_le(t: int, a: int, b: int, n: int) -> bool:
     return cyclic_pos(t, a, n) <= cyclic_pos(t, b, n)
 
 
+def gale_bounds(n: int, t: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """The (prefix mask, bound) pairs that decide I <=_t J for the subset I
+    given by mask: J of the same size dominates I exactly when
+    (J & prefix).bit_count() <= bound for every pair.
+
+    A prefix can reject J only when I's count there is below the prefix's
+    length, and J's count never falls as the prefix grows, so only the
+    prefix ending just before each member of I is kept.  A cyclic interval
+    at t gives no pair, a bumped interval gives one.
+    """
+    out = []
+    prefix = count = 0
+    for m in range(n):
+        bit = 1 << ((t - 1 + m) % n)
+        if mask & bit:
+            if count < m:
+                out.append((prefix, count))
+            count += 1
+        prefix |= bit
+    return tuple(out)
+
+
+def _dominating(masks, bounds) -> list[int]:
+    """The masks that pass every (prefix mask, bound) pair."""
+    keep = list(masks)
+    for prefix, bound in bounds:
+        keep = [m for m in keep if (m & prefix).bit_count() <= bound]
+    return keep
+
+
 def gale_le(t: int, i_set: KSubset, j_set: KSubset) -> bool:
     """Componentwise comparison of two equal-size subsets, each sorted by the
     rotation of [n] starting at t."""
@@ -50,14 +86,8 @@ def gale_le(t: int, i_set: KSubset, j_set: KSubset) -> bool:
         raise ValueError(f"rotation start {t} outside [1, {n}]")
     if len(i_set) != len(j_set):
         raise ValueError("subsets differ in size")
-    a = _sorted_positions(n, t, i_set.mask)
-    b = _sorted_positions(n, t, j_set.mask)
-    return all(x <= y for x, y in zip(a, b))
-
-
-@lru_cache(maxsize=None)
-def _sorted_positions(n: int, t: int, mask: int) -> tuple[int, ...]:
-    return tuple(sorted((x - t) % n for x in members_of(mask)))
+    return all((j_set.mask & prefix).bit_count() <= bound
+               for prefix, bound in gale_bounds(n, t, i_set.mask))
 
 
 def cyclic_interval(k: int, n: int, i: int) -> KSubset:
@@ -86,13 +116,9 @@ def schubert_bases(i_set: KSubset, t: int, n: int) -> frozenset[KSubset]:
         raise ValueError(f"subset lives on [{i_set.n}], expected [{n}]")
     if not 1 <= t <= n:
         raise ValueError(f"rotation start {t} outside [1, {n}]")
-    ref = _sorted_positions(n, t, i_set.mask)
-    out = []
-    for m in k_subset_masks(n, len(i_set)):
-        cand = _sorted_positions(n, t, m)
-        if all(x <= y for x, y in zip(ref, cand)):
-            out.append(m)
-    return frozenset(KSubset(n, m) for m in out)
+    keep = _dominating(k_subset_masks(n, len(i_set)),
+                       gale_bounds(n, t, i_set.mask))
+    return frozenset(KSubset(n, m) for m in keep)
 
 
 def _structure_problem(entries: Sequence[KSubset]) -> str | None:
@@ -214,23 +240,33 @@ def nonadjacent_mask_ok(mask: int, n: int) -> bool:
 def necklace_to_positroid(neck: GrassmannNecklace) -> Matroid:
     """Intersect the n shifted Schubert matroids read off the necklace."""
     n, k = neck.n, neck.k
-    keep = list(k_subset_masks(n, k))
-    for t in range(1, n + 1):
-        ref = _sorted_positions(n, t, neck.entries[t - 1].mask)
-        keep = [m for m in keep
-                if all(x <= y
-                       for x, y in zip(ref, _sorted_positions(n, t, m)))]
-    return Matroid(n, k, frozenset(keep))
+    bounds = {pair for t in range(1, n + 1)
+              for pair in gale_bounds(n, t, neck.entries[t - 1].mask)}
+    return Matroid(n, k, frozenset(_dominating(k_subset_masks(n, k),
+                                               bounds)))
 
 
 def positroid_necklace(m: Matroid) -> GrassmannNecklace:
     """Necklace whose t-th entry is the basis that is lexicographically least
-    after rotating labels so that t becomes 1."""
+    after rotating labels so that t becomes 1.
+
+    Among sets of equal size the least one is found greedily: walk the
+    rotation at t and, at each element, keep the candidates containing it
+    whenever any does.
+    """
+    n = m.n
     entries = []
-    for t in range(1, m.n + 1):
-        best = min(m.bases, key=lambda b: _sorted_positions(m.n, t, b))
-        entries.append(KSubset(m.n, best))
-    return GrassmannNecklace(m.n, m.k, tuple(entries))
+    for t in range(1, n + 1):
+        cands = list(m.bases)
+        for step in range(n):
+            if len(cands) == 1:
+                break
+            bit = 1 << ((t - 1 + step) % n)
+            having = [b for b in cands if b & bit]
+            if having:
+                cands = having
+        entries.append(KSubset(n, cands[0]))
+    return GrassmannNecklace(n, m.k, tuple(entries))
 
 
 def is_positroid(m: Matroid) -> bool:

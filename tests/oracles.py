@@ -86,11 +86,38 @@ def brute_nonadjacent(n):
     return out
 
 
+def rotated_positions(subset, t, n):
+    """Sorted positions of the members in the rotation of [n] starting at t."""
+    return tuple(sorted((x - t) % n for x in subset))
+
+
 def brute_gale_min(bases, t, n):
     """Lexicographically least basis after rotating labels so t becomes 1."""
-    def key(b):
-        return tuple(sorted((x - t) % n for x in b))
-    return min(bases, key=key)
+    return min(bases, key=lambda b: rotated_positions(b, t, n))
+
+
+def brute_gale_le(t, i, j, n):
+    """Gale order at t straight from its definition: the rotated, sorted
+    members of i are componentwise at most those of j."""
+    return all(a <= b for a, b in zip(rotated_positions(i, t, n),
+                                      rotated_positions(j, t, n)))
+
+
+def brute_positroid(n, k, entries):
+    """Bases of the positroid of a necklace, given as n member collections:
+    the k-subsets above the t-th entry in the Gale order at t, for every t."""
+    entries = [frozenset(e) for e in entries]
+    return frozenset(
+        frozenset(c) for c in combinations(range(1, n + 1), k)
+        if all(brute_gale_le(t, entries[t - 1], c, n)
+               for t in range(1, n + 1)))
+
+
+def determined_rank(dp):
+    """Size of the first necklace entry of a decorated permutation: the
+    anti-exceedances i with perm(i) < i, plus the fixed points marked -1."""
+    return (sum(1 for i in range(1, dp.n + 1) if dp.apply(i) < i)
+            + sum(1 for _, c in dp.colors if c == -1))
 
 
 def all_basis_families(n, k):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -262,6 +263,60 @@ class TestCheckSp:
             assert len(outputs) == 1
 
 
+def bases_without(n, k, missing):
+    return {"n": n, "k": k,
+            "bases": [list(c)
+                      for c in itertools.combinations(range(1, n + 1), k)
+                      if c not in missing]}
+
+
+SP_OUT = ("sparse-paving A={1,4}\n"
+          "circuit-hyperplanes: [[1,2,3],[4,5,6]]\n")
+NOT_SP_OUT = "not sparse-paving\nwitness: [1,2,3] [2,3,4]\n"
+
+
+class TestCheckSpKinds:
+    """Every --kind goes through one necklace dispatch.  A positive payload
+    (the positroid indexed by A = {1, 4} at n = 6, k = 3) and a negative one
+    (Le-diagram removals {1, 2}) per kind; the expected bytes were recorded
+    before the dispatch was shared."""
+
+    @pytest.mark.parametrize("kind,payload,code,out,err", [
+        ("necklace", {"n": 6, "k": 3,
+                      "entries": [[1, 2, 4], [2, 3, 4], [3, 4, 5],
+                                  [1, 4, 5], [1, 5, 6], [1, 2, 6]]},
+         0, SP_OUT, ""),
+        ("necklace", {"n": 6, "k": 3,
+                      "entries": [[1, 2, 4], [2, 4, 5], [3, 4, 5],
+                                  [4, 5, 6], [1, 5, 6], [1, 2, 6]]},
+         2, NOT_SP_OUT, ""),
+        ("decperm", {"n": 6, "perm": [3, 5, 1, 6, 2, 4], "colors": {}},
+         0, SP_OUT, ""),
+        ("decperm", {"n": 6, "perm": [5, 3, 6, 1, 2, 4], "colors": {}},
+         2, NOT_SP_OUT, ""),
+        ("le", {"k": 3, "n": 6, "shape": [3, 3, 2],
+                "filling": [[0, 1, 1], [1, 1, 1], [1, 1]]},
+         0, SP_OUT, ""),
+        ("le", {"k": 3, "n": 6, "shape": [3, 3, 2],
+                "filling": [[1, 1, 0], [1, 1, 1], [1, 1]]},
+         2, NOT_SP_OUT, ""),
+        ("bases", bases_without(6, 3, {(1, 2, 3), (4, 5, 6)}),
+         0, SP_OUT, ""),
+        ("bases", bases_without(6, 3, {(1, 2, 3), (2, 3, 4), (2, 3, 5),
+                                       (2, 3, 6)}),
+         2, NOT_SP_OUT, ""),
+        ("nonadjacent", {"n": 6, "members": [1, 4]}, 0, SP_OUT, ""),
+        ("nonadjacent", {"n": 6, "members": [1, 2]}, 1, "",
+         "invalid: set contains cyclically adjacent elements\n"),
+    ])
+    def test_bytes(self, kind, payload, code, out, err, tmp_path, capsys):
+        path = write_json(tmp_path, "payload.json", payload)
+        argv = ["check-sp", "--kind", kind, path]
+        if kind in ("decperm", "nonadjacent"):
+            argv += ["--k", "3"]
+        assert run(capsys, argv) == (code, out, err)
+
+
 class TestEnumerate:
     def test_count_only(self, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", "6", "--k", "3",
@@ -304,6 +359,21 @@ class TestEnumerate:
         assert json.loads(first)["A"] == []
         assert proc.returncode == 0
         assert err == b""
+
+    @pytest.mark.parametrize("n,k,lines,digest", [
+        (8, 4, 47, "8de37483555c3912c51034ea7d1de2ca"
+                   "01d85fb5eb5c0edc4e48d1b0ced60da9"),
+        (9, 4, 76, "849c4f88227da211e428af7a01eee6b0"
+                   "9cb7e58f11793d2305182334df8799d8"),
+        (10, 5, 123, "625dc92ce69b35354040d156c14c36f5"
+                     "f0e68002193487773cf231c699dafe0f"),
+    ])
+    def test_golden_census_bytes(self, n, k, lines, digest, capsys):
+        code, out, err = run(capsys, ["enumerate", "--n", str(n),
+                                      "--k", str(k)])
+        assert code == 0
+        assert out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_byte_determinism(self, capsys):
         argv = ["enumerate", "--n", "5", "--k", "2"]

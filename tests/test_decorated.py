@@ -19,7 +19,7 @@ from positroids import (
     top_permutation,
 )
 
-from oracles import brute_nonadjacent
+from oracles import brute_nonadjacent, determined_rank
 
 
 def necklace(n, sets):
@@ -40,13 +40,6 @@ def fixed_points(perm):
     return [i for i, x in enumerate(perm, 1) if x == i]
 
 
-def determined_rank(dp):
-    """Size of the first necklace entry: the anti-exceedances i with
-    perm(i) < i, plus the fixed points marked -1."""
-    return (sum(1 for i in range(1, dp.n + 1) if dp.apply(i) < i)
-            + sum(1 for _, c in dp.colors if c == -1))
-
-
 def assert_round_trip(perm, marks):
     dp = DecoratedPermutation.make(perm, dict(zip(fixed_points(perm), marks)))
     neck = decperm_to_necklace(dp, determined_rank(dp))
@@ -65,6 +58,14 @@ class TestType:
             DecoratedPermutation.make((2, 1), {1: 1})
         with pytest.raises(ValueError):
             DecoratedPermutation.make((1, 2), {1: 1, 2: 2})
+
+    def test_rejects_fractional_entry(self):
+        with pytest.raises(ValueError):
+            DecoratedPermutation.make((2.0, 1))
+
+    def test_rejects_bool_mark(self):
+        with pytest.raises(ValueError):
+            DecoratedPermutation.make((1, 2), {1: True, 2: 1})
 
     def test_json_round_trip(self):
         dp = DecoratedPermutation.make((3, 2, 1), {2: -1})

@@ -55,6 +55,18 @@ class TestType:
         with pytest.raises(ValueError):
             diagram(2, 4, (2, 1), [[1, 1]])
 
+    def test_rejects_non_binary_cell(self):
+        with pytest.raises(ValueError):
+            diagram(2, 4, [2, 2], [["no", 1], [1, 1]])
+
+    def test_rejects_fractional_width(self):
+        with pytest.raises(ValueError):
+            diagram(2, 4, [2.9, 2], [[1, 1], [1, 1]])
+
+    def test_removals_reject_fractional_label(self):
+        with pytest.raises(ValueError):
+            le_from_removals([1.5], 2, 5)
+
     def test_json_round_trip(self):
         d = diagram(2, 4, (2, 1), [[1, 0], [1]])
         assert LeDiagram.from_dict(d.to_dict()) == d

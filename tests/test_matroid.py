@@ -60,9 +60,30 @@ class TestMasks:
         with pytest.raises(ValueError):
             mask_of({5}, 4)
 
+    def test_rejects_float_element(self):
+        with pytest.raises(ValueError):
+            KSubset.of(4, [1.5])
+
+    def test_rejects_bool_element(self):
+        with pytest.raises(ValueError):
+            KSubset.of(4, [True, 2])
+
     def test_k_subset_masks_counts(self):
         assert len(k_subset_masks(6, 3)) == 20
         assert k_subset_masks(3, 0) == (0,)
+
+
+class TestEncoding:
+    @given(st.integers(1, 9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bases_listed_in_sorted_order(self, n, data):
+        k = data.draw(st.integers(0, n))
+        family = data.draw(st.sets(st.sampled_from(k_subset_masks(n, k)),
+                                   min_size=1))
+        m = Matroid(n, k, frozenset(family))
+        expected = sorted(list(members_of(b)) for b in family)
+        assert m.to_dict()["bases"] == expected
+        assert [list(b.members) for b in m.basis_subsets()] == expected
 
 
 class TestExchangeAxiom:

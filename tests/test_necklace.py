@@ -5,17 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids import (
+    DecoratedPermutation,
     GrassmannNecklace,
     KSubset,
     Matroid,
     NonAdjacentSet,
     all_necklaces,
+    bumped_interval,
     cyclic_interval,
     cyclic_le,
+    decperm_to_necklace,
     gale_le,
     is_positroid,
     is_valid_necklace,
     k_subset_masks,
+    members_of,
     necklace_from_nonadjacent,
     necklace_to_positroid,
     nonadjacent_mask_ok,
@@ -25,12 +29,16 @@ from positroids import (
     uniform,
 )
 from positroids.matroid import _exchange_masks
+from positroids.necklace import gale_bounds
 
 from oracles import (
     all_basis_families,
+    brute_gale_le,
     brute_gale_min,
     brute_nonadjacent,
+    brute_positroid,
     checked_sparse_paving,
+    determined_rank,
 )
 
 
@@ -47,6 +55,34 @@ def interval_necklace(k, n):
 
 
 LOOP_NECKLACE = necklace(4, [{1, 2}, {2, 3}, {1, 3}, {1, 2}])
+
+
+@st.composite
+def decperm_necklaces(draw, min_n, max_n):
+    """Necklace of a random decorated permutation, at the rank it fixes."""
+    n = draw(st.integers(min_n, max_n))
+    perm = draw(st.permutations(range(1, n + 1)))
+    marks = {i: draw(st.sampled_from((1, -1)))
+             for i in range(1, n + 1) if perm[i - 1] == i}
+    dp = DecoratedPermutation.make(perm, marks)
+    return decperm_to_necklace(dp, determined_rank(dp))
+
+
+def entry_sets(neck):
+    return [frozenset(e.members) for e in neck.entries]
+
+
+def assert_conversions_match_oracles(neck):
+    """Both necklace <-> positroid conversions against the brute-force
+    Gale-order oracles."""
+    n = neck.n
+    expected = brute_positroid(n, neck.k, entry_sets(neck))
+    got = necklace_to_positroid(neck)
+    assert {frozenset(members_of(b)) for b in got.bases} == expected
+    back = positroid_necklace(Matroid.from_sets(n, expected))
+    assert entry_sets(back) == [brute_gale_min(expected, t, n)
+                                for t in range(1, n + 1)]
+    assert back == neck
 
 
 class TestCyclicOrder:
@@ -91,6 +127,25 @@ class TestGaleOrder:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             gale_le(1, ks(4, {1}), ks(4, {1, 2}))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_brute_force(self, n):
+        for k in range(0, n + 1):
+            combos = list(itertools.combinations(range(1, n + 1), k))
+            for a, b in itertools.product(combos, repeat=2):
+                for t in range(1, n + 1):
+                    assert gale_le(t, ks(n, a), ks(n, b)) == \
+                        brute_gale_le(t, a, b, n), (t, a, b)
+
+    def test_bounds_of_intervals(self):
+        # the Gale minimum at t needs no prefix check, the runner-up one
+        for n in range(3, 9):
+            for k in range(1, n - 1):
+                for t in range(1, n + 1):
+                    assert gale_bounds(
+                        n, t, cyclic_interval(k, n, t).mask) == ()
+                    assert len(gale_bounds(
+                        n, t, bumped_interval(k, n, t).mask)) == 1
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=150, deadline=None)
@@ -202,6 +257,19 @@ class TestNecklaceToPositroid:
     def test_loop_positroid(self):
         expected = Matroid.from_sets(4, [{1, 2}, {1, 3}, {2, 3}])
         assert necklace_to_positroid(LOOP_NECKLACE) == expected
+
+
+class TestConversionsAgainstOracles:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_necklace(self, n):
+        for k in range(0, n + 1):
+            for neck in all_necklaces(k, n):
+                assert_conversions_match_oracles(neck)
+
+    @given(decperm_necklaces(8, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_random_decorated_permutations(self, neck):
+        assert_conversions_match_oracles(neck)
 
 
 class TestPositroidNecklace:
