@@ -30,7 +30,7 @@ from .le_diagram import (
 )
 from .matroid import (
     Matroid,
-    _exchange_masks,
+    check_exchange_axiom,
     is_sparse_paving,
     lex_subsets,
 )
@@ -99,7 +99,7 @@ def _load(kind: str, data) -> object:
     except ValueError as exc:
         raise CliError(str(exc))
     if kind == "bases":
-        if not _exchange_masks(obj.bases):
+        if not check_exchange_axiom(obj.basis_subsets(), obj.n):
             raise CliError("bases do not satisfy the exchange axiom")
     elif kind == "le":
         bad = le_violation(obj)
@@ -121,16 +121,12 @@ def _dims(kind: str, obj, flag_k: int | None) -> tuple[int, int]:
     return n, k
 
 
-def _as_necklace(kind: str, obj, k: int | None) -> GrassmannNecklace:
+def _as_necklace(kind: str, obj, k: int) -> GrassmannNecklace:
     if kind == "necklace":
         return obj
     if kind == "decperm":
-        if k is None:
-            raise CliError("--k is required for decperm input")
         return decperm_to_necklace(obj, k)
     if kind == "nonadjacent":
-        if k is None:
-            raise CliError("--k is required for nonadjacent input")
         return necklace_from_nonadjacent(obj, k, obj.n)
     if kind == "bases":
         if not is_positroid(obj):

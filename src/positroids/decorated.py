@@ -72,8 +72,12 @@ class DecoratedPermutation:
         if not isinstance(colors, dict):
             raise ValueError("colors must be an object")
         for i in colors:
-            if not (isinstance(i, str) and i.isascii() and i.isdigit()):
-                raise ValueError(f"color key {i!r} is not a decimal string")
+            # Only the canonical spelling counts, so "02" cannot mark the
+            # same fixed point as "2".
+            if not (isinstance(i, str) and i.isdecimal()
+                    and str(int(i)) == i):
+                raise ValueError(f"color key {i!r} is not a canonical "
+                                 f"decimal string")
         return cls.make(perm, {int(i): json_int(c, "color")
                                for i, c in colors.items()})
 

@@ -5,11 +5,21 @@ Cells are addressed (row, col) with row 1 on top and col 1 at the left, the
 usual top-left-justified Young diagram picture.  Network vertices are tagged
 tuples: ("s", label) for sources, ("t", label) for sinks, ("b", row, col) for
 bullets.
+
+A k-subset I is a basis when the sources outside I can be routed to the
+sinks inside I by vertex-disjoint paths.  The network is acyclic and planar
+with its sources and sinks on the boundary, so by the Lindstrom-Gessel-Viennot
+lemma every such path system carries the same sign, and one exists exactly
+when the minor of source-to-sink path counts on those rows and columns is
+nonzero (Postnikov, "Total positivity, Grassmannians, and networks",
+arXiv math/0609764).  That determinant is the library's one realizability
+test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .matroid import (
@@ -165,10 +175,27 @@ class PlanarNetwork:
     k: int
     sources: KSubset
     sinks: KSubset
-    bullets: tuple[tuple[int, int], ...]
     edges: dict[tuple, tuple[tuple, ...]]
-    source_row: dict[int, int]
-    sink_col: dict[int, int]
+
+    @cached_property
+    def path_counts(self) -> dict[int, dict[int, int]]:
+        """Number of directed paths from each source label to each sink label
+        it reaches, counted once by a memoized pass over the edges."""
+        memo: dict[tuple, dict[int, int]] = {}
+
+        def count(v) -> dict[int, int]:
+            if v not in memo:
+                if v[0] == "t":
+                    memo[v] = {v[1]: 1}
+                else:
+                    out: dict[int, int] = {}
+                    for w in self.edges[v]:
+                        for sink, c in count(w).items():
+                            out[sink] = out.get(sink, 0) + c
+                    memo[v] = out
+            return memo[v]
+
+        return {i: count(("s", i)) for i in self.sources.members}
 
 
 def build_network(diag: LeDiagram) -> PlanarNetwork:
@@ -206,53 +233,37 @@ def build_network(diag: LeDiagram) -> PlanarNetwork:
             edges[("b", r, c)] = tuple(out)
     for label in b.sink_col:
         edges[("t", label)] = ()
-    bullets = tuple(sorted((r, c) for r, cs in rows.items() for c in cs))
-    return PlanarNetwork(diag.n, diag.k, b.sources, b.sinks, bullets, edges,
-                         b.source_row, b.sink_col)
+    return PlanarNetwork(diag.n, diag.k, b.sources, b.sinks, edges)
 
 
-def _find_augmenting(succ: dict, start, goal) -> list | None:
-    stack = [(start, [start])]
-    seen = {start}
-    while stack:
-        u, path = stack.pop()
-        for v in succ.get(u, ()):
-            if v in seen:
-                continue
-            if v == goal:
-                return path + [goal]
-            seen.add(v)
-            stack.append((v, path + [v]))
-    return None
+def _nonsingular(a: list[list[int]]) -> bool:
+    """Whether a square integer matrix has a nonzero determinant, by
+    fraction-free (Bareiss) elimination: every division is exact, so the
+    entries stay integers.  The rows of `a` are overwritten."""
+    prev = 1
+    for p in range(len(a)):
+        if a[p][p] == 0:
+            swap = next((r for r in range(p + 1, len(a)) if a[r][p]), None)
+            if swap is None:
+                return False
+            a[p], a[swap] = a[swap], a[p]
+        for r in range(p + 1, len(a)):
+            for c in range(p + 1, len(a)):
+                a[r][c] = (a[r][c] * a[p][p] - a[r][p] * a[p][c]) // prev
+        prev = a[p][p]
+    return True
 
 
-def _max_disjoint_paths(net: PlanarNetwork, starts: Iterable[int],
-                        targets: Iterable[int]) -> int:
-    """Maximum number of vertex-disjoint paths from the given source labels
-    to the given sink labels, by unit-capacity augmentation on the split
-    graph (each vertex becomes an in/out pair of capacity one)."""
-    succ: dict = {}
-
-    def add(u, v):
-        succ.setdefault(u, set()).add(v)
-
-    for v, outs in net.edges.items():
-        add((v, 0), (v, 1))
-        for w in outs:
-            add((v, 1), (w, 0))
-    for i in starts:
-        add("S", (("s", i), 0))
-    for j in targets:
-        add((("t", j), 1), "T")
-    flow = 0
-    while True:
-        path = _find_augmenting(succ, "S", "T")
-        if path is None:
-            return flow
-        flow += 1
-        for u, v in zip(path, path[1:]):
-            succ[u].discard(v)
-            succ.setdefault(v, set()).add(u)
+def _realizes(net: PlanarNetwork, s_mask: int) -> bool:
+    """The realizability test: the k-set stays put on the sources it keeps,
+    and the path-count minor from the sources it leaves out to the sinks it
+    keeps must be nonsingular."""
+    if s_mask.bit_count() != net.k:
+        return False
+    counts = net.path_counts
+    goals = members_of(s_mask & net.sinks.mask)
+    return _nonsingular([[counts[i].get(j, 0) for j in goals]
+                         for i in members_of(net.sources.mask & ~s_mask)])
 
 
 def is_realizable(source, subset) -> bool:
@@ -260,25 +271,16 @@ def is_realizable(source, subset) -> bool:
     kept by the subset stay put, the remaining sources must route to the
     subset's sinks."""
     net = source if isinstance(source, PlanarNetwork) else build_network(source)
-    s_mask = as_mask(subset, net.n)
-    if s_mask.bit_count() != net.k:
-        return False
-    to_route = members_of(net.sources.mask & ~s_mask)
-    goals = members_of(s_mask & net.sinks.mask)
-    if len(to_route) != len(goals):
-        return False
-    if not to_route:
-        return True
-    return _max_disjoint_paths(net, to_route, goals) == len(to_route)
+    return _realizes(net, as_mask(subset, net.n))
 
 
 def realizable_sets(diag: LeDiagram) -> Matroid:
     """Matroid on [n] whose bases are exactly the k-subsets realized by some
     vertex-disjoint path system of the diagram's network."""
     net = build_network(diag)
-    found = [m for m in k_subset_masks(diag.n, diag.k)
-             if is_realizable(net, KSubset(diag.n, m))]
-    return Matroid(diag.n, diag.k, frozenset(found))
+    return Matroid(diag.n, diag.k,
+                   frozenset(m for m in k_subset_masks(diag.n, diag.k)
+                             if _realizes(net, m)))
 
 
 @dataclass(frozen=True)
@@ -306,21 +308,16 @@ class PathSystem:
 
 
 def find_path_system(source, subset) -> PathSystem | None:
-    """Explicit vertex-disjoint path system realizing the subset, found by
-    backtracking source by source; None when no system exists.  Independent
-    of the flow-based test, which it cross-checks in the suite."""
+    """Explicit vertex-disjoint path system realizing the subset, or None
+    when none exists.  The determinant test decides first; only then does a
+    source-by-source backtracking search build the paths."""
     net = source if isinstance(source, PlanarNetwork) else build_network(source)
     s_mask = as_mask(subset, net.n)
-    if s_mask.bit_count() != net.k:
+    if not _realizes(net, s_mask):
         return None
     staying = members_of(net.sources.mask & s_mask)
     to_route = members_of(net.sources.mask & ~s_mask)
     goals = set(members_of(s_mask & net.sinks.mask))
-    if len(to_route) != len(goals):
-        return None
-    trivial = tuple((("s", i),) for i in staying)
-    if not to_route:
-        return PathSystem(trivial)
 
     used: set = set()
     routed: list[tuple] = []
@@ -356,7 +353,7 @@ def find_path_system(source, subset) -> PathSystem | None:
 
     if not assign(0):
         return None
-    return PathSystem(trivial + tuple(routed))
+    return PathSystem(tuple((("s", i),) for i in staying) + tuple(routed))
 
 
 def cell_numbering(k: int, n: int) -> dict[int, tuple[int, int]]:

@@ -2,15 +2,19 @@
 
 Everything here works with plain frozensets and itertools, deliberately
 avoiding the package's bit mask machinery so the two routes stay separate.
-The one exception is checked_sparse_paving, which deliberately drives the
-package: it pins the classical equivalence of the three sparse paving
-definitions on the package's own circuit-hyperplane and relaxation code.
+Two helpers deliberately drive the package.  checked_sparse_paving pins the
+classical equivalence of the three sparse paving definitions on the
+package's own circuit-hyperplane and relaxation code.  flow_realizable_sets
+runs unit-capacity max-flow on the package's path network, an independent
+route to the bases that the library decides by path-count determinants.
 """
 
 from itertools import chain, combinations
 
 from positroids import (
     KSubset,
+    LeDiagram,
+    build_network,
     circuit_hyperplanes,
     is_sparse_paving,
     k_subset_masks,
@@ -146,3 +150,97 @@ def checked_sparse_paving(m):
     assert (chs == everything - m.bases) == verdict
     assert (ladder.bases == everything) == verdict
     return verdict
+
+
+def _le_ok(filling):
+    """Le condition on plain lists: no empty cell has both a bullet to its
+    left in its row and a bullet above it in its column."""
+    for r, row in enumerate(filling):
+        for c, cell in enumerate(row):
+            if (not cell and any(row[:c])
+                    and any(filling[q][c] for q in range(r))):
+                return False
+    return True
+
+
+def _shapes(rows, width):
+    """Weakly decreasing lists of at most `rows` positive parts, each at
+    most `width`."""
+    yield []
+    if rows:
+        for w in range(1, width + 1):
+            for rest in _shapes(rows - 1, w):
+                yield [w] + rest
+
+
+def all_le_diagrams(k, n):
+    """Every Le-diagram in the k x (n-k) box: each shape, each 0/1 filling,
+    kept when the filling passes _le_ok."""
+    for shape in _shapes(k, n - k):
+        cells = sum(shape)
+        for bits in range(1 << cells):
+            flat = [bits >> i & 1 for i in range(cells)]
+            filling, start = [], 0
+            for w in shape:
+                filling.append(flat[start:start + w])
+                start += w
+            if _le_ok(filling):
+                yield LeDiagram.make(k, n, shape, filling)
+
+
+def _find_augmenting(succ, start, goal):
+    stack = [(start, [start])]
+    seen = {start}
+    while stack:
+        u, path = stack.pop()
+        for v in succ.get(u, ()):
+            if v in seen:
+                continue
+            if v == goal:
+                return path + [goal]
+            seen.add(v)
+            stack.append((v, path + [v]))
+    return None
+
+
+def max_disjoint_paths(net, starts, targets):
+    """Maximum number of vertex-disjoint paths from the given source labels
+    to the given sink labels, by unit-capacity augmentation on the split
+    graph (each vertex becomes an in/out pair of capacity one)."""
+    succ = {}
+
+    def add(u, v):
+        succ.setdefault(u, set()).add(v)
+
+    for v, outs in net.edges.items():
+        add((v, 0), (v, 1))
+        for w in outs:
+            add((v, 1), (w, 0))
+    for i in starts:
+        add("S", (("s", i), 0))
+    for j in targets:
+        add((("t", j), 1), "T")
+    flow = 0
+    while True:
+        path = _find_augmenting(succ, "S", "T")
+        if path is None:
+            return flow
+        flow += 1
+        for u, v in zip(path, path[1:]):
+            succ[u].discard(v)
+            succ.setdefault(v, set()).add(u)
+
+
+def flow_realizable_sets(diag):
+    """The k-subsets, as frozensets, whose left-out sources the max-flow
+    routes to their sinks by vertex-disjoint paths."""
+    net = build_network(diag)
+    sources = frozenset(net.sources.members)
+    out = []
+    for c in combinations(range(1, diag.n + 1), diag.k):
+        subset = frozenset(c)
+        to_route = sources - subset
+        goals = subset - sources
+        if max_disjoint_paths(net, to_route, goals) == len(to_route):
+            out.append(subset)
+    return frozenset(out)

@@ -132,6 +132,13 @@ class TestStrictPayloads:
         pytest.param(["validate", "--kind", "decperm"],
                      {"n": 3, "perm": [3, 2, 1], "colors": {"+2": -1}},
                      id="signed-color-key"),
+        pytest.param(["validate", "--kind", "decperm"],
+                     {"n": 3, "perm": [3, 2, 1], "colors": {"02": -1}},
+                     id="leading-zero-color-key"),
+        pytest.param(["convert", "--from", "decperm", "--to", "necklace",
+                      "--k", "1"],
+                     {"n": 3, "perm": [3, 2, 1], "colors": {"2": -1, "02": 1}},
+                     id="duplicate-color-key"),
     ])
     def test_rejected(self, argv, payload, tmp_path, capsys):
         path = write_json(tmp_path, "payload.json", payload)

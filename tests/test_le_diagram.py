@@ -1,4 +1,8 @@
+from math import factorial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from positroids import (
     KSubset,
@@ -21,7 +25,11 @@ from positroids import (
     uniform,
 )
 
-from oracles import checked_sparse_paving
+from oracles import (
+    all_le_diagrams,
+    checked_sparse_paving,
+    flow_realizable_sets,
+)
 
 
 def diagram(k, n, shape, rows):
@@ -186,9 +194,72 @@ class TestRealizability:
         assert not is_realizable(net, KSubset.of(4, {1}))
 
 
+def bases_as_sets(m):
+    return frozenset(frozenset(b.members) for b in m.basis_subsets())
+
+
+@st.composite
+def random_le_diagrams(draw, low, high):
+    """A random shape and filling, closed up to a Le-diagram: scanning rows
+    top to bottom and cells left to right, an empty cell with a bullet to
+    its left and a bullet above becomes a bullet.  A new bullet only adds
+    to cells still ahead of the scan, so one pass suffices."""
+    n = draw(st.integers(low, high))
+    k = draw(st.integers(0, n))
+    widths = []
+    if n > k:
+        widths = draw(st.lists(st.integers(1, n - k), max_size=k))
+    shape = sorted(widths, reverse=True)
+    rows = [draw(st.lists(st.booleans(), min_size=w, max_size=w))
+            for w in shape]
+    for r, row in enumerate(rows):
+        for c in range(len(row)):
+            if any(row[:c]) and any(rows[q][c] for q in range(r)):
+                row[c] = True
+    return LeDiagram.make(k, n, shape, rows)
+
+
+class TestAgainstFlow:
+    """The library decides realizability by path-count determinants; the
+    unit-capacity max-flow in tests/oracles.py decides it independently on
+    the same network.  They must give the same bases on every diagram."""
+
+    @pytest.mark.parametrize("n,total", [(1, 2), (2, 5), (3, 16), (4, 65),
+                                         (5, 326), (6, 1957)])
+    def test_every_diagram(self, n, total):
+        # Le-diagrams of [n] are counted by the decorated permutations,
+        # sum over k of n!/k!.
+        assert total == sum(factorial(n) // factorial(k)
+                            for k in range(n + 1))
+        seen = 0
+        for k in range(n + 1):
+            for d in all_le_diagrams(k, n):
+                assert is_le(d)
+                assert bases_as_sets(realizable_sets(d)) == \
+                    flow_realizable_sets(d)
+                seen += 1
+        assert seen == total
+
+    @given(random_le_diagrams(7, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_random_diagrams(self, d):
+        assert bases_as_sets(realizable_sets(d)) == flow_realizable_sets(d)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_path_system_for_every_basis(self, n):
+        for k in range(n + 1):
+            for d in all_le_diagrams(k, n):
+                net = build_network(d)
+                for b in realizable_sets(d).basis_subsets():
+                    system = find_path_system(net, b)
+                    assert system is not None
+                    assert system.realized() == b.members
+
+
 class TestPathSystemAgreement:
-    """The backtracking router and the flow-based test are independent
-    implementations; they must agree subset by subset."""
+    """The backtracking router builds explicit path systems only after the
+    determinant test accepts; on every subset its answer and the path-count
+    determinant must agree, and each system must realize its subset."""
 
     def test_cross_check_small_diagrams(self):
         cases = [full_box(2, 4), full_box(2, 5), full_box(3, 6),
