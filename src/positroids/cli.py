@@ -38,8 +38,8 @@ from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
     all_necklaces,
+    _round_trip,
     cyclic_interval,
-    is_positroid,
     necklace_from_nonadjacent,
     necklace_to_positroid,
     positroid_necklace,
@@ -99,13 +99,27 @@ def _load(kind: str, data) -> object:
     except ValueError as exc:
         raise CliError(str(exc))
     if kind == "bases":
-        if not check_exchange_axiom(obj.basis_subsets(), obj.n):
-            raise CliError("bases do not satisfy the exchange axiom")
-    elif kind == "le":
+        return _load_bases(obj)
+    if kind == "le":
         bad = le_violation(obj)
         if bad is not None:
             raise CliError(f"Le condition fails at cell {bad}")
     return obj
+
+
+def _load_bases(m: Matroid) -> GrassmannNecklace | Matroid:
+    """A positroid's necklace, or the matroid itself when it is not one.
+
+    The necklace round trip runs first: a family it recovers is a positroid
+    and so satisfies the exchange axiom.  The quadratic exchange check runs
+    only on the families that fail the round trip.
+    """
+    neck = _round_trip(m)
+    if neck is not None:
+        return neck
+    if not check_exchange_axiom(m.basis_subsets(), m.n):
+        raise CliError("bases do not satisfy the exchange axiom")
+    return m
 
 
 def _dims(kind: str, obj, flag_k: int | None) -> tuple[int, int]:
@@ -129,9 +143,9 @@ def _as_necklace(kind: str, obj, k: int) -> GrassmannNecklace:
     if kind == "nonadjacent":
         return necklace_from_nonadjacent(obj, k, obj.n)
     if kind == "bases":
-        if not is_positroid(obj):
+        if isinstance(obj, Matroid):
             raise NegativeVerdict("not a positroid")
-        return positroid_necklace(obj)
+        return obj
     if kind == "le":
         return positroid_necklace(realizable_sets(obj))
     raise CliError(f"unknown kind {kind!r}")

@@ -90,23 +90,35 @@ def gale_le(t: int, i_set: KSubset, j_set: KSubset) -> bool:
                for prefix, bound in gale_bounds(n, t, i_set.mask))
 
 
-def cyclic_interval(k: int, n: int, i: int) -> KSubset:
-    """The k consecutive elements i, i+1, ... taken cyclically in [n]; this is
-    the smallest k-subset for the rotation starting at i."""
+def _check_interval(k: int, n: int, i: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"interval length {k} outside [1, {n}]")
     if not 1 <= i <= n:
         raise ValueError(f"interval start {i} outside [1, {n}]")
+
+
+def cyclic_interval(k: int, n: int, i: int) -> KSubset:
+    """The k consecutive elements i, i+1, ... taken cyclically in [n]; this is
+    the smallest k-subset for the rotation starting at i."""
+    _check_interval(k, n, i)
     return KSubset.of(n, (mod1(i + d, n) for d in range(k)))
+
+
+def _interval_mask(k: int, n: int, i: int) -> int:
+    """Mask of cyclic_interval(k, n, i) for 1 <= k <= n and 1 <= i <= n: the
+    k low bits rotated by i - 1 within n bits, with no argument checks."""
+    low = (1 << k) - 1
+    shift = i - 1
+    return ((low << shift) | (low >> (n - shift))) & ((1 << n) - 1)
 
 
 def bumped_interval(k: int, n: int, i: int) -> KSubset:
     """Cyclic interval at i with its last element pushed one step further;
     the second-smallest k-subset for the rotation starting at i."""
-    base = cyclic_interval(k, n, i).mask
-    drop = 1 << (mod1(i + k - 1, n) - 1)
-    add = 1 << (mod1(i + k, n) - 1)
-    return KSubset(n, (base ^ drop) | add)
+    _check_interval(k, n, i)
+    drop = 1 << ((i + k - 2) % n)
+    add = 1 << ((i + k - 1) % n)
+    return KSubset(n, (_interval_mask(k, n, i) ^ drop) | add)
 
 
 def schubert_bases(i_set: KSubset, t: int, n: int) -> frozenset[KSubset]:
@@ -269,9 +281,27 @@ def positroid_necklace(m: Matroid) -> GrassmannNecklace:
     return GrassmannNecklace(n, m.k, tuple(entries))
 
 
+def _round_trip(m: Matroid) -> GrassmannNecklace | None:
+    """The necklace of m when m is the positroid of that necklace, else None.
+
+    The rotationwise least bases of a family that is not a matroid need not
+    form a necklace at all; such a family is not a positroid either.  A
+    family that passes is an intersection of shifted Schubert matroids, so
+    it is a positroid and in particular satisfies the exchange axiom (Oh,
+    JCTA 118 (2011)).
+    """
+    try:
+        neck = positroid_necklace(m)
+    except ValueError:
+        return None
+    if necklace_to_positroid(neck).bases != m.bases:
+        return None
+    return neck
+
+
 def is_positroid(m: Matroid) -> bool:
-    """Whether the matroid is recovered from its own necklace."""
-    return necklace_to_positroid(positroid_necklace(m)).bases == m.bases
+    """Whether the basis family is recovered from its own necklace."""
+    return _round_trip(m) is not None
 
 
 def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
@@ -287,13 +317,13 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
         raise ValueError(
             f"classification needs 2 <= k <= n-2, got k={k}, n={n}")
     deviating = [i for i in range(1, n + 1)
-                 if neck.entries[i - 1].mask != cyclic_interval(k, n, i).mask]
+                 if neck.entries[i - 1].mask != _interval_mask(k, n, i)]
     for i in deviating:
         before = mod1(i - 1, n)
         after = mod1(i + 1, n)
-        if neck.entries[before - 1].mask != cyclic_interval(k, n, before).mask:
+        if neck.entries[before - 1].mask != _interval_mask(k, n, before):
             return None
-        if neck.entries[after - 1].mask != cyclic_interval(k, n, after).mask:
+        if neck.entries[after - 1].mask != _interval_mask(k, n, after):
             return None
         if neck.entries[i - 1].mask != bumped_interval(k, n, i).mask:
             return None
@@ -310,7 +340,7 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
     if ns.n != n:
         raise ValueError(f"set lives on [{ns.n}], expected [{n}]")
     entries = tuple(bumped_interval(k, n, i) if i in ns
-                    else cyclic_interval(k, n, i)
+                    else KSubset(n, _interval_mask(k, n, i))
                     for i in range(1, n + 1))
     return GrassmannNecklace(n, k, entries)
 

@@ -124,16 +124,32 @@ def determined_rank(dp):
             + sum(1 for _, c in dp.colors if c == -1))
 
 
-def all_basis_families(n, k):
-    """Every family of k-subsets of [n] that satisfies the exchange axiom,
-    discovered with the independent exchange test."""
+def all_families(n, k):
+    """Every nonempty family of k-subsets of [n], as frozensets."""
     candidates = [frozenset(c) for c in combinations(range(1, n + 1), k)]
     total = 1 << len(candidates)
     for bits in range(1, total):
-        fam = frozenset(candidates[i] for i in range(len(candidates))
+        yield frozenset(candidates[i] for i in range(len(candidates))
                         if bits >> i & 1)
-        if brute_exchange(fam):
-            yield fam
+
+
+def all_basis_families(n, k):
+    """Every family of k-subsets of [n] that satisfies the exchange axiom,
+    discovered with the independent exchange test."""
+    return (fam for fam in all_families(n, k) if brute_exchange(fam))
+
+
+def brute_bases_verdict(n, k, family):
+    """Exit code and stderr line that a `bases` payload earns when its
+    checks run in the defining order: the exchange axiom first (a failure
+    is malformed input, status 1), then the positroid test (a failure is a
+    negative verdict, status 2)."""
+    if not brute_exchange(family):
+        return 1, "invalid: bases do not satisfy the exchange axiom"
+    necklace = [brute_gale_min(family, t, n) for t in range(1, n + 1)]
+    if brute_positroid(n, k, necklace) != family:
+        return 2, "not a positroid"
+    return 0, ""
 
 
 def checked_sparse_paving(m):

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to watch the lines live.
-The (6,3) full power-set scan is opt-in: set POSITROIDS_FULL_SCAN=1.
+The (6,3) full power-set scan, with the `bases` loading order checked on
+every family at (6,2) and (6,4), is opt-in: set POSITROIDS_FULL_SCAN=1.
 """
 
 import os
@@ -41,6 +42,7 @@ from positroids import cli
 from positroids.matroid import _exchange_masks
 
 from oracles import checked_sparse_paving
+from test_cli import assert_bases_order
 
 
 def report(number, name, ok, detail=""):
@@ -121,10 +123,12 @@ def test_c3_optional_full_scan_6_3(capsys):
             continue
         matroids += 1
         checked_sparse_paving(Matroid(6, 3, fam))
+    families = assert_bases_order(6, 2) + assert_bases_order(6, 4)
     elapsed = time.monotonic() - start
     with capsys.disabled():
         report(3, "optional (6,3) full scan", elapsed < 600,
-               f"{matroids} matroids out of 2^20 families, {elapsed:.1f}s")
+               f"{matroids} matroids out of 2^20 families, bases order "
+               f"on {families} families at (6,2) and (6,4), {elapsed:.1f}s")
 
 
 def test_c4_cross_representation_consistency(capsys):

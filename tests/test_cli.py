@@ -16,6 +16,8 @@ from positroids import (
     uniform,
 )
 
+from oracles import all_families, brute_bases_verdict
+
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
@@ -322,6 +324,83 @@ class TestCheckSpKinds:
         if kind in ("decperm", "nonadjacent"):
             argv += ["--k", "3"]
         assert run(capsys, argv) == (code, out, err)
+
+
+EXCHANGE_ERR = "invalid: bases do not satisfy the exchange axiom\n"
+NOT_MATROID = {"n": 4, "k": 2, "bases": [[1, 2], [3, 4]]}
+NOT_POSITROID = {"n": 4, "k": 2,
+                 "bases": [[1, 2], [1, 4], [2, 3], [2, 4], [3, 4]]}
+POSITROID = bases_without(5, 2, {(3, 4)})
+VALIDATE = ["validate", "--kind", "bases"]
+CONVERT = ["convert", "--from", "bases", "--to", "necklace"]
+CHECK_SP = ["check-sp", "--kind", "bases"]
+
+
+class TestBasesBytes:
+    """A non-matroid, a matroid that is not a positroid, and a positroid
+    through every command that loads bases.  The expected bytes were
+    recorded while the exchange axiom still ran before the necklace round
+    trip."""
+
+    @pytest.mark.parametrize("argv,payload,expected", [
+        pytest.param(VALIDATE, NOT_MATROID, (1, "", EXCHANGE_ERR),
+                     id="validate-not-matroid"),
+        pytest.param(CONVERT, NOT_MATROID, (1, "", EXCHANGE_ERR),
+                     id="convert-not-matroid"),
+        pytest.param(CHECK_SP, NOT_MATROID, (1, "", EXCHANGE_ERR),
+                     id="check-sp-not-matroid"),
+        pytest.param(VALIDATE, NOT_POSITROID, (0, "valid\n", ""),
+                     id="validate-not-positroid"),
+        pytest.param(CONVERT, NOT_POSITROID, (2, "", "not a positroid\n"),
+                     id="convert-not-positroid"),
+        pytest.param(CHECK_SP, NOT_POSITROID, (2, "", "not a positroid\n"),
+                     id="check-sp-not-positroid"),
+        pytest.param(VALIDATE, POSITROID, (0, "valid\n", ""),
+                     id="validate-positroid"),
+        pytest.param(CONVERT, POSITROID,
+                     (0, '{"entries":[[1,2],[2,3],[3,5],[4,5],[1,5]],'
+                         '"k":2,"n":5}\n', ""),
+                     id="convert-positroid"),
+        pytest.param(CHECK_SP, POSITROID,
+                     (0, "sparse-paving A={3}\n"
+                         "circuit-hyperplanes: [[3,4]]\n", ""),
+                     id="check-sp-positroid"),
+    ])
+    def test_bytes(self, argv, payload, expected, tmp_path, capsys):
+        path = write_json(tmp_path, "bases.json", payload)
+        assert run(capsys, argv + [path]) == expected
+
+
+def bases_verdict(n, k, family):
+    """Exit code and stderr line of a `bases` payload through the loader and
+    the necklace dispatch, worded as `cli.main` reports them."""
+    payload = {"n": n, "k": k, "bases": [sorted(b) for b in family]}
+    try:
+        cli._as_necklace("bases", cli._load("bases", payload), k)
+    except cli.CliError as exc:
+        return 1, f"invalid: {exc}"
+    except cli.NegativeVerdict as verdict:
+        return 2, str(verdict)
+    return 0, ""
+
+
+def assert_bases_order(n, k):
+    """Every nonempty family of k-subsets of [n] gets, from the loader's
+    round-trip-first order, the verdict of the exchange-first order as the
+    brute-force oracles compute it.  Returns the number of families."""
+    count = 0
+    for fam in all_families(n, k):
+        assert bases_verdict(n, k, fam) == brute_bases_verdict(n, k, fam), \
+            sorted(map(sorted, fam))
+        count += 1
+    return count
+
+
+class TestBasesOrder:
+    def test_every_family_up_to_five(self):
+        total = sum(assert_bases_order(n, k)
+                    for n in range(1, 6) for k in range(0, n + 1))
+        assert total == 2228
 
 
 class TestEnumerate:

@@ -258,8 +258,9 @@ class TestAgainstFlow:
 
 class TestPathSystemAgreement:
     """The backtracking router builds explicit path systems only after the
-    determinant test accepts; on every subset its answer and the path-count
-    determinant must agree, and each system must realize its subset."""
+    determinant test accepts; on every subset it must find a system exactly
+    when the max-flow oracle routes the subset, and each system must
+    realize its subset."""
 
     def test_cross_check_small_diagrams(self):
         cases = [full_box(2, 4), full_box(2, 5), full_box(3, 6),
@@ -269,10 +270,12 @@ class TestPathSystemAgreement:
                  le_from_removals({3, 6}, 2, 6)]
         for d in cases:
             net = build_network(d)
+            routed = flow_realizable_sets(d)
             for mask in k_subset_masks(d.n, d.k):
                 s = KSubset(d.n, mask)
                 system = find_path_system(net, s)
-                assert (system is not None) == is_realizable(net, s)
+                assert (system is not None) == (frozenset(s.members)
+                                                in routed)
                 if system is not None:
                     assert system.realized() == s.members
 

@@ -20,6 +20,7 @@ from positroids import (
     is_valid_necklace,
     k_subset_masks,
     members_of,
+    mod1,
     necklace_from_nonadjacent,
     necklace_to_positroid,
     nonadjacent_mask_ok,
@@ -29,7 +30,7 @@ from positroids import (
     uniform,
 )
 from positroids.matroid import _exchange_masks
-from positroids.necklace import gale_bounds
+from positroids.necklace import _interval_mask, gale_bounds
 
 from oracles import (
     all_basis_families,
@@ -172,6 +173,17 @@ class TestCyclicInterval:
     def test_wraparound(self):
         assert cyclic_interval(2, 4, 4).members == (1, 4)
 
+    def test_rotated_masks(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                for i in range(1, n + 1):
+                    assert (_interval_mask(k, n, i)
+                            == cyclic_interval(k, n, i).mask)
+                    last = mod1(i + k - 1, n)
+                    bumped = (set(cyclic_interval(k, n, i).members) - {last}
+                              | {mod1(last + 1, n)})
+                    assert bumped_interval(k, n, i) == ks(n, bumped)
+
     def test_is_gale_minimum(self):
         for n in range(2, 7):
             for k in range(1, n + 1):
@@ -312,6 +324,11 @@ class TestIsPositroid:
     def test_non_interval_removal_is_not(self):
         m = Matroid.from_sets(4, [{1, 2}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
         assert not is_positroid(m)
+
+    def test_family_without_a_necklace_is_not(self):
+        # the greedy entries {1,2}, {3,4}, {3,4}, {1,2} break the necklace
+        # axiom at i=2; the predicate answers False instead of raising
+        assert not is_positroid(Matroid(4, 2, frozenset({0b0011, 0b1100})))
 
 
 class TestRoundTrips:
