@@ -37,7 +37,6 @@ from .necklace import (
     mod1,
     necklace_from_nonadjacent,
     necklace_to_positroid,
-    necklace_violation,
     nonadjacent_mask_ok,
     positroid_necklace,
     schubert_bases,

@@ -10,7 +10,6 @@ the command stops quietly with status 0 and nothing on stderr.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -30,14 +29,15 @@ from .le_diagram import (
 )
 from .matroid import (
     Matroid,
+    _violating_pair,
     check_exchange_axiom,
     is_sparse_paving,
-    lex_subsets,
 )
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
     all_necklaces,
+    _check_classification,
     _round_trip,
     cyclic_interval,
     necklace_from_nonadjacent,
@@ -80,6 +80,8 @@ def _read_json(path: str | None):
     except json.JSONDecodeError as exc:
         raise CliError(f"parse error at line {exc.lineno} column {exc.colno}: "
                        f"{exc.msg}")
+    except RecursionError:
+        raise CliError("parse error: arrays or objects nested too deeply")
 
 
 _LOADERS = {
@@ -168,18 +170,6 @@ def _from_necklace(kind: str, neck: GrassmannNecklace):
     raise CliError(f"unknown kind {kind!r}")
 
 
-def _violating_pair(m: Matroid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lexicographically first pair of missing k-sets at symmetric
-    difference two; exists whenever the matroid is not sparse paving."""
-    nonbases = [(mask, members) for mask, members in lex_subsets(m.n, m.k)
-                if mask not in m.bases]
-    for (a, first), (b, second) in itertools.combinations(nonbases, 2):
-        if (a ^ b).bit_count() == 2:
-            return first, second
-    raise RuntimeError("internal: no violating pair in a non sparse paving "
-                       "matroid")
-
-
 def cmd_validate(args) -> int:
     _load(args.kind, _read_json(args.input))
     print("valid")
@@ -187,11 +177,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if args.format == "ascii" and args.dst != "le":
+        raise CliError("--format ascii needs --to le")
     obj = _load(args.src, _read_json(args.input))
     _, k = _dims(args.src, obj, args.k)
     neck = _as_necklace(args.src, obj, k)
     out = _from_necklace(args.dst, neck)
-    if args.dst == "le" and args.format == "ascii":
+    if args.format == "ascii":
         print(render_le(out), end="")
     else:
         print(_dumps(out.to_dict()))
@@ -201,8 +193,7 @@ def cmd_convert(args) -> int:
 def cmd_check_sp(args) -> int:
     obj = _load(args.kind, _read_json(args.input))
     n, k = _dims(args.kind, obj, args.k)
-    if not 2 <= k <= n - 2:
-        raise CliError(f"classification needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_classification(k, n)
     neck = _as_necklace(args.kind, obj, k)
     witness = sparse_paving_witness(neck)
     if witness is not None:
@@ -328,11 +319,11 @@ def main(argv=None) -> int:
     except NegativeVerdict as verdict:
         print(str(verdict), file=sys.stderr)
         return 2
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"invalid: number too large: {exc}", file=sys.stderr)
         return 1
 
 

@@ -9,8 +9,10 @@ from .matroid import KSubset, json_int, json_ints
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
+    _check_classification,
     cyclic_pos,
     mod1,
+    nonadjacent_mask_ok,
 )
 
 
@@ -48,9 +50,6 @@ class DecoratedPermutation:
 
     def apply(self, i: int) -> int:
         return self.perm[i - 1]
-
-    def preimage(self, j: int) -> int:
-        return self.perm.index(j) + 1
 
     @property
     def colors_dict(self) -> dict[int, int]:
@@ -181,19 +180,16 @@ def perm_sparse_paving_witness(dp: DecoratedPermutation,
     one exists; sparse paving positroids are exactly the witnessed ones and
     their permutations have no fixed points."""
     n = dp.n
-    if not 2 <= k <= n - 2:
-        raise ValueError(
-            f"classification needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_classification(k, n)
     top = top_permutation(k, n)
-    candidates = []
+    swapped = 0
     for i in range(1, n + 1):
         left = i - 1 if i > 1 else n
         if (dp.perm[i - 1] != top.perm[i - 1]
                 and dp.perm[i - 1] == top.perm[left - 1]
                 and dp.perm[left - 1] == top.perm[i - 1]):
-            candidates.append(i)
-    try:
-        ns = NonAdjacentSet.of(n, candidates)
-    except ValueError:
+            swapped |= 1 << (i - 1)
+    if not nonadjacent_mask_ok(swapped, n):
         return None
+    ns = NonAdjacentSet(n, swapped)
     return ns if apply_adjacent_swaps(ns, top) == dp else None

@@ -81,9 +81,6 @@ class LeDiagram:
     def has_bullet(self, r: int, c: int) -> bool:
         return self.cell_exists(r, c) and self.filling[r - 1][c - 1]
 
-    def bullet_count(self) -> int:
-        return sum(sum(row) for row in self.filling)
-
     def to_dict(self) -> dict:
         return {"k": self.k, "n": self.n, "shape": list(self.shape),
                 "filling": [[1 if b else 0 for b in row]

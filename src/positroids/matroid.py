@@ -327,6 +327,18 @@ def is_paving(m: Matroid) -> bool:
                for mask in k_subset_masks(m.n, m.k - 1))
 
 
+def _violating_pair(m: Matroid) -> tuple[tuple[int, ...], ...] | None:
+    """Lexicographically first pair of missing k-sets at symmetric
+    difference two, or None when every pair is at least four apart.  Two
+    k-sets differ in an even number of elements, so closer means two."""
+    nonbases = [(mask, members) for mask, members in lex_subsets(m.n, m.k)
+                if mask not in m.bases]
+    for (a, first), (b, second) in itertools.combinations(nonbases, 2):
+        if (a ^ b).bit_count() == 2:
+            return first, second
+    return None
+
+
 def is_sparse_paving(m: Matroid) -> bool:
     """Sparse paving verdict for a matroid: all missing k-sets are pairwise
     at symmetric difference >= 4.
@@ -337,9 +349,7 @@ def is_sparse_paving(m: Matroid) -> bool:
     three-way equivalence; it is not re-checked here, so the input must
     satisfy the exchange axiom.
     """
-    nonbases = [x for x in k_subset_masks(m.n, m.k) if x not in m.bases]
-    return all((a ^ b).bit_count() >= 4
-               for a, b in itertools.combinations(nonbases, 2))
+    return _violating_pair(m) is None
 
 
 def uniform(k: int, n: int) -> Matroid:

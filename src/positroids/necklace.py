@@ -90,6 +90,12 @@ def gale_le(t: int, i_set: KSubset, j_set: KSubset) -> bool:
                for prefix, bound in gale_bounds(n, t, i_set.mask))
 
 
+def _check_classification(k: int, n: int) -> None:
+    if not 2 <= k <= n - 2:
+        raise ValueError(
+            f"classification needs 2 <= k <= n-2, got k={k}, n={n}")
+
+
 def _check_interval(k: int, n: int, i: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"interval length {k} outside [1, {n}]")
@@ -101,24 +107,28 @@ def cyclic_interval(k: int, n: int, i: int) -> KSubset:
     """The k consecutive elements i, i+1, ... taken cyclically in [n]; this is
     the smallest k-subset for the rotation starting at i."""
     _check_interval(k, n, i)
-    return KSubset.of(n, (mod1(i + d, n) for d in range(k)))
+    return KSubset(n, _interval_mask(k, n, i))
 
 
 def _interval_mask(k: int, n: int, i: int) -> int:
-    """Mask of cyclic_interval(k, n, i) for 1 <= k <= n and 1 <= i <= n: the
+    """Mask of the cyclic interval of length 0 <= k <= n at 1 <= i <= n: the
     k low bits rotated by i - 1 within n bits, with no argument checks."""
     low = (1 << k) - 1
     shift = i - 1
     return ((low << shift) | (low >> (n - shift))) & ((1 << n) - 1)
 
 
+def _bumped_mask(k: int, n: int, i: int) -> int:
+    """Mask of bumped_interval(k, n, i), with no argument checks: the
+    elements i, ..., i + k - 2 and then i + k, skipping i + k - 1."""
+    return _interval_mask(k - 1, n, i) | (1 << ((i + k - 1) % n))
+
+
 def bumped_interval(k: int, n: int, i: int) -> KSubset:
     """Cyclic interval at i with its last element pushed one step further;
     the second-smallest k-subset for the rotation starting at i."""
     _check_interval(k, n, i)
-    drop = 1 << ((i + k - 2) % n)
-    add = 1 << ((i + k - 1) % n)
-    return KSubset(n, (_interval_mask(k, n, i) ^ drop) | add)
+    return KSubset(n, _bumped_mask(k, n, i))
 
 
 def schubert_bases(i_set: KSubset, t: int, n: int) -> frozenset[KSubset]:
@@ -133,38 +143,27 @@ def schubert_bases(i_set: KSubset, t: int, n: int) -> frozenset[KSubset]:
     return frozenset(KSubset(n, m) for m in keep)
 
 
-def _structure_problem(entries: Sequence[KSubset]) -> str | None:
-    n = len(entries)
-    if n == 0:
-        return "no entries"
-    if any(e.n != n for e in entries):
-        return "entry ground size differs from the entry count"
-    k = len(entries[0])
-    if any(len(e) != k for e in entries):
-        return "entries mix sizes"
-    return None
+def _step_ok(bit: int, cur: int, nxt: int) -> bool:
+    """The necklace condition from entry cur to the next entry nxt at the
+    index whose bit is given."""
+    if cur & bit:
+        return not (cur ^ bit) & ~nxt
+    return cur == nxt
 
 
 def _axiom_problem(entries: Sequence[KSubset]) -> str | None:
     n = len(entries)
     for i in range(1, n + 1):
         cur = entries[i - 1].mask
-        nxt = entries[i % n].mask
         bit = 1 << (i - 1)
+        if _step_ok(bit, cur, entries[i % n].mask):
+            continue
         if cur & bit:
-            if (cur ^ bit) & ~nxt:
-                return (f"necklace axiom fails at i={i}: the next entry must "
-                        f"contain the current one minus {{{i}}}")
-        else:
-            if cur != nxt:
-                return (f"necklace axiom fails at i={i}: {i} is absent so the "
-                        f"next entry must repeat")
+            return (f"necklace axiom fails at i={i}: the next entry must "
+                    f"contain the current one minus {{{i}}}")
+        return (f"necklace axiom fails at i={i}: {i} is absent so the "
+                f"next entry must repeat")
     return None
-
-
-def necklace_violation(entries: Sequence[KSubset]) -> str | None:
-    """First broken necklace condition, or None when the sequence is valid."""
-    return _structure_problem(entries) or _axiom_problem(entries)
 
 
 def is_valid_necklace(entries: Sequence[KSubset]) -> bool:
@@ -173,9 +172,14 @@ def is_valid_necklace(entries: Sequence[KSubset]) -> bool:
     Structural defects (wrong length, mixed sizes) raise instead of
     returning False.
     """
-    problem = _structure_problem(entries)
-    if problem is not None:
-        raise ValueError(problem)
+    n = len(entries)
+    if n == 0:
+        raise ValueError("no entries")
+    if any(e.n != n for e in entries):
+        raise ValueError("entry ground size differs from the entry count")
+    k = len(entries[0])
+    if any(len(e) != k for e in entries):
+        raise ValueError("entries mix sizes")
     return _axiom_problem(entries) is None
 
 
@@ -308,39 +312,32 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
     """Decide sparse paving at the necklace level.
 
     The positroid is sparse paving exactly when every entry that deviates from
-    its cyclic interval is the bumped interval and both neighbouring entries
-    are untouched.  Returns the deviation set, which indexes the
+    its cyclic interval is the bumped interval and no two deviating indices
+    are cyclic neighbours.  Returns the deviation set, which indexes the
     circuit-hyperplanes, or None when the test fails.
     """
     n, k = neck.n, neck.k
-    if not 2 <= k <= n - 2:
-        raise ValueError(
-            f"classification needs 2 <= k <= n-2, got k={k}, n={n}")
-    deviating = [i for i in range(1, n + 1)
-                 if neck.entries[i - 1].mask != _interval_mask(k, n, i)]
-    for i in deviating:
-        before = mod1(i - 1, n)
-        after = mod1(i + 1, n)
-        if neck.entries[before - 1].mask != _interval_mask(k, n, before):
-            return None
-        if neck.entries[after - 1].mask != _interval_mask(k, n, after):
-            return None
-        if neck.entries[i - 1].mask != bumped_interval(k, n, i).mask:
-            return None
-    return NonAdjacentSet.of(n, deviating)
+    _check_classification(k, n)
+    deviating = 0
+    for i, entry in enumerate(neck.entries, 1):
+        if entry.mask != _interval_mask(k, n, i):
+            if entry.mask != _bumped_mask(k, n, i):
+                return None
+            deviating |= 1 << (i - 1)
+    if not nonadjacent_mask_ok(deviating, n):
+        return None
+    return NonAdjacentSet(n, deviating)
 
 
 def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
     """Necklace of the sparse paving positroid indexed by a non-adjacent set:
     bumped intervals at the chosen indices, cyclic intervals elsewhere."""
-    if not 2 <= k <= n - 2:
-        raise ValueError(
-            f"classification needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_classification(k, n)
     ns = a if isinstance(a, NonAdjacentSet) else NonAdjacentSet.of(n, a)
     if ns.n != n:
         raise ValueError(f"set lives on [{ns.n}], expected [{n}]")
-    entries = tuple(bumped_interval(k, n, i) if i in ns
-                    else KSubset(n, _interval_mask(k, n, i))
+    entries = tuple(KSubset(n, _bumped_mask(k, n, i) if i in ns
+                            else _interval_mask(k, n, i))
                     for i in range(1, n + 1))
     return GrassmannNecklace(n, k, entries)
 
@@ -354,14 +351,8 @@ def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
         i = len(prefix)
         cur = prefix[-1]
         if i == n:
-            first = prefix[0]
-            bit = 1 << (n - 1)
-            if cur & bit:
-                if not (cur ^ bit) & ~first:
-                    yield tuple(prefix)
-            else:
-                if cur == first:
-                    yield tuple(prefix)
+            if _step_ok(1 << (n - 1), cur, prefix[0]):
+                yield tuple(prefix)
             return
         bit = 1 << (i - 1)
         if not cur & bit:

@@ -90,6 +90,18 @@ def brute_nonadjacent(n):
     return out
 
 
+def brute_violating_pair(n, k, bases):
+    """Lexicographically first pair of sorted missing k-sets at symmetric
+    difference 2, or None when there is no such pair."""
+    bases = {frozenset(b) for b in bases}
+    missing = [c for c in combinations(range(1, n + 1), k)
+               if frozenset(c) not in bases]
+    for a, b in combinations(missing, 2):
+        if len(set(a) ^ set(b)) == 2:
+            return a, b
+    return None
+
+
 def rotated_positions(subset, t, n):
     """Sorted positions of the members in the rotation of [n] starting at t."""
     return tuple(sorted((x - t) % n for x in subset))

@@ -29,6 +29,15 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def cli_env():
+    """The environment for a `python -m positroids.cli` child that imports
+    this checkout's package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src,
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -150,6 +159,37 @@ class TestStrictPayloads:
         assert err.startswith("invalid:")
 
 
+HUGE = "1" + "0" * 100
+
+
+class TestHostilePayloads:
+    """Payloads that once escaped as a traceback: nesting deeper than the
+    JSON decoder's recursion limit, and a ground size too large for a
+    machine-sized shift or list length.  Each runs in its own process so
+    the check covers what the shell sees."""
+
+    @pytest.mark.parametrize("kind,text", [
+        pytest.param("necklace", "[" * 50000, id="deep-nesting"),
+        pytest.param("nonadjacent", f'{{"n":{HUGE},"members":[1]}}',
+                     id="huge-n-nonadjacent"),
+        pytest.param("bases", f'{{"n":{HUGE},"k":1,"bases":[[1]]}}',
+                     id="huge-n-bases"),
+        pytest.param("le", f'{{"k":1,"n":{HUGE},"shape":[],"filling":[]}}',
+                     id="huge-n-le"),
+    ])
+    def test_exits_one_without_traceback(self, kind, text, tmp_path):
+        path = tmp_path / "payload.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "positroids.cli", "validate", "--kind",
+             kind, str(path)],
+            capture_output=True, text=True, timeout=60, env=cli_env())
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("invalid:")
+        assert "Traceback" not in proc.stderr
+
+
 class TestConvert:
     def test_necklace_to_decperm(self, tmp_path, capsys):
         path = write_json(tmp_path, "neck.json", interval_necklace_dict(3, 6))
@@ -199,6 +239,16 @@ class TestConvert:
                                       "--format", "ascii", path])
         assert code == 0
         assert out == "* * 1\n* * 2\n4 3\n"
+
+    def test_ascii_needs_le_target(self, tmp_path, capsys):
+        path = write_json(tmp_path, "le.json",
+                          le_from_removals({3}, 3, 6).to_dict())
+        code, out, err = run(capsys, ["convert", "--from", "le",
+                                      "--to", "necklace",
+                                      "--format", "ascii", path])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("invalid:") and "--to le" in err
 
 
 class TestCheckSp:
@@ -431,14 +481,10 @@ class TestEnumerate:
         assert code == 1
 
     def test_closed_stdout_exits_quietly(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "positroids.cli",
              "enumerate", "--n", "10", "--k", "5"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path))
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
         first = proc.stdout.readline()
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from positroids import (
     KSubset,
     Matroid,
+    all_necklaces,
     check_exchange_axiom,
     circuit_hyperplanes,
     circuits,
@@ -17,11 +18,12 @@ from positroids import (
     k_subset_masks,
     mask_of,
     members_of,
+    necklace_to_positroid,
     rank_of,
     relax,
     uniform,
 )
-from positroids.matroid import _exchange_masks
+from positroids.matroid import _exchange_masks, _violating_pair
 
 from oracles import (
     all_basis_families,
@@ -29,6 +31,7 @@ from oracles import (
     brute_exchange,
     brute_hyperplanes,
     brute_rank,
+    brute_violating_pair,
     checked_sparse_paving,
 )
 
@@ -258,6 +261,20 @@ class TestSparsePaving:
         for fam in all_basis_families(4, 2):
             m = Matroid.from_sets(4, fam)
             assert is_sparse_paving(m) == checked_sparse_paving(m)
+
+
+class TestViolatingPair:
+    """The one scan behind is_sparse_paving and the check-sp witness line,
+    against a frozenset scan, on every positroid of the listed types."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 7)
+                                     for k in range(2, n - 1)] + [(7, 3)])
+    def test_every_positroid(self, n, k):
+        for neck in all_necklaces(k, n):
+            m = necklace_to_positroid(neck)
+            expected = brute_violating_pair(
+                n, k, [members_of(b) for b in m.bases])
+            assert _violating_pair(m) == expected, neck
 
 
 class TestUniform:
