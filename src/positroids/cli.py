@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import compress
 
 from .decorated import (
     DecoratedPermutation,
@@ -32,6 +33,7 @@ from .matroid import (
     _violating_pair,
     check_exchange_axiom,
     is_sparse_paving,
+    lex_subsets,
 )
 from .necklace import (
     GrassmannNecklace,
@@ -212,15 +214,26 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(count_sparse_paving(args.k, args.n))
         return 0
+    # Each line is _dumps of the five views keyed "A", "necklace", "perm",
+    # "le" and "bases" (the matroid's to_dict), spelled out in sorted key
+    # order.  The basis list runs to C(n, k) subsets, so each k-subset's
+    # JSON is rendered once, after the census has checked n and k, and
+    # every line joins the kept ones in lexicographic order.
+    masks: list[int] = []
+    fragments: list[str] = []
     for entry in enumerate_sparse_paving(args.k, args.n):
-        line = {
-            "A": list(entry.nonadjacent.members),
-            "necklace": entry.necklace.to_dict(),
-            "perm": entry.perm.to_dict(),
-            "le": entry.diagram.to_dict(),
-            "bases": entry.matroid.to_dict(),
-        }
-        print(_dumps(line))
+        m = entry.matroid
+        if not masks:
+            for mask, members in lex_subsets(m.n, m.k):
+                masks.append(mask)
+                fragments.append(_dumps(list(members)))
+        bases = ",".join(compress(fragments,
+                                  map(m.bases.__contains__, masks)))
+        print(f'{{"A":{_dumps(list(entry.nonadjacent.members))},'
+              f'"bases":{{"bases":[{bases}],"k":{m.k},"n":{m.n}}},'
+              f'"le":{_dumps(entry.diagram.to_dict())},'
+              f'"necklace":{_dumps(entry.necklace.to_dict())},'
+              f'"perm":{_dumps(entry.perm.to_dict())}}}')
     return 0
 
 

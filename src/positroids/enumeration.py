@@ -12,12 +12,12 @@ from typing import Iterator
 
 from .decorated import DecoratedPermutation, necklace_to_decperm
 from .le_diagram import LeDiagram, le_from_removals
-from .matroid import Matroid
+from .matroid import Matroid, k_subset_masks
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
+    _interval_mask,
     necklace_from_nonadjacent,
-    necklace_to_positroid,
     nonadjacent_mask_ok,
 )
 
@@ -84,14 +84,25 @@ class SparsePavingPositroid:
 
 def enumerate_sparse_paving(k: int, n: int) -> Iterator[SparsePavingPositroid]:
     """Census stream: one entry per non-adjacent subset, in mask order, with
-    the necklace, decorated permutation, Le-diagram and basis views."""
+    the necklace, decorated permutation, Le-diagram and basis views.
+
+    The basis view comes from the paper's closed form: the sparse paving
+    positroid with witness A has as nonbases exactly the cyclic intervals
+    [i, i+k-1] for i in A, so its bases are all k-subsets of [n] minus those
+    |A| intervals.  No Schubert intersection runs here;
+    `necklace_to_positroid` (Oh, "Positroids and Schubert matroids", JCTA
+    118 (2011)) builds the same family from the necklace and is the census's
+    test oracle.
+    """
     if not 2 <= k <= n - 2:
         raise ValueError(f"census needs 2 <= k <= n-2, got k={k}, n={n}")
+    every = frozenset(k_subset_masks(n, k))
     for a in nonadjacent_subsets(n):
         neck = necklace_from_nonadjacent(a, k, n)
+        nonbases = {_interval_mask(k, n, i) for i in a.members}
         yield SparsePavingPositroid(a, neck, necklace_to_decperm(neck),
                                     le_from_removals(a, k, n),
-                                    necklace_to_positroid(neck))
+                                    Matroid(n, k, every - nonbases))
 
 
 def count_sparse_paving(k: int, n: int) -> int:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from positroids import cli
+from positroids import cli, necklace
 from positroids import (
     cyclic_interval,
     enumerate_sparse_paving,
@@ -499,6 +499,8 @@ class TestEnumerate:
                    "9cb7e58f11793d2305182334df8799d8"),
         (10, 5, 123, "625dc92ce69b35354040d156c14c36f5"
                      "f0e68002193487773cf231c699dafe0f"),
+        (12, 6, 322, "e47dfb7bef9db75d9cbb8eb26e7d8193"
+                     "eaea2c4d30184c49b44247eaa1c7923b"),
     ])
     def test_golden_census_bytes(self, n, k, lines, digest, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", str(n),
@@ -506,6 +508,46 @@ class TestEnumerate:
         assert code == 0
         assert out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_lines_equal_dumps_of_the_views(self, n, capsys):
+        """Each census line, assembled from pre-rendered basis fragments,
+        is the sorted compact JSON of the five to_dict views."""
+        for k in range(2, n - 1):
+            code, out, err = run(capsys, ["enumerate", "--n", str(n),
+                                          "--k", str(k)])
+            assert code == 0
+            lines = out.splitlines()
+            entries = list(enumerate_sparse_paving(k, n))
+            assert len(lines) == len(entries)
+            for line, entry in zip(lines, entries):
+                views = {
+                    "A": list(entry.nonadjacent.members),
+                    "necklace": entry.necklace.to_dict(),
+                    "perm": entry.perm.to_dict(),
+                    "le": entry.diagram.to_dict(),
+                    "bases": entry.matroid.to_dict(),
+                }
+                assert line == json.dumps(views, sort_keys=True,
+                                          separators=(",", ":"))
+
+    def test_census_skips_the_schubert_intersection(self, monkeypatch,
+                                                    capsys):
+        real = necklace.necklace_to_positroid
+        calls = []
+
+        def counting(neck):
+            calls.append(neck)
+            return real(neck)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "positroids" and \
+                    getattr(module, "necklace_to_positroid", None) is real:
+                monkeypatch.setattr(module, "necklace_to_positroid", counting)
+        assert run(capsys, ["enumerate", "--n", "8", "--k", "4"])[0] == 0
+        assert calls == []
+        assert run(capsys, ["oracle", "--n", "4", "--k", "2"])[0] == 0
+        assert len(calls) == 33
 
     def test_byte_determinism(self, capsys):
         argv = ["enumerate", "--n", "5", "--k", "2"]

@@ -125,6 +125,15 @@ class TestCensus:
                 assert sparse_paving_witness(entry.necklace) == \
                     entry.nonadjacent
 
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_closed_form_matches_schubert_intersection(self, n):
+        """The census builds its bases from the closed form (all k-subsets
+        minus the cyclic intervals at A); the Schubert intersection of the
+        entry's necklace is the oracle."""
+        for k in range(2, n - 1):
+            for entry in enumerate_sparse_paving(k, n):
+                assert entry.matroid == necklace_to_positroid(entry.necklace)
+
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3), (6, 3)])
     def test_census_is_complete(self, n, k):
         """Brute force over every necklace finds exactly the censused

@@ -89,6 +89,39 @@ class TestEncoding:
         assert [list(b.members) for b in m.basis_subsets()] == expected
 
 
+class TestValidation:
+    """Every construction checks each mask's range and size; when both are
+    wrong somewhere, the range error is the one reported."""
+
+    @pytest.mark.parametrize("bases", [
+        {0b001, 0b1000},
+        {0b001, -1},
+        {-4, 0b010},
+    ])
+    def test_mask_outside_ground_set(self, bases):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            Matroid(3, 1, frozenset(bases))
+
+    @pytest.mark.parametrize("bases", [{0b001, 0b011}, {0b000, 0b100}])
+    def test_mask_of_wrong_size(self, bases):
+        with pytest.raises(ValueError, match="differs from the rank"):
+            Matroid(3, 1, frozenset(bases))
+
+    @pytest.mark.parametrize("bases", [
+        {0b011, 0b1000},
+        {0b011, 0b10000},
+        {0b110, -1},
+        {0b000, 0b111, 1 << 40},
+    ])
+    def test_range_error_comes_first(self, bases):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            Matroid(3, 1, frozenset(bases))
+
+    def test_payload_of_wrong_size(self):
+        with pytest.raises(ValueError, match="differs from the rank"):
+            Matroid.from_dict({"n": 4, "k": 2, "bases": [[1, 2], [1, 2, 3]]})
+
+
 class TestExchangeAxiom:
     def test_uniform_family_passes(self):
         family = [KSubset.of(4, c) for c in itertools.combinations(range(1, 5), 2)]

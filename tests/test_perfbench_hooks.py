@@ -9,7 +9,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from positroids import cli
+from positroids import cli, necklace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +42,26 @@ def test_generators_the_child_stamps_exist():
     # perfbench/child.py replaces them on the cli module.
     for name in ("all_necklaces", "enumerate_sparse_paving"):
         assert callable(getattr(cli, name, None)), name
+
+
+def test_cli_draws_items_from_the_stamped_generators(monkeypatch, capsys):
+    # child.py times one census entry or oracle necklace per item it hands
+    # out; a command that stopped drawing from these names would collapse
+    # the benchmark's per-item latencies into a single item.
+    handed = {"enumerate_sparse_paving": 0, "all_necklaces": 0}
+    for name in handed:
+        inner = getattr(cli, name)
+
+        def counting(*args, _inner=inner, _name=name, **kwargs):
+            for item in _inner(*args, **kwargs):
+                handed[_name] += 1
+                yield item
+
+        monkeypatch.setattr(cli, name, counting)
+    assert cli.main(["enumerate", "--n", "6", "--k", "3"]) == 0
+    assert capsys.readouterr().out.count("\n") == 18
+    assert cli.main(["oracle", "--n", "5", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    every = sum(1 for _ in necklace.all_necklaces(2, 5))
+    assert f"necklaces: {every}\n" in out
+    assert handed == {"enumerate_sparse_paving": 18, "all_necklaces": every}
