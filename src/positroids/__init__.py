@@ -7,7 +7,6 @@ Lucas-number census of sparse paving positroids.
 """
 
 from .matroid import (
-    CircuitHyperplaneSet,
     KSubset,
     Matroid,
     check_exchange_axiom,

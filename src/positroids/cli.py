@@ -30,8 +30,8 @@ from .le_diagram import (
 )
 from .matroid import (
     Matroid,
+    _exchange_masks,
     _violating_pair,
-    check_exchange_axiom,
     is_sparse_paving,
     lex_subsets,
 )
@@ -121,7 +121,7 @@ def _load_bases(m: Matroid) -> GrassmannNecklace | Matroid:
     neck = _round_trip(m)
     if neck is not None:
         return neck
-    if not check_exchange_axiom(m.basis_subsets(), m.n):
+    if not _exchange_masks(m.bases):
         raise CliError("bases do not satisfy the exchange axiom")
     return m
 
@@ -243,8 +243,7 @@ def cmd_oracle(args) -> int:
         print(f"n={n} exceeds the oracle budget {args.budget}; pass a larger "
               f"--budget to run it anyway", file=sys.stderr)
         return 1
-    if not 2 <= k <= n - 2:
-        raise CliError(f"oracle needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_classification(k, n)
     total = found = discrepancies = 0
     for neck in all_necklaces(k, n):
         positroid = necklace_to_positroid(neck)

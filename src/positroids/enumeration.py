@@ -16,6 +16,7 @@ from .matroid import Matroid, k_subset_masks
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
+    _check_classification,
     _interval_mask,
     necklace_from_nonadjacent,
     nonadjacent_mask_ok,
@@ -33,17 +34,12 @@ def nonadjacent_subsets(n: int) -> Iterator[NonAdjacentSet]:
 
 
 def count_nonadjacent(n: int) -> int:
-    """Exact count of non-adjacent subsets: 1, 2, 3, 4 for n <= 3, then each
-    value is the sum of the previous two."""
+    """Exact count of non-adjacent subsets: 1 and 2 for n = 0 and 1, then
+    the n-th Lucas number (3, 4, 7, 11, ...), so each value from n = 4 on is
+    the sum of the previous two."""
     if n < 0:
         raise ValueError("count needs n >= 0")
-    table = (1, 2, 3, 4)
-    if n < 4:
-        return table[n]
-    a, b = 3, 4
-    for _ in range(4, n + 1):
-        a, b = b, a + b
-    return b
+    return (1, 2)[n] if n < 2 else lucas(n)
 
 
 def lucas(n: int) -> int:
@@ -64,11 +60,7 @@ def nearest_golden_power(n: int) -> int:
     stays below one half once n >= 2, so no floating point is involved."""
     if n < 0:
         raise ValueError("needs n >= 0")
-    if n == 0:
-        return 1
-    if n == 1:
-        return 2
-    return lucas(n)
+    return (1, 2)[n] if n < 2 else lucas(n)
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,7 @@ def enumerate_sparse_paving(k: int, n: int) -> Iterator[SparsePavingPositroid]:
     118 (2011)) builds the same family from the necklace and is the census's
     test oracle.
     """
-    if not 2 <= k <= n - 2:
-        raise ValueError(f"census needs 2 <= k <= n-2, got k={k}, n={n}")
+    _check_classification(k, n)
     every = frozenset(k_subset_masks(n, k))
     for a in nonadjacent_subsets(n):
         neck = necklace_from_nonadjacent(a, k, n)

@@ -192,20 +192,6 @@ class Matroid:
                              for b in json_list(data["bases"], "bases")))
 
 
-@dataclass(frozen=True)
-class CircuitHyperplaneSet:
-    """Subsets that are simultaneously circuits and hyperplanes of a matroid;
-    for a sparse paving matroid these are exactly the k-sets missing from the
-    basis family."""
-
-    n: int
-    k: int
-    sets: frozenset[KSubset]
-
-    def masks(self) -> frozenset[int]:
-        return frozenset(s.mask for s in self.sets)
-
-
 def check_exchange_axiom(family: Iterable, n: int) -> bool:
     """Basis exchange test: for distinct B, B' and every e in B - B' some
     e' in B' - B puts (B - e) + e' back in the family."""
@@ -251,59 +237,33 @@ def rank_of(m: Matroid, subset) -> int:
 
 
 def circuits(m: Matroid) -> frozenset[KSubset]:
-    """All minimal dependent subsets; their sizes never exceed k+1."""
-    found = []
+    """All minimal dependent subsets, found by increasing size: a dependent
+    set is a circuit exactly when no circuit found earlier lies inside it.
+    Circuits never exceed k+1 elements."""
+    found: list[int] = []
     for size in range(1, min(m.k + 1, m.n) + 1):
-        for mask in k_subset_masks(m.n, size):
-            if _independent(mask, m.bases):
-                continue
-            sub = mask
-            minimal = True
-            while sub:
-                low = sub & -sub
-                sub ^= low
-                if not _independent(mask ^ low, m.bases):
-                    minimal = False
-                    break
-            if minimal:
-                found.append(mask)
-    return frozenset(KSubset(m.n, f) for f in found)
+        found += [mask for mask in k_subset_masks(m.n, size)
+                  if not _independent(mask, m.bases)
+                  and all(c & ~mask for c in found)]
+    return frozenset(KSubset(m.n, c) for c in found)
 
 
 def hyperplanes(m: Matroid) -> frozenset[KSubset]:
-    """Flats of rank k-1: every strict superset must gain rank."""
+    """Flats of rank k-1, each the closure of an independent (k-1)-set I:
+    I together with every element e for which I+e is dependent."""
     if m.k < 1:
         raise ValueError("a rank-0 matroid has no hyperplanes")
-    full = (1 << m.n) - 1
-    memo: dict[int, int] = {}
-
-    def rk(a: int) -> int:
-        r = memo.get(a)
-        if r is None:
-            r = max((a & b).bit_count() for b in m.bases)
-            memo[a] = r
-        return r
-
-    out = []
-    for mask in range(full + 1):
-        if rk(mask) != m.k - 1:
-            continue
-        rest = full & ~mask
-        flat = True
-        while rest:
-            g = rest & -rest
-            rest ^= g
-            if rk(mask | g) == m.k - 1:
-                flat = False
-                break
-        if flat:
-            out.append(mask)
-    return frozenset(KSubset(m.n, f) for f in out)
+    singles = [1 << j for j in range(m.n)]
+    return frozenset(
+        KSubset(m.n, i | sum(e for e in singles if not i & e
+                             and not _independent(i | e, m.bases)))
+        for i in k_subset_masks(m.n, m.k - 1) if _independent(i, m.bases))
 
 
-def circuit_hyperplanes(m: Matroid) -> CircuitHyperplaneSet:
-    common = circuits(m) & hyperplanes(m)
-    return CircuitHyperplaneSet(m.n, m.k, frozenset(common))
+def circuit_hyperplanes(m: Matroid) -> frozenset[KSubset]:
+    """Subsets that are both circuits and hyperplanes; for a sparse paving
+    matroid these are exactly the k-sets missing from the basis family."""
+    return circuits(m) & hyperplanes(m)
 
 
 def dual(m: Matroid) -> Matroid:
@@ -316,11 +276,7 @@ def relax(m: Matroid, subset) -> Matroid:
     """Add a circuit-hyperplane to the basis family; the result is again a
     matroid."""
     c = as_mask(subset, m.n)
-    if m.k >= 1:
-        ch = circuit_hyperplanes(m).masks()
-    else:
-        ch = frozenset()
-    if c not in ch:
+    if m.k < 1 or KSubset(m.n, c) not in circuit_hyperplanes(m):
         raise ValueError("set is not a circuit-hyperplane; cannot relax")
     return Matroid(m.n, m.k, m.bases | {c})
 

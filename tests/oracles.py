@@ -170,7 +170,7 @@ def checked_sparse_paving(m):
     circuit-hyperplanes, and relaxing every circuit-hyperplane in turn
     reaches the uniform matroid."""
     everything = frozenset(k_subset_masks(m.n, m.k))
-    chs = circuit_hyperplanes(m).masks() if m.k else frozenset()
+    chs = {s.mask for s in circuit_hyperplanes(m)} if m.k else frozenset()
     ladder = m
     for c in sorted(chs):
         ladder = relax(ladder, KSubset(m.n, c))

@@ -215,7 +215,7 @@ def test_c7_relaxation_ladder(capsys):
         for k in range(2, n - 1):
             for entry in enumerate_sparse_paving(k, n):
                 ladder = entry.matroid
-                chs = sorted(s.mask for s in circuit_hyperplanes(ladder).sets)
+                chs = sorted(s.mask for s in circuit_hyperplanes(ladder))
                 assert len(chs) == len(entry.nonadjacent.members)
                 for c in chs:
                     ladder = relax(ladder, [b for b in range(1, n + 1)

@@ -578,6 +578,20 @@ class TestOracle:
         assert "sparse paving found: 11" in out
 
 
+class TestMiddleRank:
+    """The census and the oracle refuse an extreme rank with the one
+    classification message."""
+
+    @pytest.mark.parametrize("argv,k", [
+        (["oracle", "--n", "5", "--k", "1"], 1),
+        (["enumerate", "--n", "5", "--k", "4"], 4),
+    ])
+    def test_rejects_extreme_rank(self, argv, k, capsys):
+        assert run(capsys, argv) == (
+            1, "", f"invalid: classification needs 2 <= k <= n-2, "
+                   f"got k={k}, n=5\n")
+
+
 class TestRenderLe:
     def test_full_square(self, tmp_path, capsys):
         path = write_json(tmp_path, "le.json",

@@ -4,8 +4,10 @@ import pytest
 
 from positroids import (
     all_necklaces,
+    circuit_hyperplanes,
     count_nonadjacent,
     count_sparse_paving,
+    cyclic_interval,
     enumerate_sparse_paving,
     is_le,
     is_positroid,
@@ -133,6 +135,17 @@ class TestCensus:
         for k in range(2, n - 1):
             for entry in enumerate_sparse_paving(k, n):
                 assert entry.matroid == necklace_to_positroid(entry.necklace)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_circuit_hyperplanes_are_the_intervals_at_a(self, n):
+        """The paper at the matroid level: the circuit-hyperplanes of the
+        entry with witness A are exactly the cyclic intervals [i, i+k-1]
+        for i in A."""
+        for k in range(2, n - 1):
+            for entry in enumerate_sparse_paving(k, n):
+                assert circuit_hyperplanes(entry.matroid) == {
+                    cyclic_interval(k, n, i)
+                    for i in entry.nonadjacent.members}, entry.nonadjacent
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3), (6, 3)])
     def test_census_is_complete(self, n, k):

@@ -225,15 +225,15 @@ class TestDual:
 
 class TestCircuitHyperplanes:
     def test_uniform_has_none(self):
-        assert circuit_hyperplanes(uniform(2, 4)).sets == frozenset()
+        assert circuit_hyperplanes(uniform(2, 4)) == frozenset()
 
     def test_single_missing_basis(self):
-        got = members(circuit_hyperplanes(U24_MINUS_12).sets)
+        got = members(circuit_hyperplanes(U24_MINUS_12))
         assert got == {frozenset({1, 2})}
 
     def test_two_missing_bases(self):
         m = matroid_of(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}])
-        got = members(circuit_hyperplanes(m).sets)
+        got = members(circuit_hyperplanes(m))
         assert got == {frozenset({1, 2}), frozenset({3, 4})}
 
 
@@ -254,7 +254,7 @@ class TestRelax:
 
     def test_ladder_reaches_uniform_in_any_order(self):
         m = matroid_of(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}])
-        chs = sorted(s.members for s in circuit_hyperplanes(m).sets)
+        chs = sorted(s.members for s in circuit_hyperplanes(m))
         for order in itertools.permutations(chs):
             cur = m
             for c in order:
@@ -325,7 +325,8 @@ class TestUniform:
 
 class TestAgainstBruteForce:
     """The mask implementations agree with the set-based oracles on every
-    matroid over small ground sets."""
+    matroid over small ground sets, and circuits and hyperplanes also on
+    every positroid with n <= 6."""
 
     POOLS = [(4, 2), (5, 2), (4, 3)]
 
@@ -337,6 +338,17 @@ class TestAgainstBruteForce:
             assert members(hyperplanes(m)) == brute_hyperplanes(n, k, fam)
             for probe in [set(), {1}, {1, 2}, set(range(1, n + 1))]:
                 assert rank_of(m, probe) == brute_rank(frozenset(probe), fam)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_circuits_hyperplanes_every_positroid(self, n):
+        for k in range(n + 1):
+            for neck in all_necklaces(k, n):
+                m = necklace_to_positroid(neck)
+                fam = [frozenset(members_of(b)) for b in m.bases]
+                assert members(circuits(m)) == brute_circuits(n, fam), neck
+                if k:
+                    assert members(hyperplanes(m)) == \
+                        brute_hyperplanes(n, k, fam), neck
 
     @pytest.mark.parametrize("n,k", POOLS)
     def test_dual_involution_and_paving_split(self, n, k):

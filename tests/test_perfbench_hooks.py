@@ -7,9 +7,10 @@ the way the benchmark does.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-from positroids import cli, necklace
+from positroids import cli, matroid, necklace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -65,3 +66,33 @@ def test_cli_draws_items_from_the_stamped_generators(monkeypatch, capsys):
     every = sum(1 for _ in necklace.all_necklaces(2, 5))
     assert f"necklaces: {every}\n" in out
     assert handed == {"enumerate_sparse_paving": 18, "all_necklaces": every}
+
+
+def test_cli_reaches_the_exchange_check_through_rebindable_names(
+        monkeypatch, tmp_path, capsys):
+    # The tracer times `matroid.exchange_check` by pointing every
+    # module-level reference to matroid._exchange_masks at its wrapper, so
+    # the CLI must call the check through one of those references.  The
+    # payload is a matroid that is not a positroid: the necklace round trip
+    # fails and the exchange check runs once.
+    tracer = load_tracer()
+    target = matroid._exchange_masks
+    calls = []
+
+    def counting(masks):
+        calls.append(masks)
+        return target(masks)
+
+    modules = [importlib.import_module(f"positroids.{name}")
+               for name in tracer.MODULES]
+    modules.append(importlib.import_module("positroids"))
+    for module in modules:
+        for key, value in list(vars(module).items()):
+            if value is target:
+                monkeypatch.setattr(module, key, counting)
+    path = tmp_path / "bases.json"
+    path.write_text(json.dumps(
+        {"n": 4, "k": 2, "bases": [[1, 2], [1, 4], [2, 3], [2, 4], [3, 4]]}))
+    assert cli.main(["validate", "--kind", "bases", str(path)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert len(calls) == 1
