@@ -32,12 +32,12 @@ from .matroid import (
     Matroid,
     _exchange_masks,
     _violating_pair,
-    is_sparse_paving,
     lex_subsets,
 )
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
+    SchubertKernel,
     all_necklaces,
     _check_classification,
     _round_trip,
@@ -244,16 +244,20 @@ def cmd_oracle(args) -> int:
               f"--budget to run it anyway", file=sys.stderr)
         return 1
     _check_classification(k, n)
+    # The matroid-level verdict comes from the Schubert intersection and
+    # the symmetric-difference definition, never from the interval pattern
+    # that sparse_paving_witness reads, so the two stay independent.
+    kernel = SchubertKernel(k, n)
     total = found = discrepancies = 0
     for neck in all_necklaces(k, n):
-        positroid = necklace_to_positroid(neck)
-        by_matroid = is_sparse_paving(positroid)
+        by_matroid = kernel.sparse_paving(kernel.nonbases(neck))
         by_necklace = sparse_paving_witness(neck) is not None
         total += 1
         if by_matroid:
             found += 1
         if by_matroid != by_necklace:
             discrepancies += 1
+            print(_dumps(neck.to_dict()), file=sys.stderr)
     print(f"necklaces: {total}")
     print(f"sparse paving found: {found}")
     print(f"discrepancies: {discrepancies}")
@@ -304,8 +308,8 @@ def _build_parser() -> _Parser:
                        "the matroid-level and necklace-level classifiers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=6,
-                   help="largest n the oracle will attempt (default 6)")
+    p.add_argument("--budget", type=int, default=9,
+                   help="largest n the oracle will attempt (default 9)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("render-le", help="ASCII picture of a Le-diagram")

@@ -25,6 +25,7 @@ from .matroid import (
     json_ints,
     json_list,
     k_subset_masks,
+    members_of,
 )
 
 
@@ -262,6 +263,61 @@ def necklace_to_positroid(neck: GrassmannNecklace) -> Matroid:
                                                bounds)))
 
 
+class SchubertKernel:
+    """The positroids of every necklace of one type (k, n), as index bitsets.
+
+    The k-subsets of [n] are numbered by their position in
+    k_subset_masks(n, k), and a family of them is an int with bit j set for
+    subset j.  For each t and each k-subset I the kernel keeps the family
+    that the shifted Schubert matroid of I at t rejects, read off
+    gale_bounds, so the nonbases of a necklace's positroid are the OR of
+    the n rows its entries pick (Oh, JCTA 118 (2011)).  It also keeps, for
+    each k-subset, the family of k-subsets at symmetric difference two.
+    The two tables hold n * C(n, k) + C(n, k) ints.
+    """
+
+    def __init__(self, k: int, n: int):
+        masks = k_subset_masks(n, k)
+        index = {mask: j for j, mask in enumerate(masks)}
+        every = (1 << len(masks)) - 1
+        self.n, self.k = n, k
+        self._rejected = tuple(
+            {entry: every ^ sum(1 << index[kept] for kept in _dominating(
+                masks, gale_bounds(n, t, entry)))
+             for entry in masks}
+            for t in range(1, n + 1))
+        full = (1 << n) - 1
+        self._near = tuple(
+            sum(1 << index[mask ^ (1 << (out - 1)) ^ (1 << (into - 1))]
+                for out in members_of(mask)
+                for into in members_of(full ^ mask))
+            for mask in masks)
+
+    def nonbases(self, neck: GrassmannNecklace) -> int:
+        """The k-subsets that are not bases of the necklace's positroid."""
+        if (neck.n, neck.k) != (self.n, self.k):
+            raise ValueError(f"necklace of type ({neck.k}, {neck.n}), "
+                             f"expected ({self.k}, {self.n})")
+        out = 0
+        for row, entry in zip(self._rejected, neck.entries):
+            out |= row[entry.mask]
+        return out
+
+    def sparse_paving(self, nonbases: int) -> bool:
+        """Whether the given missing k-subsets are pairwise at symmetric
+        difference >= 4, the sparse paving condition of is_sparse_paving:
+        no missing k-subset has a missing one among its neighbours at
+        symmetric difference two."""
+        near = self._near
+        rest = nonbases
+        while rest:
+            low = rest & -rest
+            if near[low.bit_length() - 1] & nonbases:
+                return False
+            rest ^= low
+        return True
+
+
 def positroid_necklace(m: Matroid) -> GrassmannNecklace:
     """Necklace whose t-th entry is the basis that is lexicographically least
     after rotating labels so that t becomes 1.
@@ -369,7 +425,10 @@ def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
             yield from extend(prefix)
             prefix.pop()
 
-    for first in k_subset_masks(n, k):
+    # Every entry is a k-subset, so each one is built once and shared by
+    # the necklaces that hold it.
+    subsets = {m: KSubset(n, m) for m in k_subset_masks(n, k)}
+    for first in subsets:
         for masks in extend([first]):
-            yield GrassmannNecklace(
-                n, k, tuple(KSubset(n, m) for m in masks))
+            yield GrassmannNecklace(n, k, tuple(map(subsets.__getitem__,
+                                                    masks)))

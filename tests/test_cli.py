@@ -9,6 +9,8 @@ import pytest
 
 from positroids import cli, necklace
 from positroids import (
+    Matroid,
+    NonAdjacentSet,
     cyclic_interval,
     enumerate_sparse_paving,
     le_from_removals,
@@ -546,8 +548,10 @@ class TestEnumerate:
                 monkeypatch.setattr(module, "necklace_to_positroid", counting)
         assert run(capsys, ["enumerate", "--n", "8", "--k", "4"])[0] == 0
         assert calls == []
-        assert run(capsys, ["oracle", "--n", "4", "--k", "2"])[0] == 0
-        assert len(calls) == 33
+        assert run(capsys, ["convert", "--from", "necklace", "--to", "bases"],
+                   stdin=json.dumps(necklace_from_nonadjacent(
+                       {1}, 2, 4).to_dict()), monkeypatch=monkeypatch)[0] == 0
+        assert len(calls) == 1
 
     def test_byte_determinism(self, capsys):
         argv = ["enumerate", "--n", "5", "--k", "2"]
@@ -567,9 +571,60 @@ class TestOracle:
         assert "discrepancies: 0" in lines[2]
 
     def test_budget_refusal(self, capsys):
-        code, out, err = run(capsys, ["oracle", "--n", "7", "--k", "2"])
+        code, out, err = run(capsys, ["oracle", "--n", "10", "--k", "2"])
         assert code == 1
         assert "--budget" in err
+
+    def test_eight_four(self, capsys):
+        assert run(capsys, ["oracle", "--n", "8", "--k", "4",
+                            "--budget", "8"]) == (
+            0, "necklaces: 44929\nsparse paving found: 47\n"
+               "discrepancies: 0\n", "")
+
+    @pytest.mark.skipif(not os.environ.get("POSITROIDS_FULL_SCAN"),
+                        reason="opt-in: set POSITROIDS_FULL_SCAN=1")
+    @pytest.mark.parametrize("n,k,necklaces,found", [
+        (9, 4, 344551, 76),
+        (10, 5, 3730251, 123),
+    ])
+    def test_full_scan(self, n, k, necklaces, found, capsys):
+        assert run(capsys, ["oracle", "--n", str(n), "--k", str(k),
+                            "--budget", str(n)]) == (
+            0, f"necklaces: {necklaces}\nsparse paving found: {found}\n"
+               f"discrepancies: 0\n", "")
+
+    def test_clean_run_builds_no_matroid(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(Matroid, "__post_init__",
+                            lambda self: built.append(self))
+        assert run(capsys, ["oracle", "--n", "6", "--k", "3"])[0] == 0
+        assert built == []
+
+    def test_discrepancy_replays_through_check_sp(self, monkeypatch,
+                                                  tmp_path, capsys):
+        """A discrepant necklace goes to stderr as one JSON line that
+        check-sp reads unchanged; stdout keeps the matroid-level count."""
+        real = cli.sparse_paving_witness
+        flipped = []
+
+        def flip_first(neck):
+            witness = real(neck)
+            if flipped:
+                return witness
+            flipped.append(neck)
+            return None if witness else NonAdjacentSet(neck.n, 0)
+
+        monkeypatch.setattr(cli, "sparse_paving_witness", flip_first)
+        code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])
+        assert (code, out) == (2, "necklaces: 131\nsparse paving found: 11\n"
+                                  "discrepancies: 1\n")
+        assert err == json.dumps(flipped[0].to_dict(), sort_keys=True,
+                                 separators=(",", ":")) + "\n"
+        path = tmp_path / "discrepancy.json"
+        path.write_text(err)
+        code, out, _ = run(capsys, ["check-sp", "--kind", "necklace",
+                                    str(path)])
+        assert code == (0 if real(flipped[0]) else 2)
 
     def test_budget_override(self, capsys):
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "3",

@@ -30,7 +30,7 @@ from positroids import (
     uniform,
 )
 from positroids.matroid import _exchange_masks
-from positroids.necklace import gale_bounds
+from positroids.necklace import SchubertKernel, gale_bounds
 
 from oracles import (
     all_basis_families,
@@ -73,13 +73,21 @@ def entry_sets(neck):
     return [frozenset(e.members) for e in neck.entries]
 
 
-def assert_conversions_match_oracles(neck):
+def assert_conversions_match_oracles(neck, kernel=None):
     """Both necklace <-> positroid conversions against the brute-force
-    Gale-order oracles."""
+    Gale-order oracles, and, when a kernel of the necklace's type is given,
+    its nonbases against the k-sets the brute-force positroid misses."""
     n = neck.n
     expected = brute_positroid(n, neck.k, entry_sets(neck))
     got = necklace_to_positroid(neck)
     assert {frozenset(members_of(b)) for b in got.bases} == expected
+    if kernel is not None:
+        missing = kernel.nonbases(neck)
+        assert {frozenset(members_of(mask))
+                for j, mask in enumerate(k_subset_masks(n, neck.k))
+                if missing >> j & 1} == \
+            {frozenset(c) for c in itertools.combinations(range(1, n + 1),
+                                                          neck.k)} - expected
     back = positroid_necklace(Matroid.from_sets(n, expected))
     assert entry_sets(back) == [brute_gale_min(expected, t, n)
                                 for t in range(1, n + 1)]
@@ -276,8 +284,9 @@ class TestConversionsAgainstOracles:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_necklace(self, n):
         for k in range(0, n + 1):
+            kernel = SchubertKernel(k, n)
             for neck in all_necklaces(k, n):
-                assert_conversions_match_oracles(neck)
+                assert_conversions_match_oracles(neck, kernel)
 
     @given(decperm_necklaces(8, 10))
     @settings(max_examples=100, deadline=None)
@@ -441,7 +450,30 @@ class TestFromNonAdjacent:
         assert sparse_paving_witness(neck) == NonAdjacentSet.of(n, members)
 
 
+class TestSchubertKernel:
+    """The oracle's bitset kernel; its nonbases are checked against
+    brute_positroid in TestConversionsAgainstOracles."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_verdict_every_necklace(self, n):
+        for k in range(0, n + 1):
+            kernel = SchubertKernel(k, n)
+            for neck in all_necklaces(k, n):
+                verdict = kernel.sparse_paving(kernel.nonbases(neck))
+                assert verdict == \
+                    checked_sparse_paving(necklace_to_positroid(neck)), neck
+
+    def test_rejects_another_type(self):
+        with pytest.raises(ValueError, match="type"):
+            SchubertKernel(2, 5).nonbases(LOOP_NECKLACE)
+
+
 class TestEnumeration:
+    def test_entries_are_shared(self):
+        necks = list(all_necklaces(3, 6))
+        entries = {id(e) for neck in necks for e in neck.entries}
+        assert len(entries) == len(k_subset_masks(6, 3))
+
     def test_counts_match_census(self):
         assert sum(1 for _ in all_necklaces(2, 4)) == 33
         sp = [n for n in all_necklaces(2, 4)
