@@ -50,6 +50,11 @@ from .necklace import (
 
 KINDS = ("necklace", "decperm", "le", "bases", "nonadjacent")
 
+# `enumerate --count-only` prints the count in decimal, and CPython converts
+# at most 4300 digits by default (sys.get_int_max_str_digits); the count at
+# n = 20000 has 4180, and larger n is refused before any arithmetic runs.
+_COUNT_BUDGET = 20000
+
 
 class CliError(Exception):
     """Malformed input or bad usage; exits with status 1."""
@@ -212,6 +217,9 @@ def cmd_check_sp(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.count_only:
+        if args.n > _COUNT_BUDGET:
+            raise CliError(f"n={args.n} exceeds the count budget "
+                           f"{_COUNT_BUDGET}")
         print(count_sparse_paving(args.k, args.n))
         return 0
     # Each line is _dumps of the five views keyed "A", "necklace", "perm",

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .matroid import KSubset, json_int, json_ints
+from .matroid import KSubset, Record, json_int, json_ints
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
@@ -16,14 +15,14 @@ from .necklace import (
 )
 
 
-@dataclass(frozen=True)
-class DecoratedPermutation:
+class DecoratedPermutation(Record, defaults=((),)):
     """Permutation of [n] in one-line notation with every fixed point marked
     +1 or -1.  Marks are stored sorted by position so equality is canonical."""
 
+    __slots__ = ("n", "perm", "colors")
     n: int
     perm: tuple[int, ...]
-    colors: tuple[tuple[int, int], ...] = ()
+    colors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if self.n < 1 or len(self.perm) != self.n:

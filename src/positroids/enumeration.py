@@ -7,19 +7,17 @@ paving positroids of every middle rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .decorated import DecoratedPermutation, necklace_to_decperm
 from .le_diagram import LeDiagram, le_from_removals
-from .matroid import Matroid, k_subset_masks
+from .matroid import Matroid, Record, k_subset_masks
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
     _check_classification,
     _interval_mask,
     necklace_from_nonadjacent,
-    nonadjacent_mask_ok,
 )
 
 
@@ -28,9 +26,19 @@ def nonadjacent_subsets(n: int) -> Iterator[NonAdjacentSet]:
     (bit 0 holds element 1)."""
     if n < 1:
         raise ValueError("ground size must be positive")
-    for mask in range(1 << n):
-        if nonadjacent_mask_ok(mask, n):
+    # Along a path, the next mask with no two adjacent bits sets the lowest
+    # bit that is clear with its upper neighbour clear too, and clears every
+    # bit below it; the walk visits only such masks, in O(n) memory.  On the
+    # cycle 1 and n are adjacent as well, except on the one-element ground
+    # set.
+    ends = 1 | 1 << (n - 1)
+    mask, top = 0, 1 << n
+    while mask < top:
+        if n == 1 or mask & ends != ends:
             yield NonAdjacentSet(n, mask)
+        low = (mask | mask >> 1) + 1
+        low &= -low
+        mask = (mask | low) & -low
 
 
 def count_nonadjacent(n: int) -> int:
@@ -63,10 +71,10 @@ def nearest_golden_power(n: int) -> int:
     return (1, 2)[n] if n < 2 else lucas(n)
 
 
-@dataclass(frozen=True)
-class SparsePavingPositroid:
+class SparsePavingPositroid(Record):
     """All five views of one sparse paving positroid."""
 
+    __slots__ = ("nonadjacent", "necklace", "perm", "diagram", "matroid")
     nonadjacent: NonAdjacentSet
     necklace: GrassmannNecklace
     perm: DecoratedPermutation

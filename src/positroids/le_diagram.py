@@ -18,13 +18,13 @@ test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .matroid import (
     KSubset,
     Matroid,
+    Record,
     as_mask,
     json_int,
     json_ints,
@@ -34,8 +34,7 @@ from .matroid import (
 )
 
 
-@dataclass(frozen=True)
-class LeDiagram:
+class LeDiagram(Record):
     """Young-diagram shape inside a k x (n-k) box with a bullet/empty filling.
 
     Construction checks the shape and filling geometry only; whether the
@@ -43,6 +42,7 @@ class LeDiagram:
     is_le, so invalid fillings can be represented and diagnosed.
     """
 
+    __slots__ = ("k", "n", "shape", "filling")
     k: int
     n: int
     shape: tuple[int, ...]
@@ -125,16 +125,17 @@ def is_le(diag: LeDiagram) -> bool:
     return le_violation(diag) is None
 
 
-@dataclass
 class Boundary:
     """Southeast boundary walk of the shape: step labels 1..n split into
     sources (down-steps, tied to rows) and sinks (left-steps, tied to
     columns)."""
 
-    sources: KSubset
-    sinks: KSubset
-    source_row: dict[int, int]
-    sink_col: dict[int, int]
+    def __init__(self, sources: KSubset, sinks: KSubset,
+                 source_row: dict[int, int], sink_col: dict[int, int]):
+        self.sources = sources
+        self.sinks = sinks
+        self.source_row = source_row
+        self.sink_col = sink_col
 
 
 def boundary_labels(diag: LeDiagram) -> Boundary:
@@ -162,17 +163,18 @@ def boundary_labels(diag: LeDiagram) -> Boundary:
                     source_row, sink_col)
 
 
-@dataclass
 class PlanarNetwork:
     """Acyclic directed network over the bullets of a Le-diagram: rows carry
     traffic leftward from the row's source, columns carry it downward into
     the column's sink."""
 
-    n: int
-    k: int
-    sources: KSubset
-    sinks: KSubset
-    edges: dict[tuple, tuple[tuple, ...]]
+    def __init__(self, n: int, k: int, sources: KSubset, sinks: KSubset,
+                 edges: dict[tuple, tuple[tuple, ...]]):
+        self.n = n
+        self.k = k
+        self.sources = sources
+        self.sinks = sinks
+        self.edges = edges
 
     @cached_property
     def path_counts(self) -> dict[int, dict[int, int]]:
@@ -280,11 +282,11 @@ def realizable_sets(diag: LeDiagram) -> Matroid:
                              if _realizes(net, m)))
 
 
-@dataclass(frozen=True)
-class PathSystem:
+class PathSystem(Record):
     """One path per source, pairwise vertex-disjoint; a trivial path occupies
     just its source vertex, every other path ends at a sink."""
 
+    __slots__ = ("paths",)
     paths: tuple[tuple[tuple, ...], ...]
 
     def __post_init__(self):

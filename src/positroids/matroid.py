@@ -8,7 +8,6 @@ scans used by the oracles and the census.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -77,13 +76,64 @@ def json_ints(value, what: str) -> list[int]:
     return [json_int(x, entry) for x in json_list(value, what)]
 
 
-@dataclass(frozen=True)
-class MaskSet:
+class Record:
+    """Immutable value type whose fields are its class's __slots__, in order,
+    behaving as dataclass(frozen=True) does: tail defaults come from the
+    `defaults` class keyword, and `__slots__ = ()` keeps the parent's fields.
+    Each class's __init__ is compiled once from its field names, so building
+    a record costs what a hand-written __init__ would."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, defaults: tuple = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__dict__.get("__slots__", ()))
+        if not fields:
+            return
+        ns = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+        exec(f"def __init__(self, {', '.join(fields)}):\n"
+             + "".join(f"    _set_{f}(self, {f})\n" for f in fields)
+             + "    self.__post_init__()\n"
+             f"def _values(self):\n"
+             f"    return ({''.join(f'self.{f}, ' for f in fields)})\n", ns)
+        init = ns["__init__"]
+        init.__defaults__ = tuple(defaults) or None
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__, cls._values, cls._fields = init, ns["_values"], fields
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class MaskSet(Record, defaults=(0,)):
     """Container behaviour shared by the subset types: a subset of the ground
     set [n], stored as a bit mask."""
 
+    __slots__ = ("n", "mask")
     n: int
-    mask: int = 0
+    mask: int
 
     def __post_init__(self):
         if self.n < 1:
@@ -112,6 +162,8 @@ class MaskSet:
 class KSubset(MaskSet):
     """A subset of the ground set [n], stored as a bit mask."""
 
+    __slots__ = ()
+
     def __repr__(self) -> str:
         inner = "{" + ",".join(map(str, self.members)) + "}"
         return f"KSubset({self.n}, {inner})"
@@ -126,14 +178,14 @@ def as_mask(subset, n: int) -> int:
     return mask_of(subset, n)
 
 
-@dataclass(frozen=True)
-class Matroid:
+class Matroid(Record):
     """Matroid on [n] of rank k given by the full family of basis masks.
 
     Equality is plain field equality, so two matroids agree exactly when they
     share the ground size, the rank, and the basis family.
     """
 
+    __slots__ = ("n", "k", "bases")
     n: int
     k: int
     bases: frozenset[int]

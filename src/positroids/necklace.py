@@ -14,13 +14,13 @@ conversions between necklaces and positroids reduce to these counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .matroid import (
     KSubset,
     MaskSet,
     Matroid,
+    Record,
     json_int,
     json_ints,
     json_list,
@@ -184,11 +184,11 @@ def is_valid_necklace(entries: Sequence[KSubset]) -> bool:
     return _axiom_problem(entries) is None
 
 
-@dataclass(frozen=True)
-class GrassmannNecklace:
+class GrassmannNecklace(Record):
     """Cyclic sequence (I_1, ..., I_n) of k-subsets obeying the necklace
     condition; construction validates it."""
 
+    __slots__ = ("n", "k", "entries")
     n: int
     k: int
     entries: tuple[KSubset, ...]
@@ -229,6 +229,8 @@ class GrassmannNecklace:
 class NonAdjacentSet(MaskSet):
     """Subset of the cyclic ground set [n] in which no two distinct elements
     are consecutive modulo n."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         super().__post_init__()

@@ -468,6 +468,25 @@ class TestEnumerate:
         assert code == 0
         assert out == "6\n"
 
+    def test_count_only_at_the_budget(self, capsys):
+        code, out, err = run(capsys, ["enumerate", "--n", "20000", "--k", "3",
+                                      "--count-only"])
+        assert code == 0
+        assert len(out) == 4181 and out.endswith("\n")
+
+    @pytest.mark.parametrize("n", [21000, 10**9])
+    def test_count_only_beyond_the_budget(self, n):
+        """Refused at once, in a child so that a count that never returns
+        fails on the timeout instead of hanging the suite."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "positroids.cli", "enumerate", "--n",
+             str(n), "--k", "3", "--count-only"],
+            capture_output=True, env=cli_env(), timeout=10)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == \
+            f"invalid: n={n} exceeds the count budget 20000\n".encode()
+
     def test_census_lines(self, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", "4", "--k", "2"])
         assert code == 0

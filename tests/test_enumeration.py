@@ -15,6 +15,7 @@ from positroids import (
     lucas,
     nearest_golden_power,
     necklace_to_positroid,
+    nonadjacent_mask_ok,
     nonadjacent_subsets,
     realizable_sets,
     recurrence_case,
@@ -47,6 +48,13 @@ class TestNonAdjacentStream:
     def test_stream_matches_brute_force(self, n):
         got = {frozenset(a.members) for a in nonadjacent_subsets(n)}
         assert got == set(brute_nonadjacent(n))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_stream_matches_the_mask_filter(self, n):
+        """The direct generation yields the masks that filtering all 2^n
+        masks keeps, in the same order."""
+        assert [a.mask for a in nonadjacent_subsets(n)] == [
+            mask for mask in range(1 << n) if nonadjacent_mask_ok(mask, n)]
 
 
 class TestCounts:

@@ -1,0 +1,149 @@
+"""The record base against the dataclass(frozen=True) it replaced.
+
+Each record class gets a frozen dataclass twin built here with the same
+name, fields and defaults (and KSubset's own __repr__), and the two must
+agree on fields, repr, equality and hashing over sample instances.
+"""
+
+import copy
+import dataclasses
+import itertools
+import pickle
+
+import pytest
+
+from positroids import (
+    DecoratedPermutation,
+    GrassmannNecklace,
+    KSubset,
+    LeDiagram,
+    Matroid,
+    NonAdjacentSet,
+    PathSystem,
+    SparsePavingPositroid,
+    all_necklaces,
+    enumerate_sparse_paving,
+)
+from positroids.matroid import MaskSet
+
+CENSUS = list(enumerate_sparse_paving(2, 5))
+NECKLACES = list(all_necklaces(2, 4))[:3]
+
+# class: (fields, with (name, default) for a defaulted one; sample args)
+SPECS = {
+    MaskSet: (["n", ("mask", 0)], [(5, 5), (5, 5), (5, 0), (5,), (6, 5)]),
+    KSubset: (["n", ("mask", 0)], [(5, 5), (5, 5), (5, 6), (4,), (4, 0)]),
+    NonAdjacentSet: (["n", ("mask", 0)], [(5, 5), (5, 10), (5, 5), (5,)]),
+    Matroid: (["n", "k", "bases"], [
+        (3, 1, frozenset({1, 2, 4})), (3, 1, frozenset({1, 2, 4})),
+        (3, 1, frozenset({1, 2})), (3, 2, frozenset({3, 5, 6}))]),
+    GrassmannNecklace: (["n", "k", "entries"],
+                        [(neck.n, neck.k, neck.entries)
+                         for neck in NECKLACES + NECKLACES[:1]]),
+    DecoratedPermutation: (["n", "perm", ("colors", ())], [
+        (3, (2, 3, 1)), (3, (2, 3, 1), ()), (3, (3, 1, 2)),
+        (3, (2, 1, 3), ((3, 1),)), (3, (2, 1, 3), ((3, -1),))]),
+    LeDiagram: (["k", "n", "shape", "filling"], [
+        (2, 4, (2, 1), ((True, True), (True,))),
+        (2, 4, (2, 1), ((True, True), (True,))),
+        (2, 4, (2, 1), ((True, False), (True,))), (2, 4, (), ())]),
+    PathSystem: (["paths"], [
+        (((("s", 1),),),), (((("s", 1),),),),
+        (((("s", 1), ("b", 1, 1), ("t", 2)),),)]),
+    SparsePavingPositroid: (
+        ["nonadjacent", "necklace", "perm", "diagram", "matroid"],
+        [(e.nonadjacent, e.necklace, e.perm, e.diagram, e.matroid)
+         for e in CENSUS[:3] + CENSUS[:1]]),
+}
+
+
+def twin(cls):
+    fields, _ = SPECS[cls]
+    spec = [f if isinstance(f, str)
+            else (f[0], object, dataclasses.field(default=f[1]))
+            for f in fields]
+    # KSubset writes its own repr, from its members; its twin borrows both.
+    own = ({"__repr__": KSubset.__repr__, "members": MaskSet.members}
+           if cls is KSubset else {})
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True,
+                                      namespace=own)
+
+
+@pytest.mark.parametrize("cls", SPECS, ids=lambda c: c.__name__)
+class TestAgainstFrozenDataclass:
+    def test_fields_and_defaults(self, cls):
+        fields, samples = SPECS[cls]
+        names = tuple(f if isinstance(f, str) else f[0] for f in fields)
+        assert cls._fields == names
+        made = twin(cls)
+        for args in samples:
+            rec, ref = cls(*args), made(*args)
+            assert [getattr(rec, f) for f in names] == \
+                [getattr(ref, f) for f in names]
+
+    def test_repr(self, cls):
+        made = twin(cls)
+        for args in SPECS[cls][1]:
+            assert repr(cls(*args)) == repr(made(*args))
+
+    def test_equality_and_hash(self, cls):
+        made = twin(cls)
+        for a, b in itertools.product(SPECS[cls][1], repeat=2):
+            equal = cls(*a) == cls(*b)
+            assert equal == (made(*a) == made(*b))
+            assert (cls(*a) != cls(*b)) == (not equal)
+            if equal:
+                assert hash(cls(*a)) == hash(cls(*b))
+        # Same hash values as the dataclass, so sets of records keep the
+        # iteration order they had.
+        for args in SPECS[cls][1]:
+            assert hash(cls(*args)) == hash(made(*args))
+
+    def test_wrong_arity(self, cls):
+        rec = cls(*SPECS[cls][1][0])
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*[getattr(rec, f) for f in cls._fields], None)
+
+    def test_frozen(self, cls):
+        rec = cls(*SPECS[cls][1][0])
+        for name in cls._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        assert rec == cls(*SPECS[cls][1][0])
+
+    def test_copy_and_pickle(self, cls):
+        rec = cls(*SPECS[cls][1][0])
+        for other in (copy.copy(rec), copy.deepcopy(rec),
+                      pickle.loads(pickle.dumps(rec))):
+            assert type(other) is cls and other == rec
+
+
+def test_subset_types_never_equal_each_other():
+    subsets = [MaskSet(5, 5), KSubset(5, 5), NonAdjacentSet(5, 5)]
+    for a, b in itertools.combinations(subsets, 2):
+        assert a != b and b != a
+    assert len(set(subsets)) == 3
+
+
+def test_records_never_equal_their_field_tuples():
+    assert KSubset(5, 5) != (5, 5)
+    assert Matroid(3, 1, frozenset({1})) != (3, 1, frozenset({1}))
+
+
+@pytest.mark.parametrize("cls,args,message", [
+    (NonAdjacentSet, (4, 0b11), "cyclically adjacent"),
+    (MaskSet, (0,), "ground size"),
+    (KSubset, (3, 8), "outside the ground set"),
+    (Matroid, (3, 1, frozenset()), "empty"),
+    (Matroid, (3, 1, frozenset({3})), "differs from the rank"),
+    (DecoratedPermutation, (3, (2, 1, 3)), "fixed points"),
+    (LeDiagram, (2, 4, (1, 2), ((True,), (True, True))), "decreasing"),
+    (PathSystem, (((("b", 1, 1),),),), "start at a source"),
+])
+def test_post_init_still_validates(cls, args, message):
+    with pytest.raises(ValueError, match=message):
+        cls(*args)

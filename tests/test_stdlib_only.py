@@ -1,6 +1,9 @@
-"""The library imports nothing outside the standard library."""
+"""The library imports nothing outside the standard library, and nothing
+that slows down a CLI process's start-up."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +31,20 @@ def test_absolute_imports_are_stdlib(path):
             top = name.split(".")[0]
             assert top in sys.stdlib_module_names, \
                 f"{path.name}:{node.lineno} imports {name}"
+            assert top != "dataclasses", \
+                f"{path.name}:{node.lineno} imports dataclasses; derive " \
+                f"value types from matroid.Record, which keeps the import " \
+                f"and its start-up cost out of every CLI process"
+
+
+def test_cli_start_up_skips_dataclasses_and_inspect():
+    """A fresh CLI process loads neither dataclasses nor inspect, which
+    together cost several milliseconds of every command's start-up."""
+    src = SOURCES[0].parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, positroids.cli; "
+         "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert loaded.stdout.split() == []
