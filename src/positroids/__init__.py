@@ -9,17 +9,13 @@ Lucas-number census of sparse paving positroids.
 from .matroid import (
     KSubset,
     Matroid,
-    check_exchange_axiom,
     circuit_hyperplanes,
     circuits,
-    dual,
     hyperplanes,
-    is_paving,
     is_sparse_paving,
     k_subset_masks,
     mask_of,
     members_of,
-    rank_of,
     relax,
     uniform,
 )
@@ -29,16 +25,12 @@ from .necklace import (
     all_necklaces,
     bumped_interval,
     cyclic_interval,
-    cyclic_le,
-    gale_le,
     is_positroid,
-    is_valid_necklace,
     mod1,
     necklace_from_nonadjacent,
     necklace_to_positroid,
     nonadjacent_mask_ok,
     positroid_necklace,
-    schubert_bases,
     sparse_paving_witness,
 )
 from .decorated import (
@@ -59,7 +51,6 @@ from .le_diagram import (
     cell_numbering,
     find_path_system,
     is_le,
-    is_realizable,
     le_from_removals,
     le_violation,
     realizable_sets,
@@ -71,7 +62,6 @@ from .enumeration import (
     count_sparse_paving,
     enumerate_sparse_paving,
     lucas,
-    nearest_golden_power,
     nonadjacent_subsets,
     recurrence_case,
 )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .matroid import KSubset, Record, json_int, json_ints
+from .matroid import KSubset, Record, as_mask, json_int, json_ints
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
@@ -49,13 +49,6 @@ class DecoratedPermutation(Record, defaults=((),)):
 
     def apply(self, i: int) -> int:
         return self.perm[i - 1]
-
-    @property
-    def colors_dict(self) -> dict[int, int]:
-        return dict(self.colors)
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.perm[i - 1] == i)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "perm": list(self.perm),
@@ -151,10 +144,7 @@ def apply_adjacent_swaps(positions,
     cyclically, so position 1 trades with position n.  A non-adjacent
     position set makes the swaps commute; adjacent positions are rejected."""
     n = dp.n
-    ns = (positions if isinstance(positions, NonAdjacentSet)
-          else NonAdjacentSet.of(n, positions))
-    if ns.n != n:
-        raise ValueError(f"positions live on [{ns.n}], expected [{n}]")
+    ns = NonAdjacentSet(n, as_mask(positions, n))
     line = list(dp.perm)
     touched = set()
     for i in ns.members:
@@ -162,7 +152,7 @@ def apply_adjacent_swaps(positions,
         line[i - 1], line[left - 1] = line[left - 1], line[i - 1]
         touched.add(i)
         touched.add(left)
-    old = dp.colors_dict
+    old = dict(dp.colors)
     colors = {}
     for i in range(1, n + 1):
         if line[i - 1] == i:

@@ -44,7 +44,9 @@ def nonadjacent_subsets(n: int) -> Iterator[NonAdjacentSet]:
 def count_nonadjacent(n: int) -> int:
     """Exact count of non-adjacent subsets: 1 and 2 for n = 0 and 1, then
     the n-th Lucas number (3, 4, 7, 11, ...), so each value from n = 4 on is
-    the sum of the previous two."""
+    the sum of the previous two.  It is also the nearest integer to the
+    n-th power of the golden ratio phi: phi**n differs from the n-th Lucas
+    number by (-1/phi)**n, below one half once n >= 2."""
     if n < 0:
         raise ValueError("count needs n >= 0")
     return (1, 2)[n] if n < 2 else lucas(n)
@@ -60,15 +62,6 @@ def lucas(n: int) -> int:
     for _ in range(1, n):
         a, b = b, a + b
     return b
-
-
-def nearest_golden_power(n: int) -> int:
-    """Nearest integer to the n-th power of the golden ratio, computed
-    exactly: phi**n differs from the n-th Lucas number by (-1/phi)**n, which
-    stays below one half once n >= 2, so no floating point is involved."""
-    if n < 0:
-        raise ValueError("needs n >= 0")
-    return (1, 2)[n] if n < 2 else lucas(n)
 
 
 class SparsePavingPositroid(Record):

@@ -75,12 +75,6 @@ class LeDiagram(Record):
                 rows.pop()
         return cls(k, n, tuple(parts), tuple(rows))
 
-    def cell_exists(self, r: int, c: int) -> bool:
-        return 1 <= r <= len(self.shape) and 1 <= c <= self.shape[r - 1]
-
-    def has_bullet(self, r: int, c: int) -> bool:
-        return self.cell_exists(r, c) and self.filling[r - 1][c - 1]
-
     def to_dict(self) -> dict:
         return {"k": self.k, "n": self.n, "shape": list(self.shape),
                 "filling": [[1 if b else 0 for b in row]
@@ -265,14 +259,6 @@ def _realizes(net: PlanarNetwork, s_mask: int) -> bool:
                          for i in members_of(net.sources.mask & ~s_mask)])
 
 
-def is_realizable(source, subset) -> bool:
-    """Whether some vertex-disjoint path system realizes the subset: sources
-    kept by the subset stay put, the remaining sources must route to the
-    subset's sinks."""
-    net = source if isinstance(source, PlanarNetwork) else build_network(source)
-    return _realizes(net, as_mask(subset, net.n))
-
-
 def realizable_sets(diag: LeDiagram) -> Matroid:
     """Matroid on [n] whose bases are exactly the k-subsets realized by some
     vertex-disjoint path system of the diagram's network."""
@@ -375,13 +361,7 @@ def le_from_removals(removed, k: int, n: int) -> LeDiagram:
     keeps the filling a Le-diagram.  Any subset of [n] is accepted."""
     if not 2 <= k <= n - 1:
         raise ValueError(f"construction needs 2 <= k <= n-1, got k={k}, n={n}")
-    if hasattr(removed, "members"):
-        labels = set(removed.members)
-    else:
-        labels = {json_int(x, "label") for x in removed}
-    for x in labels:
-        if not 1 <= x <= n:
-            raise ValueError(f"label {x} outside [1, {n}]")
+    labels = members_of(as_mask(removed, n))
     cells = cell_numbering(k, n)
     shape = [n - k] * k
     if 1 in labels:

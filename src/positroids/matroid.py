@@ -170,8 +170,9 @@ class KSubset(MaskSet):
 
 
 def as_mask(subset, n: int) -> int:
-    """Coerce a KSubset or an iterable of elements to a mask over [n]."""
-    if isinstance(subset, KSubset):
+    """Coerce a MaskSet or an iterable of elements to a mask over [n],
+    rejecting a set built on another ground set."""
+    if isinstance(subset, MaskSet):
         if subset.n != n:
             raise ValueError(f"subset lives on [{subset.n}], expected [{n}]")
         return subset.mask
@@ -219,14 +220,6 @@ class Matroid(Record):
         k = next(iter(masks)).bit_count()
         return cls(n, k, masks)
 
-    def basis_subsets(self) -> tuple[KSubset, ...]:
-        return tuple(KSubset(self.n, mask)
-                     for mask, _ in lex_subsets(self.n, self.k)
-                     if mask in self.bases)
-
-    def has_basis(self, subset) -> bool:
-        return as_mask(subset, self.n) in self.bases
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,
@@ -244,18 +237,9 @@ class Matroid(Record):
                              for b in json_list(data["bases"], "bases")))
 
 
-def check_exchange_axiom(family: Iterable, n: int) -> bool:
+def _exchange_masks(masks: frozenset[int]) -> bool:
     """Basis exchange test: for distinct B, B' and every e in B - B' some
     e' in B' - B puts (B - e) + e' back in the family."""
-    masks = [as_mask(s, n) for s in family]
-    if not masks:
-        raise ValueError("empty family")
-    if len({m.bit_count() for m in masks}) != 1:
-        raise ValueError("family mixes subset sizes")
-    return _exchange_masks(frozenset(masks))
-
-
-def _exchange_masks(masks: frozenset[int]) -> bool:
     for b in masks:
         for bp in masks:
             if b == bp:
@@ -280,12 +264,6 @@ def _exchange_masks(masks: frozenset[int]) -> bool:
 
 def _independent(mask: int, bases: frozenset[int]) -> bool:
     return any(mask & ~b == 0 for b in bases)
-
-
-def rank_of(m: Matroid, subset) -> int:
-    """Largest overlap of the given subset with any basis."""
-    a = as_mask(subset, m.n)
-    return max((a & b).bit_count() for b in m.bases)
 
 
 def circuits(m: Matroid) -> frozenset[KSubset]:
@@ -318,12 +296,6 @@ def circuit_hyperplanes(m: Matroid) -> frozenset[KSubset]:
     return circuits(m) & hyperplanes(m)
 
 
-def dual(m: Matroid) -> Matroid:
-    """Matroid of rank n-k whose bases are the complements of m's bases."""
-    full = (1 << m.n) - 1
-    return Matroid(m.n, m.n - m.k, frozenset(full ^ b for b in m.bases))
-
-
 def relax(m: Matroid, subset) -> Matroid:
     """Add a circuit-hyperplane to the basis family; the result is again a
     matroid."""
@@ -331,15 +303,6 @@ def relax(m: Matroid, subset) -> Matroid:
     if m.k < 1 or KSubset(m.n, c) not in circuit_hyperplanes(m):
         raise ValueError("set is not a circuit-hyperplane; cannot relax")
     return Matroid(m.n, m.k, m.bases | {c})
-
-
-def is_paving(m: Matroid) -> bool:
-    """True when every circuit has size at least the rank, i.e. every subset
-    smaller than the rank is independent."""
-    if m.k == 0:
-        return True
-    return all(_independent(mask, m.bases)
-               for mask in k_subset_masks(m.n, m.k - 1))
 
 
 def _violating_pair(m: Matroid) -> tuple[tuple[int, ...], ...] | None:

@@ -21,6 +21,7 @@ from .matroid import (
     MaskSet,
     Matroid,
     Record,
+    as_mask,
     json_int,
     json_ints,
     json_list,
@@ -37,14 +38,6 @@ def mod1(i: int, n: int) -> int:
 def cyclic_pos(t: int, x: int, n: int) -> int:
     """Position of x in the rotation t, t+1, ..., n, 1, ..., t-1 of [n]."""
     return (x - t) % n
-
-
-def cyclic_le(t: int, a: int, b: int, n: int) -> bool:
-    """Whether a comes no later than b in the rotation of [n] starting at t."""
-    for v in (t, a, b):
-        if not 1 <= v <= n:
-            raise ValueError(f"{v} outside [1, {n}]")
-    return cyclic_pos(t, a, n) <= cyclic_pos(t, b, n)
 
 
 def gale_bounds(n: int, t: int, mask: int) -> tuple[tuple[int, int], ...]:
@@ -75,20 +68,6 @@ def _dominating(masks, bounds) -> list[int]:
     for prefix, bound in bounds:
         keep = [m for m in keep if (m & prefix).bit_count() <= bound]
     return keep
-
-
-def gale_le(t: int, i_set: KSubset, j_set: KSubset) -> bool:
-    """Componentwise comparison of two equal-size subsets, each sorted by the
-    rotation of [n] starting at t."""
-    if i_set.n != j_set.n:
-        raise ValueError("subsets live on different ground sets")
-    n = i_set.n
-    if not 1 <= t <= n:
-        raise ValueError(f"rotation start {t} outside [1, {n}]")
-    if len(i_set) != len(j_set):
-        raise ValueError("subsets differ in size")
-    return all((j_set.mask & prefix).bit_count() <= bound
-               for prefix, bound in gale_bounds(n, t, i_set.mask))
 
 
 def _check_classification(k: int, n: int) -> None:
@@ -132,18 +111,6 @@ def bumped_interval(k: int, n: int, i: int) -> KSubset:
     return KSubset(n, _bumped_mask(k, n, i))
 
 
-def schubert_bases(i_set: KSubset, t: int, n: int) -> frozenset[KSubset]:
-    """Bases of the cyclically shifted Schubert matroid: every subset of the
-    same size that dominates i_set in the Gale order at t."""
-    if i_set.n != n:
-        raise ValueError(f"subset lives on [{i_set.n}], expected [{n}]")
-    if not 1 <= t <= n:
-        raise ValueError(f"rotation start {t} outside [1, {n}]")
-    keep = _dominating(k_subset_masks(n, len(i_set)),
-                       gale_bounds(n, t, i_set.mask))
-    return frozenset(KSubset(n, m) for m in keep)
-
-
 def _step_ok(bit: int, cur: int, nxt: int) -> bool:
     """The necklace condition from entry cur to the next entry nxt at the
     index whose bit is given."""
@@ -165,23 +132,6 @@ def _axiom_problem(entries: Sequence[KSubset]) -> str | None:
         return (f"necklace axiom fails at i={i}: {i} is absent so the "
                 f"next entry must repeat")
     return None
-
-
-def is_valid_necklace(entries: Sequence[KSubset]) -> bool:
-    """Whether the insertion/deletion condition holds at every index mod n.
-
-    Structural defects (wrong length, mixed sizes) raise instead of
-    returning False.
-    """
-    n = len(entries)
-    if n == 0:
-        raise ValueError("no entries")
-    if any(e.n != n for e in entries):
-        raise ValueError("entry ground size differs from the entry count")
-    k = len(entries[0])
-    if any(len(e) != k for e in entries):
-        raise ValueError("entries mix sizes")
-    return _axiom_problem(entries) is None
 
 
 class GrassmannNecklace(Record):
@@ -391,9 +341,7 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
     """Necklace of the sparse paving positroid indexed by a non-adjacent set:
     bumped intervals at the chosen indices, cyclic intervals elsewhere."""
     _check_classification(k, n)
-    ns = a if isinstance(a, NonAdjacentSet) else NonAdjacentSet.of(n, a)
-    if ns.n != n:
-        raise ValueError(f"set lives on [{ns.n}], expected [{n}]")
+    ns = NonAdjacentSet(n, as_mask(a, n))
     entries = tuple(KSubset(n, _bumped_mask(k, n, i) if i in ns
                             else _interval_mask(k, n, i))
                     for i in range(1, n + 1))

@@ -2,6 +2,9 @@
 
 Everything here works with plain frozensets and itertools, deliberately
 avoiding the package's bit mask machinery so the two routes stay separate.
+Some are the only implementation of a rule the library no longer needs:
+brute_rank, brute_dual and brute_paving keep the rank, duality and paving
+identities under test.
 Two helpers deliberately drive the package.  checked_sparse_paving pins the
 classical equivalence of the three sparse paving definitions on the
 package's own circuit-hyperplane and relaxation code.  flow_realizable_sets
@@ -39,6 +42,18 @@ def is_independent(subset, bases):
 
 def brute_rank(subset, bases):
     return max(len(subset & b) for b in bases)
+
+
+def brute_dual(n, bases):
+    """Bases of the dual matroid: the complements of the bases."""
+    return frozenset(ground(n) - b for b in bases)
+
+
+def brute_paving(n, k, bases):
+    """Paving: every circuit has at least k elements, i.e. every subset of
+    size k-1 is independent."""
+    return k == 0 or all(is_independent(frozenset(c), bases)
+                         for c in combinations(range(1, n + 1), k - 1))
 
 
 def brute_circuits(n, bases):

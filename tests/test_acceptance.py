@@ -13,19 +13,15 @@ import pytest
 from positroids import (
     Matroid,
     apply_adjacent_swaps,
-    build_network,
     cell_numbering,
-    check_exchange_axiom,
     circuit_hyperplanes,
     count_nonadjacent,
     cyclic_interval,
     decperm_to_necklace,
     enumerate_sparse_paving,
-    is_realizable,
     k_subset_masks,
     le_from_removals,
     lucas,
-    nearest_golden_power,
     necklace_from_nonadjacent,
     necklace_to_decperm,
     necklace_to_positroid,
@@ -66,8 +62,7 @@ def test_c1_lucas_count_reproduction(capsys):
     start = time.monotonic()
     ok = True
     for n, expected in LUCAS_EXPECTED.items():
-        assert expected == lucas(n) == nearest_golden_power(n) \
-            == count_nonadjacent(n)
+        assert expected == lucas(n) == count_nonadjacent(n)
         for k in range(2, n - 1):
             code, out = run_cli(capsys, ["enumerate", "--n", str(n),
                                          "--k", str(k), "--count-only"])
@@ -177,9 +172,9 @@ def test_c5_worked_example_reproduction(capsys):
         (True, True, True, True, True, True),
     )
 
-    net = build_network(le_from_removals({6}, 4, 12))
+    wide = realizable_sets(le_from_removals({6}, 4, 12)).bases
     for i in range(1, 13):
-        ok = ok and is_realizable(net, cyclic_interval(4, 12, i)) == (i != 6)
+        ok = ok and (cyclic_interval(4, 12, i).mask in wide) == (i != 6)
 
     cells = cell_numbering(4, 10)
     expected = {1: (4, 6), 2: (1, 6), 3: (1, 5), 4: (1, 4), 5: (1, 3),
@@ -199,9 +194,10 @@ def test_c6_interval_basis_lemma(capsys):
             for mask in range(1 << n):
                 member_set = {i for i in range(1, n + 1)
                               if mask >> (i - 1) & 1}
-                net = build_network(le_from_removals(member_set, k, n))
+                diag = le_from_removals(member_set, k, n)
+                bases = realizable_sets(diag).bases
                 for i in range(1, n + 1):
-                    got = is_realizable(net, cyclic_interval(k, n, i))
+                    got = cyclic_interval(k, n, i).mask in bases
                     assert got == (i not in member_set), (n, k, member_set, i)
     elapsed = time.monotonic() - start
     with capsys.disabled():
@@ -220,7 +216,7 @@ def test_c7_relaxation_ladder(capsys):
                 for c in chs:
                     ladder = relax(ladder, [b for b in range(1, n + 1)
                                             if c >> (b - 1) & 1])
-                    assert check_exchange_axiom(ladder.basis_subsets(), n)
+                    assert _exchange_masks(ladder.bases)
                 assert ladder == uniform(k, n)
     elapsed = time.monotonic() - start
     with capsys.disabled():

@@ -91,7 +91,7 @@ class TestNecklaceToDecperm:
         neck = necklace(2, [{1, 2}, {1, 2}])
         dp = necklace_to_decperm(neck)
         assert dp.perm == (1, 2)
-        assert dp.colors_dict == {1: -1, 2: -1}
+        assert dict(dp.colors) == {1: -1, 2: -1}
 
 
 class TestDecpermToNecklace:
@@ -145,14 +145,14 @@ class TestTopPermutation:
             top_permutation(0, 4)
         dp = top_permutation(0, 4, fixed_color=1)
         assert dp.perm == (1, 2, 3, 4)
-        assert set(dp.colors_dict.values()) == {1}
-        assert top_permutation(4, 4, fixed_color=-1).colors_dict == {
+        assert set(dict(dp.colors).values()) == {1}
+        assert dict(top_permutation(4, 4, fixed_color=-1).colors) == {
             i: -1 for i in range(1, 5)}
 
     def test_no_fixed_points_in_between(self):
         for n in range(2, 9):
             for k in range(1, n):
-                assert top_permutation(k, n).fixed_points() == ()
+                assert fixed_points(top_permutation(k, n).perm) == []
 
 
 class TestAdjacentSwaps:
@@ -192,7 +192,7 @@ class TestAdjacentSwaps:
                 top = top_permutation(k, n)
                 for members in brute_nonadjacent(n):
                     got = apply_adjacent_swaps(members, top)
-                    assert got.fixed_points() == ()
+                    assert fixed_points(got.perm) == []
 
 
 class TestPermWitness:

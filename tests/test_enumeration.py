@@ -3,6 +3,7 @@ import math
 import pytest
 
 from positroids import (
+    GrassmannNecklace,
     all_necklaces,
     circuit_hyperplanes,
     count_nonadjacent,
@@ -11,9 +12,8 @@ from positroids import (
     enumerate_sparse_paving,
     is_le,
     is_positroid,
-    is_valid_necklace,
     lucas,
-    nearest_golden_power,
+    members_of,
     necklace_to_positroid,
     nonadjacent_mask_ok,
     nonadjacent_subsets,
@@ -88,18 +88,19 @@ class TestLucas:
             assert lucas(n) == count_nonadjacent(n)
 
     def test_golden_power_small_cases(self):
-        assert nearest_golden_power(0) == 1
-        assert nearest_golden_power(2) == 3
-        assert nearest_golden_power(10) == 123
+        assert count_nonadjacent(0) == 1
+        assert count_nonadjacent(2) == 3
+        assert count_nonadjacent(10) == 123
 
     def test_golden_power_matches_count(self):
+        # the nearest integer to phi**n is 1, 2 at n = 0, 1, then Lucas
         for n in range(0, 61):
-            assert nearest_golden_power(n) == count_nonadjacent(n)
+            assert count_nonadjacent(n) == (lucas(n) if n >= 2 else n + 1)
 
     def test_golden_power_matches_float_rounding_when_exact(self):
         phi = (1 + math.sqrt(5)) / 2
         for n in range(0, 40):
-            assert nearest_golden_power(n) == round(phi ** n)
+            assert count_nonadjacent(n) == round(phi ** n)
 
 
 class TestCensus:
@@ -112,7 +113,7 @@ class TestCensus:
                    for e in enumerate_sparse_paving(2, 4)}
         chosen = entries[(1, 3)]
         missing = {frozenset({1, 2}), frozenset({3, 4})}
-        got = {frozenset(b.members) for b in chosen.matroid.basis_subsets()}
+        got = {frozenset(members_of(b)) for b in chosen.matroid.bases}
         assert len(chosen.matroid.bases) == 4
         assert got.isdisjoint(missing)
 
@@ -126,7 +127,8 @@ class TestCensus:
     def test_all_views_consistent(self, n):
         for k in range(2, n - 1):
             for entry in enumerate_sparse_paving(k, n):
-                assert is_valid_necklace(entry.necklace.entries)
+                neck = entry.necklace
+                assert GrassmannNecklace(n, k, neck.entries) == neck
                 assert is_le(entry.diagram)
                 assert is_positroid(entry.matroid)
                 assert checked_sparse_paving(entry.matroid)

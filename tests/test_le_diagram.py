@@ -7,21 +7,24 @@ from hypothesis import strategies as st
 from positroids import (
     KSubset,
     LeDiagram,
+    NonAdjacentSet,
+    apply_adjacent_swaps,
     boundary_labels,
     build_network,
     cell_numbering,
     cyclic_interval,
     find_path_system,
     is_le,
-    is_realizable,
     k_subset_masks,
     le_from_removals,
     le_violation,
+    members_of,
     necklace_from_nonadjacent,
     necklace_to_positroid,
     nonadjacent_mask_ok,
     realizable_sets,
     render_le,
+    top_permutation,
     uniform,
 )
 
@@ -74,6 +77,10 @@ class TestType:
     def test_removals_reject_fractional_label(self):
         with pytest.raises(ValueError):
             le_from_removals([1.5], 2, 5)
+
+    def test_removals_reject_repeated_label(self):
+        with pytest.raises(ValueError, match="repeated element 3"):
+            le_from_removals([3, 3], 2, 5)
 
     def test_json_round_trip(self):
         d = diagram(2, 4, (2, 1), [[1, 0], [1]])
@@ -174,28 +181,28 @@ class TestRealizability:
     def test_staircase_misses_sources_only_set(self):
         d = diagram(2, 4, (2, 1), [[1, 1], [1]])
         m = realizable_sets(d)
-        got = {b.members for b in m.basis_subsets()}
+        got = {members_of(b) for b in m.bases}
         assert got == {(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)}
 
     def test_wide_figure_interval_omission(self):
-        net = build_network(FIG_WIDE)
+        bases = realizable_sets(FIG_WIDE).bases
         for i in range(1, 13):
             expected = i != 6
-            assert is_realizable(net, cyclic_interval(4, 12, i)) == expected
+            assert (cyclic_interval(4, 12, i).mask in bases) == expected
 
     def test_skip_edge_admits_nested_routing(self):
         # {3,5,9,10} needs the row-1 jump over the missing bullet while a
         # second path occupies row 2 underneath
-        net = build_network(FIG_WIDE)
-        assert is_realizable(net, KSubset.of(12, {3, 5, 9, 10}))
+        bases = realizable_sets(FIG_WIDE).bases
+        assert KSubset.of(12, {3, 5, 9, 10}).mask in bases
 
     def test_wrong_size_is_not_realizable(self):
         net = build_network(full_box(2, 4))
-        assert not is_realizable(net, KSubset.of(4, {1}))
+        assert find_path_system(net, KSubset.of(4, {1})) is None
 
 
 def bases_as_sets(m):
-    return frozenset(frozenset(b.members) for b in m.basis_subsets())
+    return frozenset(frozenset(members_of(b)) for b in m.bases)
 
 
 @st.composite
@@ -250,7 +257,8 @@ class TestAgainstFlow:
         for k in range(n + 1):
             for d in all_le_diagrams(k, n):
                 net = build_network(d)
-                for b in realizable_sets(d).basis_subsets():
+                for mask in realizable_sets(d).bases:
+                    b = KSubset(n, mask)
                     system = find_path_system(net, b)
                     assert system is not None
                     assert system.realized() == b.members
@@ -337,6 +345,19 @@ class TestRemovalDiagrams:
             le_from_removals({5}, 2, 4)
 
 
+@pytest.mark.parametrize("build", [
+    lambda a: le_from_removals(a, 2, 8),
+    lambda a: necklace_from_nonadjacent(a, 2, 8),
+    lambda a: apply_adjacent_swaps(a, top_permutation(2, 8)),
+], ids=["le_from_removals", "necklace_from_nonadjacent",
+        "apply_adjacent_swaps"])
+def test_rejects_a_set_on_another_ground_set(build):
+    # {5} is a valid set on [5] and its one label fits in [8] too, so only
+    # the ground-set check stands between it and an n = 8 answer
+    with pytest.raises(ValueError, match=r"lives on \[5\], expected \[8\]"):
+        build(NonAdjacentSet.of(5, {5}))
+
+
 class TestIntervalLemma:
     def test_interval_bases_track_removals(self):
         # for every removal set, interval i stays a basis exactly when i is
@@ -344,9 +365,10 @@ class TestIntervalLemma:
         for n in range(4, 9):
             for k in range(2, n - 1):
                 for subset in subsets_of(n):
-                    net = build_network(le_from_removals(subset, k, n))
+                    diag = le_from_removals(subset, k, n)
+                    bases = realizable_sets(diag).bases
                     for i in range(1, n + 1):
-                        got = is_realizable(net, cyclic_interval(k, n, i))
+                        got = cyclic_interval(k, n, i).mask in bases
                         assert got == (i not in subset)
 
 
@@ -383,7 +405,7 @@ class TestMonotonicity:
             base_bases = realizable_sets(base).bases
             for r in range(1, len(base.shape) + 1):
                 for c in range(1, base.shape[r - 1] + 1):
-                    if not base.has_bullet(r, c):
+                    if not base.filling[r - 1][c - 1]:
                         continue
                     rows = [list(row) for row in base.filling]
                     rows[r - 1][c - 1] = False

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +14,8 @@ from positroids import (
     all_necklaces,
     bumped_interval,
     cyclic_interval,
-    cyclic_le,
     decperm_to_necklace,
-    gale_le,
     is_positroid,
-    is_valid_necklace,
     k_subset_masks,
     members_of,
     mod1,
@@ -25,12 +23,16 @@ from positroids import (
     necklace_to_positroid,
     nonadjacent_mask_ok,
     positroid_necklace,
-    schubert_bases,
     sparse_paving_witness,
     uniform,
 )
 from positroids.matroid import _exchange_masks
-from positroids.necklace import SchubertKernel, gale_bounds
+from positroids.necklace import (
+    SchubertKernel,
+    _dominating,
+    cyclic_pos,
+    gale_bounds,
+)
 
 from oracles import (
     all_basis_families,
@@ -49,6 +51,24 @@ def ks(n, members):
 
 def necklace(n, sets):
     return GrassmannNecklace.of(n, sets)
+
+
+def cyclic_le(t, a, b, n):
+    """Whether a comes no later than b in the rotation of [n] at t."""
+    return cyclic_pos(t, a, n) <= cyclic_pos(t, b, n)
+
+
+def gale_le(t, i_set, j_set):
+    """I <=_t J through the library's one Gale primitive: J passes every
+    bound that gale_bounds reads off I."""
+    return _dominating([j_set.mask], gale_bounds(i_set.n, t, i_set.mask)) \
+        == [j_set.mask]
+
+
+def schubert_bases(i_set, t, n):
+    """Member tuples of the shifted Schubert matroid of i_set at t."""
+    return {members_of(m) for m in _dominating(
+        k_subset_masks(n, len(i_set)), gale_bounds(n, t, i_set.mask))}
 
 
 def interval_necklace(k, n):
@@ -103,12 +123,6 @@ class TestCyclicOrder:
         assert cyclic_le(3, 1, 2, 5)
         assert not cyclic_le(3, 2, 1, 5)
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            cyclic_le(1, 0, 3, 5)
-        with pytest.raises(ValueError):
-            cyclic_le(6, 1, 3, 5)
-
     @given(st.integers(1, 10), st.data())
     def test_total_order(self, n, data):
         t = data.draw(st.integers(1, n))
@@ -132,10 +146,6 @@ class TestGaleOrder:
     def test_reflexive(self):
         for t in range(1, 5):
             assert gale_le(t, ks(4, {2, 4}), ks(4, {2, 4}))
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(ValueError):
-            gale_le(1, ks(4, {1}), ks(4, {1, 2}))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_brute_force(self, n):
@@ -219,7 +229,7 @@ class TestCyclicInterval:
 
 class TestSchubert:
     def test_filtering(self):
-        got = {s.members for s in schubert_bases(ks(4, {1, 3}), 1, 4)}
+        got = schubert_bases(ks(4, {1, 3}), 1, 4)
         expected = {c for c in itertools.combinations(range(1, 5), 2)
                     if c != (1, 2)}
         assert got == expected
@@ -232,31 +242,34 @@ class TestSchubert:
                     assert len(got) == len(k_subset_masks(n, k))
 
     def test_minimum_at_rotation_start(self):
-        got = {s.members for s in schubert_bases(ks(4, {3, 4}), 3, 4)}
+        got = schubert_bases(ks(4, {3, 4}), 3, 4)
         assert got == {c for c in itertools.combinations(range(1, 5), 2)}
 
 
 class TestNecklaceValidity:
+    """The constructor is the necklace axiom's one check."""
+
     def test_interval_necklace_valid(self):
         for n in range(2, 7):
             for k in range(0, n + 1):
                 entries = [cyclic_interval(k, n, i) if k else KSubset(n, 0)
                            for i in range(1, n + 1)]
-                assert is_valid_necklace(entries)
+                assert necklace(n, entries).entries == tuple(entries)
 
     def test_broken_sequence(self):
         entries = [ks(4, {1, 3}), ks(4, {2, 4}), ks(4, {1, 3}), ks(4, {2, 4})]
-        assert not is_valid_necklace(entries)
+        with pytest.raises(ValueError, match="necklace axiom fails"):
+            necklace(4, entries)
 
     def test_loop_necklace_valid(self):
         entries = [ks(4, s) for s in ({1, 2}, {2, 3}, {1, 3}, {1, 2})]
-        assert is_valid_necklace(entries)
+        assert necklace(4, entries) == LOOP_NECKLACE
 
     def test_structural_defects_raise(self):
-        with pytest.raises(ValueError):
-            is_valid_necklace([ks(4, {1, 2}), ks(4, {2, 3}), ks(4, {1, 3})])
-        with pytest.raises(ValueError):
-            is_valid_necklace([ks(2, {1}), ks(2, {1, 2})])
+        with pytest.raises(ValueError, match="entry count"):
+            necklace(4, [ks(4, {1, 2}), ks(4, {2, 3}), ks(4, {1, 3})])
+        with pytest.raises(ValueError, match="entry size"):
+            necklace(2, [ks(2, {1}), ks(2, {1, 2})])
 
     def test_constructor_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -316,7 +329,7 @@ class TestPositroidNecklace:
         for fam in all_basis_families(n, k):
             m = Matroid.from_sets(n, fam)
             neck = positroid_necklace(m)
-            assert is_valid_necklace(neck.entries)
+            assert GrassmannNecklace(n, k, neck.entries) == neck
             for t in range(1, n + 1):
                 expected = brute_gale_min(fam, t, n)
                 assert frozenset(neck.entries[t - 1].members) == expected
@@ -417,7 +430,7 @@ class TestFromNonAdjacent:
         nonbases = {frozenset({1, 2}), frozenset({3, 4})}
         everything = {frozenset(c)
                       for c in itertools.combinations(range(1, 5), 2)}
-        assert {frozenset(b.members) for b in m.basis_subsets()} \
+        assert {frozenset(members_of(b)) for b in m.bases} \
             == everything - nonbases
 
     def test_rejects_adjacent_or_bad_rank(self):
@@ -436,7 +449,8 @@ class TestFromNonAdjacent:
                     assert len(m.bases) == total - len(members)
                     for i in range(1, n + 1):
                         expected = i not in members
-                        assert m.has_basis(cyclic_interval(k, n, i)) == expected
+                        assert (cyclic_interval(k, n, i).mask in m.bases) \
+                            == expected
                     assert sparse_paving_witness(neck) == NonAdjacentSet.of(
                         n, members)
 
@@ -483,3 +497,17 @@ class TestEnumeration:
     def test_degenerate_ranks(self):
         assert sum(1 for _ in all_necklaces(0, 3)) == 1
         assert sum(1 for _ in all_necklaces(3, 3)) == 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_counts_match_williams_closed_form(self, n):
+        """Williams' count of the positroid cells of type (k, n)
+        ("Enumeration of totally positive Grassmann cells", Adv. Math. 190
+        (2005)), one per necklace; the count is 1 at k = 0."""
+        assert sum(1 for _ in all_necklaces(0, n)) == 1
+        for k in range(1, n + 1):
+            expected = sum(
+                (-1) ** i * comb(n, i)
+                * ((k - i) ** i * (k - i + 1) ** (n - i)
+                   - (k - i - 1) ** i * (k - i) ** (n - i))
+                for i in range(k))
+            assert sum(1 for _ in all_necklaces(k, n)) == expected, (k, n)

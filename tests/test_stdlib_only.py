@@ -48,3 +48,36 @@ def test_cli_start_up_skips_dataclasses_and_inspect():
          "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True, timeout=60)
     assert loaded.stdout.split() == []
+
+
+# Public names that nothing in the package calls but that stay on purpose:
+# the paper's named statements, and the explicit path-system router.
+KEPT_UNCALLED = ("bumped_interval", "is_le", "perm_sparse_paving_witness",
+                 "recurrence_case", "uniform", "find_path_system")
+
+
+def test_every_public_definition_is_used():
+    """Each public module-level function or class is referenced somewhere
+    in the package outside its own definition and __init__.py, unless the
+    benchmark traces it by name or it is kept on purpose above."""
+    from test_perfbench_hooks import load_tracer
+    exempt = {attr.partition(".")[0]
+              for _, _, attr, *_ in load_tracer().LAYERS}
+    exempt.update(KEPT_UNCALLED)
+    used, defined = set(), []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        own = set()  # a definition's references to its own name
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append(f"{path.name}:{node.name}")
+                own.update(id(sub) for sub in ast.walk(node)
+                           if isinstance(sub, ast.Name)
+                           and sub.id == node.name)
+        used.update(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and id(node) not in own)
+    unused = [d for d in defined if d.partition(":")[2] not in used | exempt]
+    assert unused == [], "no caller in the package: " + ", ".join(unused)
