@@ -7,7 +7,6 @@ Lucas-number census of sparse paving positroids.
 """
 
 from .matroid import (
-    KSubset,
     Matroid,
     circuit_hyperplanes,
     circuits,
@@ -42,7 +41,6 @@ from .decorated import (
     top_permutation,
 )
 from .le_diagram import (
-    Boundary,
     LeDiagram,
     PathSystem,
     PlanarNetwork,

@@ -33,6 +33,7 @@ from .matroid import (
     _exchange_masks,
     _violating_pair,
     lex_subsets,
+    members_of,
 )
 from .necklace import (
     GrassmannNecklace,
@@ -206,7 +207,7 @@ def cmd_check_sp(args) -> int:
     if witness is not None:
         inner = ",".join(map(str, witness.members))
         print(f"sparse-paving A={{{inner}}}")
-        chs = [list(cyclic_interval(k, n, i).members) for i in witness.members]
+        chs = [list(members_of(cyclic_interval(k, n, i))) for i in witness]
         print(f"circuit-hyperplanes: {_dumps(chs)}")
         return 0
     first, second = _violating_pair(necklace_to_positroid(neck))
@@ -348,6 +349,9 @@ def main(argv=None) -> int:
         return 1
     except OverflowError as exc:
         print(f"invalid: number too large: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("invalid: input too large to hold in memory", file=sys.stderr)
         return 1
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .matroid import KSubset, Record, as_mask, json_int, json_ints
+from .matroid import Record, as_mask, json_int, json_ints, mask_of
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
@@ -81,8 +81,8 @@ def necklace_to_decperm(neck: GrassmannNecklace) -> DecoratedPermutation:
     perm = [0] * n
     colors: dict[int, int] = {}
     for i in range(1, n + 1):
-        cur = neck.entries[i - 1].mask
-        nxt = neck.entries[i % n].mask
+        cur = neck.entries[i - 1]
+        nxt = neck.entries[i % n]
         bit = 1 << (i - 1)
         if not cur & bit:
             perm[i - 1] = i
@@ -112,8 +112,8 @@ def decperm_to_necklace(dp: DecoratedPermutation, k: int) -> GrassmannNecklace:
                    if j in always
                    or (j != inv[j]
                        and cyclic_pos(t, j, n) < cyclic_pos(t, inv[j], n))]
-        entries.append(KSubset.of(n, members))
-    derived = len(entries[0])
+        entries.append(mask_of(members, n))
+    derived = entries[0].bit_count()
     if derived != k:
         raise ValueError(
             f"permutation determines rank {derived}, not {k}")

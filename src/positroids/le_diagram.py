@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .matroid import (
-    KSubset,
     Matroid,
     Record,
     as_mask,
@@ -30,6 +29,7 @@ from .matroid import (
     json_ints,
     json_list,
     k_subset_masks,
+    mask_of,
     members_of,
 )
 
@@ -119,23 +119,12 @@ def is_le(diag: LeDiagram) -> bool:
     return le_violation(diag) is None
 
 
-class Boundary:
-    """Southeast boundary walk of the shape: step labels 1..n split into
-    sources (down-steps, tied to rows) and sinks (left-steps, tied to
-    columns)."""
-
-    def __init__(self, sources: KSubset, sinks: KSubset,
-                 source_row: dict[int, int], sink_col: dict[int, int]):
-        self.sources = sources
-        self.sinks = sinks
-        self.source_row = source_row
-        self.sink_col = sink_col
-
-
-def boundary_labels(diag: LeDiagram) -> Boundary:
+def boundary_labels(diag: LeDiagram) -> tuple[dict, dict]:
     """Walk the border of the shape, padded by the top and left sides of the
     box, from the box's top right corner to its bottom left corner, numbering
-    the n steps in order."""
+    the n steps in order.  The labels split into sources (down-steps, tied to
+    rows) and sinks (left-steps, tied to columns); returns the maps
+    (source_row, sink_col) from each label to its row or column."""
     n, k = diag.n, diag.k
     widths = list(diag.shape) + [0] * (k - len(diag.shape))
     label = 0
@@ -153,16 +142,15 @@ def boundary_labels(diag: LeDiagram) -> Boundary:
         label += 1
         sink_col[label] = col
         col -= 1
-    return Boundary(KSubset.of(n, source_row), KSubset.of(n, sink_col),
-                    source_row, sink_col)
+    return source_row, sink_col
 
 
 class PlanarNetwork:
     """Acyclic directed network over the bullets of a Le-diagram: rows carry
     traffic leftward from the row's source, columns carry it downward into
-    the column's sink."""
+    the column's sink.  The sources and sinks are masks of their labels."""
 
-    def __init__(self, n: int, k: int, sources: KSubset, sinks: KSubset,
+    def __init__(self, n: int, k: int, sources: int, sinks: int,
                  edges: dict[tuple, tuple[tuple, ...]]):
         self.n = n
         self.k = k
@@ -188,7 +176,7 @@ class PlanarNetwork:
                     memo[v] = out
             return memo[v]
 
-        return {i: count(("s", i)) for i in self.sources.members}
+        return {i: count(("s", i)) for i in members_of(self.sources)}
 
 
 def build_network(diag: LeDiagram) -> PlanarNetwork:
@@ -199,7 +187,7 @@ def build_network(diag: LeDiagram) -> PlanarNetwork:
     bad = le_violation(diag)
     if bad is not None:
         raise ValueError(f"Le condition fails at cell {bad}")
-    b = boundary_labels(diag)
+    source_row, sink_col = boundary_labels(diag)
     rows: dict[int, list[int]] = {}
     cols: dict[int, list[int]] = {}
     for r, row in enumerate(diag.filling, 1):
@@ -208,10 +196,10 @@ def build_network(diag: LeDiagram) -> PlanarNetwork:
                 rows.setdefault(r, []).append(c)
                 cols.setdefault(c, []).append(r)
     edges: dict[tuple, tuple[tuple, ...]] = {}
-    for label, r in b.source_row.items():
+    for label, r in source_row.items():
         cells = rows.get(r, [])
         edges[("s", label)] = (("b", r, cells[-1]),) if cells else ()
-    sink_of_col = {c: label for label, c in b.sink_col.items()}
+    sink_of_col = {c: label for label, c in sink_col.items()}
     for r, cs in rows.items():
         for idx, c in enumerate(cs):
             out: list[tuple] = []
@@ -224,9 +212,10 @@ def build_network(diag: LeDiagram) -> PlanarNetwork:
             else:
                 out.append(("t", sink_of_col[c]))
             edges[("b", r, c)] = tuple(out)
-    for label in b.sink_col:
+    for label in sink_col:
         edges[("t", label)] = ()
-    return PlanarNetwork(diag.n, diag.k, b.sources, b.sinks, edges)
+    return PlanarNetwork(diag.n, diag.k, mask_of(source_row, diag.n),
+                         mask_of(sink_col, diag.n), edges)
 
 
 def _nonsingular(a: list[list[int]]) -> bool:
@@ -254,9 +243,9 @@ def _realizes(net: PlanarNetwork, s_mask: int) -> bool:
     if s_mask.bit_count() != net.k:
         return False
     counts = net.path_counts
-    goals = members_of(s_mask & net.sinks.mask)
+    goals = members_of(s_mask & net.sinks)
     return _nonsingular([[counts[i].get(j, 0) for j in goals]
-                         for i in members_of(net.sources.mask & ~s_mask)])
+                         for i in members_of(net.sources & ~s_mask)])
 
 
 def realizable_sets(diag: LeDiagram) -> Matroid:
@@ -300,9 +289,9 @@ def find_path_system(source, subset) -> PathSystem | None:
     s_mask = as_mask(subset, net.n)
     if not _realizes(net, s_mask):
         return None
-    staying = members_of(net.sources.mask & s_mask)
-    to_route = members_of(net.sources.mask & ~s_mask)
-    goals = set(members_of(s_mask & net.sinks.mask))
+    staying = members_of(net.sources & s_mask)
+    to_route = members_of(net.sources & ~s_mask)
+    goals = set(members_of(s_mask & net.sinks))
 
     used: set = set()
     routed: list[tuple] = []
@@ -378,10 +367,10 @@ def render_le(diag: LeDiagram) -> str:
     """ASCII picture: '*' for a bullet, '.' for an empty cell, each row's
     source label after the row, and the sink labels under their columns on
     the final line."""
-    b = boundary_labels(diag)
+    source_row, sink_col = boundary_labels(diag)
     w = len(str(diag.n))
-    row_source = {r: label for label, r in b.source_row.items()}
-    col_sink = {c: label for label, c in b.sink_col.items()}
+    row_source = {r: label for label, r in source_row.items()}
+    col_sink = {c: label for label, c in sink_col.items()}
     widths = list(diag.shape) + [0] * (diag.k - len(diag.shape))
     lines = []
     for r in range(1, diag.k + 1):

@@ -1,8 +1,10 @@
 """Matroid kernel over explicit basis families on the ordered ground set [n].
 
-Subsets of [n] travel as bit masks (bit i-1 holds element i), so membership,
-intersection and symmetric-difference tests stay cheap inside the exhaustive
-scans used by the oracles and the census.
+Every subset of [n] inside the library is a bare int mask (bit i-1 holds
+element i): bases, circuits, hyperplanes, necklace entries and intervals alike,
+so membership, intersection and symmetric-difference tests stay cheap inside
+the exhaustive scans used by the oracles and the census.  Only a
+NonAdjacentSet, a MaskSet, carries its ground set with it.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class Record:
 
 
 class MaskSet(Record, defaults=(0,)):
-    """Container behaviour shared by the subset types: a subset of the ground
-    set [n], stored as a bit mask."""
+    """A subset of the ground set [n] that carries n along with its bit mask,
+    so as_mask can reject it on another ground set."""
 
     __slots__ = ("n", "mask")
     n: int
@@ -157,16 +159,6 @@ class MaskSet(Record, defaults=(0,)):
 
     def __contains__(self, x: int) -> bool:
         return 1 <= x <= self.n and self.mask >> (x - 1) & 1 == 1
-
-
-class KSubset(MaskSet):
-    """A subset of the ground set [n], stored as a bit mask."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        inner = "{" + ",".join(map(str, self.members)) + "}"
-        return f"KSubset({self.n}, {inner})"
 
 
 def as_mask(subset, n: int) -> int:
@@ -211,14 +203,6 @@ class Matroid(Record):
                 sized = False
         if not sized:
             raise ValueError("basis size differs from the rank")
-
-    @classmethod
-    def from_sets(cls, n: int, sets: Iterable) -> "Matroid":
-        masks = frozenset(as_mask(s, n) for s in sets)
-        if not masks:
-            raise ValueError("basis family is empty")
-        k = next(iter(masks)).bit_count()
-        return cls(n, k, masks)
 
     def to_dict(self) -> dict:
         return {
@@ -266,7 +250,7 @@ def _independent(mask: int, bases: frozenset[int]) -> bool:
     return any(mask & ~b == 0 for b in bases)
 
 
-def circuits(m: Matroid) -> frozenset[KSubset]:
+def circuits(m: Matroid) -> frozenset[int]:
     """All minimal dependent subsets, found by increasing size: a dependent
     set is a circuit exactly when no circuit found earlier lies inside it.
     Circuits never exceed k+1 elements."""
@@ -275,22 +259,22 @@ def circuits(m: Matroid) -> frozenset[KSubset]:
         found += [mask for mask in k_subset_masks(m.n, size)
                   if not _independent(mask, m.bases)
                   and all(c & ~mask for c in found)]
-    return frozenset(KSubset(m.n, c) for c in found)
+    return frozenset(found)
 
 
-def hyperplanes(m: Matroid) -> frozenset[KSubset]:
+def hyperplanes(m: Matroid) -> frozenset[int]:
     """Flats of rank k-1, each the closure of an independent (k-1)-set I:
     I together with every element e for which I+e is dependent."""
     if m.k < 1:
         raise ValueError("a rank-0 matroid has no hyperplanes")
     singles = [1 << j for j in range(m.n)]
     return frozenset(
-        KSubset(m.n, i | sum(e for e in singles if not i & e
-                             and not _independent(i | e, m.bases)))
+        i | sum(e for e in singles
+                if not i & e and not _independent(i | e, m.bases))
         for i in k_subset_masks(m.n, m.k - 1) if _independent(i, m.bases))
 
 
-def circuit_hyperplanes(m: Matroid) -> frozenset[KSubset]:
+def circuit_hyperplanes(m: Matroid) -> frozenset[int]:
     """Subsets that are both circuits and hyperplanes; for a sparse paving
     matroid these are exactly the k-sets missing from the basis family."""
     return circuits(m) & hyperplanes(m)
@@ -300,7 +284,7 @@ def relax(m: Matroid, subset) -> Matroid:
     """Add a circuit-hyperplane to the basis family; the result is again a
     matroid."""
     c = as_mask(subset, m.n)
-    if m.k < 1 or KSubset(m.n, c) not in circuit_hyperplanes(m):
+    if m.k < 1 or c not in circuit_hyperplanes(m):
         raise ValueError("set is not a circuit-hyperplane; cannot relax")
     return Matroid(m.n, m.k, m.bases | {c})
 

@@ -10,6 +10,9 @@ exactly when |J & P_m| <= |I & P_m| for every m.  The positroid of a necklace
 is the intersection of the n shifted Schubert matroids {J : I_t <=_t J}
 (Oh, "Positroids and Schubert matroids", JCTA 118 (2011)), so both
 conversions between necklaces and positroids reduce to these counts.
+
+Necklace entries and intervals are bare int masks, like every subset inside
+the library; only a NonAdjacentSet carries its ground set.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .matroid import (
-    KSubset,
     MaskSet,
     Matroid,
     Record,
@@ -83,11 +85,11 @@ def _check_interval(k: int, n: int, i: int) -> None:
         raise ValueError(f"interval start {i} outside [1, {n}]")
 
 
-def cyclic_interval(k: int, n: int, i: int) -> KSubset:
-    """The k consecutive elements i, i+1, ... taken cyclically in [n]; this is
-    the smallest k-subset for the rotation starting at i."""
+def cyclic_interval(k: int, n: int, i: int) -> int:
+    """Mask of the k consecutive elements i, i+1, ... taken cyclically in [n];
+    this is the smallest k-subset for the rotation starting at i."""
     _check_interval(k, n, i)
-    return KSubset(n, _interval_mask(k, n, i))
+    return _interval_mask(k, n, i)
 
 
 def _interval_mask(k: int, n: int, i: int) -> int:
@@ -104,11 +106,11 @@ def _bumped_mask(k: int, n: int, i: int) -> int:
     return _interval_mask(k - 1, n, i) | (1 << ((i + k - 1) % n))
 
 
-def bumped_interval(k: int, n: int, i: int) -> KSubset:
-    """Cyclic interval at i with its last element pushed one step further;
-    the second-smallest k-subset for the rotation starting at i."""
+def bumped_interval(k: int, n: int, i: int) -> int:
+    """Mask of the cyclic interval at i with its last element pushed one step
+    further; the second-smallest k-subset for the rotation starting at i."""
     _check_interval(k, n, i)
-    return KSubset(n, _bumped_mask(k, n, i))
+    return _bumped_mask(k, n, i)
 
 
 def _step_ok(bit: int, cur: int, nxt: int) -> bool:
@@ -119,12 +121,12 @@ def _step_ok(bit: int, cur: int, nxt: int) -> bool:
     return cur == nxt
 
 
-def _axiom_problem(entries: Sequence[KSubset]) -> str | None:
+def _axiom_problem(entries: Sequence[int]) -> str | None:
     n = len(entries)
     for i in range(1, n + 1):
-        cur = entries[i - 1].mask
+        cur = entries[i - 1]
         bit = 1 << (i - 1)
-        if _step_ok(bit, cur, entries[i % n].mask):
+        if _step_ok(bit, cur, entries[i % n]):
             continue
         if cur & bit:
             return (f"necklace axiom fails at i={i}: the next entry must "
@@ -135,42 +137,42 @@ def _axiom_problem(entries: Sequence[KSubset]) -> str | None:
 
 
 class GrassmannNecklace(Record):
-    """Cyclic sequence (I_1, ..., I_n) of k-subsets obeying the necklace
-    condition; construction validates it."""
+    """Cyclic sequence (I_1, ..., I_n) of k-subsets of [n], as masks, obeying
+    the necklace condition; construction validates it."""
 
     __slots__ = ("n", "k", "entries")
     n: int
     k: int
-    entries: tuple[KSubset, ...]
+    entries: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.n:
+        n, k = self.n, self.k
+        if len(self.entries) != n:
             raise ValueError("entry count must equal the ground size")
-        if any(e.n != self.n for e in self.entries):
-            raise ValueError("entry ground size differs from n")
-        if any(len(e) != self.k for e in self.entries):
+        if any(e < 0 or e >> n for e in self.entries):
+            raise ValueError("entry holds elements outside the ground set")
+        if any(e.bit_count() != k for e in self.entries):
             raise ValueError("entry size differs from k")
         problem = _axiom_problem(self.entries)
         if problem is not None:
             raise ValueError(problem)
 
     @classmethod
-    def of(cls, n: int, sets: Sequence[Iterable[int]]) -> "GrassmannNecklace":
-        entries = tuple(s if isinstance(s, KSubset) else KSubset.of(n, s)
-                        for s in sets)
+    def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "GrassmannNecklace":
+        entries = tuple(as_mask(s, n) for s in sets)
         if not entries:
             raise ValueError("no entries")
-        return cls(n, len(entries[0]), entries)
+        return cls(n, entries[0].bit_count(), entries)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "k": self.k,
-                "entries": [list(e.members) for e in self.entries]}
+                "entries": [list(members_of(e)) for e in self.entries]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrassmannNecklace":
         n = json_int(data["n"], "n")
-        neck = cls.of(n, [KSubset.of(n, json_ints(e, "entry"))
-                          for e in json_list(data["entries"], "entries")])
+        neck = cls.of(n, (json_list(e, "entry")
+                          for e in json_list(data["entries"], "entries")))
         if neck.k != json_int(data["k"], "k"):
             raise ValueError("declared k differs from the entry size")
         return neck
@@ -210,7 +212,7 @@ def necklace_to_positroid(neck: GrassmannNecklace) -> Matroid:
     """Intersect the n shifted Schubert matroids read off the necklace."""
     n, k = neck.n, neck.k
     bounds = {pair for t in range(1, n + 1)
-              for pair in gale_bounds(n, t, neck.entries[t - 1].mask)}
+              for pair in gale_bounds(n, t, neck.entries[t - 1])}
     return Matroid(n, k, frozenset(_dominating(k_subset_masks(n, k),
                                                bounds)))
 
@@ -252,7 +254,7 @@ class SchubertKernel:
                              f"expected ({self.k}, {self.n})")
         out = 0
         for row, entry in zip(self._rejected, neck.entries):
-            out |= row[entry.mask]
+            out |= row[entry]
         return out
 
     def sparse_paving(self, nonbases: int) -> bool:
@@ -289,7 +291,7 @@ def positroid_necklace(m: Matroid) -> GrassmannNecklace:
             having = [b for b in cands if b & bit]
             if having:
                 cands = having
-        entries.append(KSubset(n, cands[0]))
+        entries.append(cands[0])
     return GrassmannNecklace(n, m.k, tuple(entries))
 
 
@@ -328,8 +330,8 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
     _check_classification(k, n)
     deviating = 0
     for i, entry in enumerate(neck.entries, 1):
-        if entry.mask != _interval_mask(k, n, i):
-            if entry.mask != _bumped_mask(k, n, i):
+        if entry != _interval_mask(k, n, i):
+            if entry != _bumped_mask(k, n, i):
                 return None
             deviating |= 1 << (i - 1)
     if not nonadjacent_mask_ok(deviating, n):
@@ -342,8 +344,8 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
     bumped intervals at the chosen indices, cyclic intervals elsewhere."""
     _check_classification(k, n)
     ns = NonAdjacentSet(n, as_mask(a, n))
-    entries = tuple(KSubset(n, _bumped_mask(k, n, i) if i in ns
-                            else _interval_mask(k, n, i))
+    entries = tuple(_bumped_mask(k, n, i) if i in ns
+                    else _interval_mask(k, n, i)
                     for i in range(1, n + 1))
     return GrassmannNecklace(n, k, entries)
 
@@ -375,10 +377,6 @@ def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
             yield from extend(prefix)
             prefix.pop()
 
-    # Every entry is a k-subset, so each one is built once and shared by
-    # the necklaces that hold it.
-    subsets = {m: KSubset(n, m) for m in k_subset_masks(n, k)}
-    for first in subsets:
-        for masks in extend([first]):
-            yield GrassmannNecklace(n, k, tuple(map(subsets.__getitem__,
-                                                    masks)))
+    for first in k_subset_masks(n, k):
+        for entries in extend([first]):
+            yield GrassmannNecklace(n, k, entries)

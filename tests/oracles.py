@@ -5,7 +5,9 @@ avoiding the package's bit mask machinery so the two routes stay separate.
 Some are the only implementation of a rule the library no longer needs:
 brute_rank, brute_dual and brute_paving keep the rank, duality and paving
 identities under test.
-Two helpers deliberately drive the package.  checked_sparse_paving pins the
+Three helpers deliberately drive the package.  matroid_of builds a Matroid
+from element collections, for tests that write families out by hand.
+checked_sparse_paving pins the
 classical equivalence of the three sparse paving definitions on the
 package's own circuit-hyperplane and relaxation code.  flow_realizable_sets
 runs unit-capacity max-flow on the package's path network, an independent
@@ -15,12 +17,14 @@ route to the bases that the library decides by path-count determinants.
 from itertools import chain, combinations
 
 from positroids import (
-    KSubset,
     LeDiagram,
+    Matroid,
     build_network,
     circuit_hyperplanes,
     is_sparse_paving,
     k_subset_masks,
+    mask_of,
+    members_of,
     relax,
 )
 
@@ -179,16 +183,23 @@ def brute_bases_verdict(n, k, family):
     return 0, ""
 
 
+def matroid_of(n, sets):
+    """The matroid on [n] whose bases are the given element collections, of
+    the rank the first one shows; an empty family is rejected."""
+    masks = frozenset(mask_of(s, n) for s in sets)
+    return Matroid(n, min(masks, default=0).bit_count(), masks)
+
+
 def checked_sparse_paving(m):
     """is_sparse_paving(m), after asserting that the two other definitions
     agree with it on the matroid m: the missing k-sets are exactly the
     circuit-hyperplanes, and relaxing every circuit-hyperplane in turn
     reaches the uniform matroid."""
     everything = frozenset(k_subset_masks(m.n, m.k))
-    chs = {s.mask for s in circuit_hyperplanes(m)} if m.k else frozenset()
+    chs = circuit_hyperplanes(m) if m.k else frozenset()
     ladder = m
     for c in sorted(chs):
-        ladder = relax(ladder, KSubset(m.n, c))
+        ladder = relax(ladder, members_of(c))
     verdict = is_sparse_paving(m)
     assert (chs == everything - m.bases) == verdict
     assert (ladder.bases == everything) == verdict
@@ -278,7 +289,7 @@ def flow_realizable_sets(diag):
     """The k-subsets, as frozensets, whose left-out sources the max-flow
     routes to their sinks by vertex-disjoint paths."""
     net = build_network(diag)
-    sources = frozenset(net.sources.members)
+    sources = frozenset(members_of(net.sources))
     out = []
     for c in combinations(range(1, diag.n + 1), diag.k):
         subset = frozenset(c)

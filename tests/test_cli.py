@@ -14,6 +14,7 @@ from positroids import (
     cyclic_interval,
     enumerate_sparse_paving,
     le_from_removals,
+    members_of,
     necklace_from_nonadjacent,
     uniform,
 )
@@ -48,7 +49,7 @@ def write_json(tmp_path, name, payload):
 
 def interval_necklace_dict(k, n):
     return {"n": n, "k": k,
-            "entries": [list(cyclic_interval(k, n, i).members)
+            "entries": [list(members_of(cyclic_interval(k, n, i)))
                         for i in range(1, n + 1)]}
 
 
@@ -162,34 +163,77 @@ class TestStrictPayloads:
 
 
 HUGE = "1" + "0" * 100
+# 2**62 bits can never be mapped, so building 1 << n fails at once with
+# MemoryError and nothing is allocated.
+UNMAPPABLE = 2 ** 62
 
 
 class TestHostilePayloads:
     """Payloads that once escaped as a traceback: nesting deeper than the
     JSON decoder's recursion limit, and a ground size too large for a
-    machine-sized shift or list length.  Each runs in its own process so
-    the check covers what the shell sees."""
+    machine-sized shift or list length, or for memory.  Each runs in its
+    own process so the check covers what the shell sees."""
 
-    @pytest.mark.parametrize("kind,text", [
-        pytest.param("necklace", "[" * 50000, id="deep-nesting"),
-        pytest.param("nonadjacent", f'{{"n":{HUGE},"members":[1]}}',
-                     id="huge-n-nonadjacent"),
-        pytest.param("bases", f'{{"n":{HUGE},"k":1,"bases":[[1]]}}',
-                     id="huge-n-bases"),
-        pytest.param("le", f'{{"k":1,"n":{HUGE},"shape":[],"filling":[]}}',
+    @pytest.mark.parametrize("argv,text", [
+        pytest.param(["validate", "--kind", "necklace"], "[" * 50000,
+                     id="deep-nesting"),
+        pytest.param(["validate", "--kind", "nonadjacent"],
+                     f'{{"n":{HUGE},"members":[1]}}', id="huge-n-nonadjacent"),
+        pytest.param(["validate", "--kind", "bases"],
+                     f'{{"n":{HUGE},"k":1,"bases":[[1]]}}', id="huge-n-bases"),
+        pytest.param(["validate", "--kind", "le"],
+                     f'{{"k":1,"n":{HUGE},"shape":[],"filling":[]}}',
                      id="huge-n-le"),
+        pytest.param(["validate", "--kind", "nonadjacent"],
+                     f'{{"n":{UNMAPPABLE},"members":[]}}',
+                     id="unmappable-n-validate-nonadjacent"),
+        pytest.param(["validate", "--kind", "bases"],
+                     f'{{"n":{UNMAPPABLE},"k":1,"bases":[[1]]}}',
+                     id="unmappable-n-validate-bases"),
+        pytest.param(["convert", "--from", "nonadjacent", "--to", "necklace",
+                      "--k", "2"], f'{{"n":{UNMAPPABLE},"members":[]}}',
+                     id="unmappable-n-convert-nonadjacent"),
     ])
-    def test_exits_one_without_traceback(self, kind, text, tmp_path):
+    def test_exits_one_without_traceback(self, argv, text, tmp_path):
         path = tmp_path / "payload.json"
         path.write_text(text)
         proc = subprocess.run(
-            [sys.executable, "-m", "positroids.cli", "validate", "--kind",
-             kind, str(path)],
+            [sys.executable, "-m", "positroids.cli", *argv, str(path)],
             capture_output=True, text=True, timeout=60, env=cli_env())
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("invalid:")
         assert "Traceback" not in proc.stderr
+
+
+class TestMalformedNecklace:
+    """Each way a necklace payload can be wrong gets its own one-line
+    message on stderr, with status 1 and nothing on stdout."""
+
+    @pytest.mark.parametrize("entries,k,message", [
+        pytest.param([[1, 2], [2, 3], [3, 4]], 2,
+                     "entry count must equal the ground size", id="count"),
+        pytest.param([[1, 2], [2, 3], [3, 4], [4]], 2,
+                     "entry size differs from k", id="size"),
+        pytest.param([[1, 2], [2, 3], [3, 4], [4, 5]], 2,
+                     "element 5 outside ground set [1, 4]", id="range"),
+        pytest.param([[1, 2], [2, 3], [3, 4], [4, 4]], 2,
+                     "repeated element 4", id="repeat"),
+        pytest.param([[1, 2], [2, 3], [3, 4], [4, 1]], 3,
+                     "declared k differs from the entry size",
+                     id="declared-k"),
+        pytest.param([], 2, "no entries", id="empty"),
+        pytest.param([[1, 3], [2, 4], [1, 3], [2, 4]], 2,
+                     "necklace axiom fails at i=1: the next entry must "
+                     "contain the current one minus {1}", id="axiom"),
+        pytest.param([[1, 2], [2, 3], [3, 4], [True, 4]], 2,
+                     "element must be an integer, got bool", id="bool"),
+    ])
+    def test_message(self, entries, k, message, tmp_path, capsys):
+        path = write_json(tmp_path, "neck.json",
+                          {"n": 4, "k": k, "entries": entries})
+        code, out, err = run(capsys, ["validate", "--kind", "necklace", path])
+        assert (code, out, err) == (1, "", f"invalid: {message}\n")
 
 
 class TestConvert:

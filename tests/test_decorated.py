@@ -27,7 +27,8 @@ def necklace(n, sets):
 
 
 def interval_necklace(k, n):
-    return necklace(n, [cyclic_interval(k, n, i) for i in range(1, n + 1)])
+    return GrassmannNecklace(n, k, tuple(cyclic_interval(k, n, i)
+                                         for i in range(1, n + 1)))
 
 
 LOOP_NECKLACE = necklace(4, [{1, 2}, {2, 3}, {1, 3}, {1, 2}])

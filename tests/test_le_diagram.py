@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids import (
-    KSubset,
     LeDiagram,
     NonAdjacentSet,
     apply_adjacent_swaps,
@@ -18,6 +17,7 @@ from positroids import (
     k_subset_masks,
     le_from_removals,
     le_violation,
+    mask_of,
     members_of,
     necklace_from_nonadjacent,
     necklace_to_positroid,
@@ -112,22 +112,23 @@ class TestLeCondition:
 
 class TestBoundary:
     def test_full_rectangle(self):
-        b = boundary_labels(full_box(2, 4))
-        assert b.sources.members == (1, 2)
-        assert b.sinks.members == (3, 4)
-        assert b.source_row == {1: 1, 2: 2}
-        assert b.sink_col == {3: 2, 4: 1}
+        source_row, sink_col = boundary_labels(full_box(2, 4))
+        assert sorted(source_row) == [1, 2]
+        assert sorted(sink_col) == [3, 4]
+        assert source_row == {1: 1, 2: 2}
+        assert sink_col == {3: 2, 4: 1}
 
     def test_staircase(self):
-        b = boundary_labels(diagram(2, 4, (2, 1), [[1, 1], [1]]))
-        assert b.sources.members == (1, 3)
-        assert b.sinks.members == (2, 4)
+        source_row, sink_col = boundary_labels(
+            diagram(2, 4, (2, 1), [[1, 1], [1]]))
+        assert sorted(source_row) == [1, 3]
+        assert sorted(sink_col) == [2, 4]
 
     def test_trimmed_corner(self):
         # removing label 1 trims the corner cell, shifting the source labels
         for (k, n) in [(2, 4), (3, 6), (4, 10)]:
-            b = boundary_labels(le_from_removals({1}, k, n))
-            assert set(b.sources.members) == set(range(1, k)) | {k + 1}
+            source_row, _ = boundary_labels(le_from_removals({1}, k, n))
+            assert set(source_row) == set(range(1, k)) | {k + 1}
 
 
 class TestNetwork:
@@ -188,17 +189,17 @@ class TestRealizability:
         bases = realizable_sets(FIG_WIDE).bases
         for i in range(1, 13):
             expected = i != 6
-            assert (cyclic_interval(4, 12, i).mask in bases) == expected
+            assert (cyclic_interval(4, 12, i) in bases) == expected
 
     def test_skip_edge_admits_nested_routing(self):
         # {3,5,9,10} needs the row-1 jump over the missing bullet while a
         # second path occupies row 2 underneath
         bases = realizable_sets(FIG_WIDE).bases
-        assert KSubset.of(12, {3, 5, 9, 10}).mask in bases
+        assert mask_of({3, 5, 9, 10}, 12) in bases
 
     def test_wrong_size_is_not_realizable(self):
         net = build_network(full_box(2, 4))
-        assert find_path_system(net, KSubset.of(4, {1})) is None
+        assert find_path_system(net, {1}) is None
 
 
 def bases_as_sets(m):
@@ -258,10 +259,9 @@ class TestAgainstFlow:
             for d in all_le_diagrams(k, n):
                 net = build_network(d)
                 for mask in realizable_sets(d).bases:
-                    b = KSubset(n, mask)
-                    system = find_path_system(net, b)
+                    system = find_path_system(net, members_of(mask))
                     assert system is not None
-                    assert system.realized() == b.members
+                    assert system.realized() == members_of(mask)
 
 
 class TestPathSystemAgreement:
@@ -280,16 +280,15 @@ class TestPathSystemAgreement:
             net = build_network(d)
             routed = flow_realizable_sets(d)
             for mask in k_subset_masks(d.n, d.k):
-                s = KSubset(d.n, mask)
+                s = members_of(mask)
                 system = find_path_system(net, s)
-                assert (system is not None) == (frozenset(s.members)
-                                                in routed)
+                assert (system is not None) == (frozenset(s) in routed)
                 if system is not None:
-                    assert system.realized() == s.members
+                    assert system.realized() == s
 
     def test_disjointness_validated(self):
         d = full_box(2, 4)
-        system = find_path_system(d, KSubset.of(4, {3, 4}))
+        system = find_path_system(d, {3, 4})
         flat = [v for p in system.paths for v in p]
         assert len(flat) == len(set(flat))
 
@@ -368,7 +367,7 @@ class TestIntervalLemma:
                     diag = le_from_removals(subset, k, n)
                     bases = realizable_sets(diag).bases
                     for i in range(1, n + 1):
-                        got = cyclic_interval(k, n, i).mask in bases
+                        got = cyclic_interval(k, n, i) in bases
                         assert got == (i not in subset)
 
 

@@ -8,15 +8,17 @@ from hypothesis import strategies as st
 from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
-    KSubset,
     Matroid,
     NonAdjacentSet,
     all_necklaces,
     bumped_interval,
+    circuits,
     cyclic_interval,
     decperm_to_necklace,
+    hyperplanes,
     is_positroid,
     k_subset_masks,
+    mask_of,
     members_of,
     mod1,
     necklace_from_nonadjacent,
@@ -42,11 +44,12 @@ from oracles import (
     brute_positroid,
     checked_sparse_paving,
     determined_rank,
+    matroid_of,
 )
 
 
 def ks(n, members):
-    return KSubset.of(n, members)
+    return mask_of(members, n)
 
 
 def necklace(n, sets):
@@ -58,21 +61,21 @@ def cyclic_le(t, a, b, n):
     return cyclic_pos(t, a, n) <= cyclic_pos(t, b, n)
 
 
-def gale_le(t, i_set, j_set):
-    """I <=_t J through the library's one Gale primitive: J passes every
-    bound that gale_bounds reads off I."""
-    return _dominating([j_set.mask], gale_bounds(i_set.n, t, i_set.mask)) \
-        == [j_set.mask]
+def gale_le(t, i_mask, j_mask, n):
+    """I <=_t J on [n] through the library's one Gale primitive: J passes
+    every bound that gale_bounds reads off I."""
+    return _dominating([j_mask], gale_bounds(n, t, i_mask)) == [j_mask]
 
 
-def schubert_bases(i_set, t, n):
-    """Member tuples of the shifted Schubert matroid of i_set at t."""
+def schubert_bases(i_mask, t, n):
+    """Member tuples of the shifted Schubert matroid of i_mask at t."""
     return {members_of(m) for m in _dominating(
-        k_subset_masks(n, len(i_set)), gale_bounds(n, t, i_set.mask))}
+        k_subset_masks(n, i_mask.bit_count()), gale_bounds(n, t, i_mask))}
 
 
 def interval_necklace(k, n):
-    return necklace(n, [cyclic_interval(k, n, i) for i in range(1, n + 1)])
+    return GrassmannNecklace(n, k, tuple(cyclic_interval(k, n, i)
+                                         for i in range(1, n + 1)))
 
 
 LOOP_NECKLACE = necklace(4, [{1, 2}, {2, 3}, {1, 3}, {1, 2}])
@@ -90,7 +93,7 @@ def decperm_necklaces(draw, min_n, max_n):
 
 
 def entry_sets(neck):
-    return [frozenset(e.members) for e in neck.entries]
+    return [frozenset(members_of(e)) for e in neck.entries]
 
 
 def assert_conversions_match_oracles(neck, kernel=None):
@@ -108,7 +111,7 @@ def assert_conversions_match_oracles(neck, kernel=None):
                 if missing >> j & 1} == \
             {frozenset(c) for c in itertools.combinations(range(1, n + 1),
                                                           neck.k)} - expected
-    back = positroid_necklace(Matroid.from_sets(n, expected))
+    back = positroid_necklace(matroid_of(n, expected))
     assert entry_sets(back) == [brute_gale_min(expected, t, n)
                                 for t in range(1, n + 1)]
     assert back == neck
@@ -140,12 +143,12 @@ class TestCyclicOrder:
 
 class TestGaleOrder:
     def test_componentwise(self):
-        assert gale_le(1, ks(4, {1, 3}), ks(4, {2, 3}))
-        assert not gale_le(1, ks(4, {2, 3}), ks(4, {1, 3}))
+        assert gale_le(1, ks(4, {1, 3}), ks(4, {2, 3}), 4)
+        assert not gale_le(1, ks(4, {2, 3}), ks(4, {1, 3}), 4)
 
     def test_reflexive(self):
         for t in range(1, 5):
-            assert gale_le(t, ks(4, {2, 4}), ks(4, {2, 4}))
+            assert gale_le(t, ks(4, {2, 4}), ks(4, {2, 4}), 4)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_brute_force(self, n):
@@ -153,7 +156,7 @@ class TestGaleOrder:
             combos = list(itertools.combinations(range(1, n + 1), k))
             for a, b in itertools.product(combos, repeat=2):
                 for t in range(1, n + 1):
-                    assert gale_le(t, ks(n, a), ks(n, b)) == \
+                    assert gale_le(t, ks(n, a), ks(n, b), n) == \
                         brute_gale_le(t, a, b, n), (t, a, b)
 
     def test_bounds_of_intervals(self):
@@ -162,9 +165,9 @@ class TestGaleOrder:
             for k in range(1, n - 1):
                 for t in range(1, n + 1):
                     assert gale_bounds(
-                        n, t, cyclic_interval(k, n, t).mask) == ()
+                        n, t, cyclic_interval(k, n, t)) == ()
                     assert len(gale_bounds(
-                        n, t, bumped_interval(k, n, t).mask)) == 1
+                        n, t, bumped_interval(k, n, t))) == 1
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=150, deadline=None)
@@ -175,21 +178,21 @@ class TestGaleOrder:
         a = ks(n, data.draw(st.sampled_from(combos)))
         b = ks(n, data.draw(st.sampled_from(combos)))
         c = ks(n, data.draw(st.sampled_from(combos)))
-        if gale_le(t, a, b) and gale_le(t, b, a):
+        if gale_le(t, a, b, n) and gale_le(t, b, a, n):
             assert a == b
-        if gale_le(t, a, b) and gale_le(t, b, c):
-            assert gale_le(t, a, c)
+        if gale_le(t, a, b, n) and gale_le(t, b, c, n):
+            assert gale_le(t, a, c, n)
 
 
 class TestCyclicInterval:
     def test_plain(self):
-        assert cyclic_interval(3, 6, 3).members == (3, 4, 5)
+        assert members_of(cyclic_interval(3, 6, 3)) == (3, 4, 5)
 
     def test_longer(self):
-        assert cyclic_interval(4, 12, 6).members == (6, 7, 8, 9)
+        assert members_of(cyclic_interval(4, 12, 6)) == (6, 7, 8, 9)
 
     def test_wraparound(self):
-        assert cyclic_interval(2, 4, 4).members == (1, 4)
+        assert members_of(cyclic_interval(2, 4, 4)) == (1, 4)
 
     def test_rotated_masks(self):
         # Both intervals are built from rotated masks, so the expected
@@ -209,7 +212,7 @@ class TestCyclicInterval:
                 for i in range(1, n + 1):
                     c = cyclic_interval(k, n, i)
                     for m in k_subset_masks(n, k):
-                        assert gale_le(i, c, KSubset(n, m))
+                        assert gale_le(i, c, m, n)
 
     def test_symmetric_differences(self):
         # two cyclic intervals are at distance 2 exactly when their starts
@@ -218,8 +221,8 @@ class TestCyclicInterval:
             for k in range(2, n - 1):
                 for i in range(1, n + 1):
                     for j in range(i + 1, n + 1):
-                        d = (cyclic_interval(k, n, i).mask
-                             ^ cyclic_interval(k, n, j).mask).bit_count()
+                        d = (cyclic_interval(k, n, i)
+                             ^ cyclic_interval(k, n, j)).bit_count()
                         adjacent = j - i == 1 or (i == 1 and j == n)
                         if adjacent:
                             assert d == 2
@@ -252,24 +255,33 @@ class TestNecklaceValidity:
     def test_interval_necklace_valid(self):
         for n in range(2, 7):
             for k in range(0, n + 1):
-                entries = [cyclic_interval(k, n, i) if k else KSubset(n, 0)
-                           for i in range(1, n + 1)]
-                assert necklace(n, entries).entries == tuple(entries)
+                entries = tuple(cyclic_interval(k, n, i) if k else 0
+                                for i in range(1, n + 1))
+                assert GrassmannNecklace(n, k, entries).entries == entries
 
     def test_broken_sequence(self):
-        entries = [ks(4, {1, 3}), ks(4, {2, 4}), ks(4, {1, 3}), ks(4, {2, 4})]
+        entries = (ks(4, {1, 3}), ks(4, {2, 4}), ks(4, {1, 3}), ks(4, {2, 4}))
         with pytest.raises(ValueError, match="necklace axiom fails"):
-            necklace(4, entries)
+            GrassmannNecklace(4, 2, entries)
 
     def test_loop_necklace_valid(self):
-        entries = [ks(4, s) for s in ({1, 2}, {2, 3}, {1, 3}, {1, 2})]
-        assert necklace(4, entries) == LOOP_NECKLACE
+        entries = tuple(ks(4, s) for s in ({1, 2}, {2, 3}, {1, 3}, {1, 2}))
+        assert GrassmannNecklace(4, 2, entries) == LOOP_NECKLACE
 
     def test_structural_defects_raise(self):
         with pytest.raises(ValueError, match="entry count"):
-            necklace(4, [ks(4, {1, 2}), ks(4, {2, 3}), ks(4, {1, 3})])
+            GrassmannNecklace(4, 2, (ks(4, {1, 2}), ks(4, {2, 3}),
+                                     ks(4, {1, 3})))
         with pytest.raises(ValueError, match="entry size"):
-            necklace(2, [ks(2, {1}), ks(2, {1, 2})])
+            GrassmannNecklace(2, 1, (ks(2, {1}), ks(2, {1, 2})))
+        # A negative mask and one holding element 5 on [4], then a mask of
+        # the wrong size, each leading an otherwise valid necklace.
+        rest = interval_necklace(2, 4).entries[1:]
+        for bad in (-1, 0b10001):
+            with pytest.raises(ValueError, match="outside the ground set"):
+                GrassmannNecklace(4, 2, (bad,) + rest)
+        with pytest.raises(ValueError, match="entry size"):
+            GrassmannNecklace(4, 2, (0b0111,) + rest)
 
     def test_constructor_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -284,12 +296,12 @@ class TestNecklaceToPositroid:
 
     def test_single_deviation(self):
         neck = necklace(4, [{1, 3}, {2, 3}, {3, 4}, {4, 1}])
-        expected = Matroid.from_sets(
+        expected = matroid_of(
             4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
         assert necklace_to_positroid(neck) == expected
 
     def test_loop_positroid(self):
-        expected = Matroid.from_sets(4, [{1, 2}, {1, 3}, {2, 3}])
+        expected = matroid_of(4, [{1, 2}, {1, 3}, {2, 3}])
         assert necklace_to_positroid(LOOP_NECKLACE) == expected
 
 
@@ -314,12 +326,12 @@ class TestPositroidNecklace:
                 assert positroid_necklace(uniform(k, n)) == interval_necklace(k, n)
 
     def test_single_missing_basis(self):
-        m = Matroid.from_sets(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
+        m = matroid_of(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
         assert positroid_necklace(m) == necklace(
             4, [{1, 3}, {2, 3}, {3, 4}, {1, 4}])
 
     def test_loop_matroid(self):
-        m = Matroid.from_sets(4, [{1, 2}, {1, 3}, {2, 3}])
+        m = matroid_of(4, [{1, 2}, {1, 3}, {2, 3}])
         assert positroid_necklace(m) == LOOP_NECKLACE
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6)
@@ -327,12 +339,12 @@ class TestPositroidNecklace:
     def test_entries_are_gale_minima_everywhere(self, n, k):
         # every matroid yields a valid necklace of rotationwise minima
         for fam in all_basis_families(n, k):
-            m = Matroid.from_sets(n, fam)
+            m = matroid_of(n, fam)
             neck = positroid_necklace(m)
             assert GrassmannNecklace(n, k, neck.entries) == neck
             for t in range(1, n + 1):
                 expected = brute_gale_min(fam, t, n)
-                assert frozenset(neck.entries[t - 1].members) == expected
+                assert frozenset(members_of(neck.entries[t - 1])) == expected
 
 
 class TestIsPositroid:
@@ -341,11 +353,11 @@ class TestIsPositroid:
         assert is_positroid(uniform(1, 5))
 
     def test_cyclic_interval_removal(self):
-        m = Matroid.from_sets(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
+        m = matroid_of(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
         assert is_positroid(m)
 
     def test_non_interval_removal_is_not(self):
-        m = Matroid.from_sets(4, [{1, 2}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
+        m = matroid_of(4, [{1, 2}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
         assert not is_positroid(m)
 
     def test_family_without_a_necklace_is_not(self):
@@ -419,7 +431,7 @@ class TestFromNonAdjacent:
 
     def test_single_element(self):
         neck = necklace_from_nonadjacent({3}, 3, 6)
-        assert neck.entries[2].members == (3, 4, 6)
+        assert members_of(neck.entries[2]) == (3, 4, 6)
         for i in (1, 2, 4, 5, 6):
             assert neck.entries[i - 1] == cyclic_interval(3, 6, i)
 
@@ -449,7 +461,7 @@ class TestFromNonAdjacent:
                     assert len(m.bases) == total - len(members)
                     for i in range(1, n + 1):
                         expected = i not in members
-                        assert (cyclic_interval(k, n, i).mask in m.bases) \
+                        assert (cyclic_interval(k, n, i) in m.bases) \
                             == expected
                     assert sparse_paving_witness(neck) == NonAdjacentSet.of(
                         n, members)
@@ -483,11 +495,6 @@ class TestSchubertKernel:
 
 
 class TestEnumeration:
-    def test_entries_are_shared(self):
-        necks = list(all_necklaces(3, 6))
-        entries = {id(e) for neck in necks for e in neck.entries}
-        assert len(entries) == len(k_subset_masks(6, 3))
-
     def test_counts_match_census(self):
         assert sum(1 for _ in all_necklaces(2, 4)) == 33
         sp = [n for n in all_necklaces(2, 4)
@@ -511,3 +518,33 @@ class TestEnumeration:
                    - (k - i - 1) ** i * (k - i) ** (n - i))
                 for i in range(k))
             assert sum(1 for _ in all_necklaces(k, n)) == expected, (k, n)
+
+
+class TestMaskRepresentation:
+    """Every subset the library hands out is a bare int mask."""
+
+    @staticmethod
+    def assert_masks(subsets):
+        subsets = list(subsets)
+        assert subsets and all(type(s) is int for s in subsets)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_enumerated_entries(self, n):
+        for k in range(0, n + 1):
+            self.assert_masks(e for neck in all_necklaces(k, n)
+                              for e in neck.entries)
+
+    def test_converted_entries(self):
+        neck = necklace_from_nonadjacent({1, 3}, 2, 5)
+        self.assert_masks(neck.entries)
+        self.assert_masks(positroid_necklace(necklace_to_positroid(neck))
+                          .entries)
+        dp = DecoratedPermutation.make([3, 4, 5, 1, 2])
+        self.assert_masks(decperm_to_necklace(dp, 2).entries)
+        self.assert_masks(GrassmannNecklace.from_dict(neck.to_dict()).entries)
+
+    def test_circuits_hyperplanes_and_intervals(self):
+        m = matroid_of(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
+        self.assert_masks(circuits(m))
+        self.assert_masks(hyperplanes(m))
+        self.assert_masks([cyclic_interval(2, 4, 1), bumped_interval(2, 4, 1)])

@@ -1,8 +1,7 @@
 """The record base against the dataclass(frozen=True) it replaced.
 
 Each record class gets a frozen dataclass twin built here with the same
-name, fields and defaults (and KSubset's own __repr__), and the two must
-agree on fields, repr, equality and hashing over sample instances.
+name, fields and defaults, and the two must agree on fields, repr, equality and hashing over sample instances.
 """
 
 import copy
@@ -15,7 +14,6 @@ import pytest
 from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
-    KSubset,
     LeDiagram,
     Matroid,
     NonAdjacentSet,
@@ -32,7 +30,6 @@ NECKLACES = list(all_necklaces(2, 4))[:3]
 # class: (fields, with (name, default) for a defaulted one; sample args)
 SPECS = {
     MaskSet: (["n", ("mask", 0)], [(5, 5), (5, 5), (5, 0), (5,), (6, 5)]),
-    KSubset: (["n", ("mask", 0)], [(5, 5), (5, 5), (5, 6), (4,), (4, 0)]),
     NonAdjacentSet: (["n", ("mask", 0)], [(5, 5), (5, 10), (5, 5), (5,)]),
     Matroid: (["n", "k", "bases"], [
         (3, 1, frozenset({1, 2, 4})), (3, 1, frozenset({1, 2, 4})),
@@ -62,11 +59,7 @@ def twin(cls):
     spec = [f if isinstance(f, str)
             else (f[0], object, dataclasses.field(default=f[1]))
             for f in fields]
-    # KSubset writes its own repr, from its members; its twin borrows both.
-    own = ({"__repr__": KSubset.__repr__, "members": MaskSet.members}
-           if cls is KSubset else {})
-    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True,
-                                      namespace=own)
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
 
 
 @pytest.mark.parametrize("cls", SPECS, ids=lambda c: c.__name__)
@@ -123,21 +116,21 @@ class TestAgainstFrozenDataclass:
 
 
 def test_subset_types_never_equal_each_other():
-    subsets = [MaskSet(5, 5), KSubset(5, 5), NonAdjacentSet(5, 5)]
+    subsets = [MaskSet(5, 5), NonAdjacentSet(5, 5)]
     for a, b in itertools.combinations(subsets, 2):
         assert a != b and b != a
-    assert len(set(subsets)) == 3
+    assert len(set(subsets)) == 2
 
 
 def test_records_never_equal_their_field_tuples():
-    assert KSubset(5, 5) != (5, 5)
+    assert MaskSet(5, 5) != (5, 5)
     assert Matroid(3, 1, frozenset({1})) != (3, 1, frozenset({1}))
 
 
 @pytest.mark.parametrize("cls,args,message", [
     (NonAdjacentSet, (4, 0b11), "cyclically adjacent"),
     (MaskSet, (0,), "ground size"),
-    (KSubset, (3, 8), "outside the ground set"),
+    (MaskSet, (3, 8), "outside the ground set"),
     (Matroid, (3, 1, frozenset()), "empty"),
     (Matroid, (3, 1, frozenset({3})), "differs from the rank"),
     (DecoratedPermutation, (3, (2, 1, 3)), "fixed points"),

@@ -51,33 +51,59 @@ def test_cli_start_up_skips_dataclasses_and_inspect():
 
 
 # Public names that nothing in the package calls but that stay on purpose:
-# the paper's named statements, and the explicit path-system router.
+# the paper's named statements, and the explicit path-system router with
+# the method that reads off what its paths realize.
 KEPT_UNCALLED = ("bumped_interval", "is_le", "perm_sparse_paving_witness",
-                 "recurrence_case", "uniform", "find_path_system")
+                 "recurrence_case", "uniform", "find_path_system",
+                 "PathSystem.realized")
+
+
+def public_definitions(tree):
+    """(qualified name, node) for each public module-level function or class
+    and each public method of a public class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("_")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def reference(node):
+    """The name a Name node reads, as "name", or the attribute an Attribute
+    node reads, as ".attr"; None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return "." + node.attr
+    return None
 
 
 def test_every_public_definition_is_used():
-    """Each public module-level function or class is referenced somewhere
-    in the package outside its own definition and __init__.py, unless the
-    benchmark traces it by name or it is kept on purpose above."""
+    """Each public module-level function or class is referenced by name, and
+    each public method of a public class by an attribute of the same name,
+    somewhere in the package outside its own definition and __init__.py,
+    unless the benchmark traces it by name or it is kept on purpose above."""
     from test_perfbench_hooks import load_tracer
-    exempt = {attr.partition(".")[0]
-              for _, _, attr, *_ in load_tracer().LAYERS}
-    exempt.update(KEPT_UNCALLED)
+    exempt = set(KEPT_UNCALLED)
+    for _, _, attr, *_ in load_tracer().LAYERS:
+        exempt.update({attr, attr.partition(".")[0]})
     used, defined = set(), []
     for path in SOURCES:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         own = set()  # a definition's references to its own name
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defined.append(f"{path.name}:{node.name}")
-                own.update(id(sub) for sub in ast.walk(node)
-                           if isinstance(sub, ast.Name)
-                           and sub.id == node.name)
-        used.update(node.id for node in ast.walk(tree)
-                    if isinstance(node, ast.Name) and id(node) not in own)
-    unused = [d for d in defined if d.partition(":")[2] not in used | exempt]
+        for qual, node in public_definitions(tree):
+            cls, dot, name = qual.rpartition(".")
+            wanted = dot + name
+            defined.append((path.name, qual, wanted))
+            own.update(id(sub) for sub in ast.walk(node)
+                       if reference(sub) == wanted)
+        used.update(reference(node) for node in ast.walk(tree)
+                    if id(node) not in own)
+    unused = [f"{file}:{qual}" for file, qual, wanted in defined
+              if wanted not in used and qual not in exempt]
     assert unused == [], "no caller in the package: " + ", ".join(unused)
