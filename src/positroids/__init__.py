@@ -42,12 +42,10 @@ from .decorated import (
 )
 from .le_diagram import (
     LeDiagram,
-    PathSystem,
     PlanarNetwork,
     boundary_labels,
     build_network,
     cell_numbering,
-    find_path_system,
     is_le,
     le_from_removals,
     le_violation,

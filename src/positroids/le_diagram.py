@@ -1,25 +1,26 @@
 """Le-diagrams inside a k x (n-k) box, their planar path networks, and the
-bases realized by vertex-disjoint path systems.
+boundary-measurement matrix whose maximal minors decide the bases.
 
 Cells are addressed (row, col) with row 1 on top and col 1 at the left, the
 usual top-left-justified Young diagram picture.  Network vertices are tagged
 tuples: ("s", label) for sources, ("t", label) for sinks, ("b", row, col) for
 bullets.
 
-A k-subset I is a basis when the sources outside I can be routed to the
-sinks inside I by vertex-disjoint paths.  The network is acyclic and planar
-with its sources and sinks on the boundary, so by the Lindstrom-Gessel-Viennot
-lemma every such path system carries the same sign, and one exists exactly
-when the minor of source-to-sink path counts on those rows and columns is
-nonzero (Postnikov, "Total positivity, Grassmannians, and networks",
-arXiv math/0609764).  That determinant is the library's one realizability
-test.
+The network's boundary-measurement matrix (PlanarNetwork.matrix) is a k x n
+integer matrix of signed source-to-sink path counts.  It is the library's
+one realizability object: its maximal minor on the columns of a k-subset I
+counts the vertex-disjoint path systems from the sources outside I to the
+sinks inside I, so every minor is nonnegative and I is a basis exactly when
+its minor is nonzero (Postnikov, "Total positivity, Grassmannians, and
+networks", arXiv math/0609764; Talaska's formula for the Plucker
+coordinates).  The matrix is therefore a totally nonnegative certificate
+of the positroid.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .matroid import (
     Matroid,
@@ -159,9 +160,14 @@ class PlanarNetwork:
         self.edges = edges
 
     @cached_property
-    def path_counts(self) -> dict[int, dict[int, int]]:
-        """Number of directed paths from each source label to each sink label
-        it reaches, counted once by a memoized pass over the edges."""
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Postnikov's boundary-measurement matrix with unit weights: one
+        row per source in label order.  A source's own column holds 1 and
+        the other sources' columns 0; a sink column j holds (-1)^s times
+        the number of paths from the row's source i to j, where s counts the
+        sources strictly between i and j.  The paths are counted once by a
+        memoized pass over the edges, and a source only reaches sinks with
+        larger labels."""
         memo: dict[tuple, dict[int, int]] = {}
 
         def count(v) -> dict[int, int]:
@@ -176,7 +182,15 @@ class PlanarNetwork:
                     memo[v] = out
             return memo[v]
 
-        return {i: count(("s", i)) for i in members_of(self.sources)}
+        rows = []
+        for i in members_of(self.sources):
+            row = [0] * self.n
+            row[i - 1] = 1
+            for j, c in count(("s", i)).items():
+                between = (self.sources >> i) & ((1 << (j - i - 1)) - 1)
+                row[j - 1] = -c if between.bit_count() & 1 else c
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def build_network(diag: LeDiagram) -> PlanarNetwork:
@@ -218,116 +232,41 @@ def build_network(diag: LeDiagram) -> PlanarNetwork:
                          mask_of(sink_col, diag.n), edges)
 
 
-def _nonsingular(a: list[list[int]]) -> bool:
-    """Whether a square integer matrix has a nonzero determinant, by
-    fraction-free (Bareiss) elimination: every division is exact, so the
-    entries stay integers.  The rows of `a` are overwritten."""
-    prev = 1
+def _det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so the entries stay integers.
+    Each row swap flips the sign, and a column with no pivot gives 0.  The
+    rows of `a` are overwritten."""
+    sign = prev = 1
     for p in range(len(a)):
         if a[p][p] == 0:
             swap = next((r for r in range(p + 1, len(a)) if a[r][p]), None)
             if swap is None:
-                return False
+                return 0
             a[p], a[swap] = a[swap], a[p]
+            sign = -sign
         for r in range(p + 1, len(a)):
             for c in range(p + 1, len(a)):
                 a[r][c] = (a[r][c] * a[p][p] - a[r][p] * a[p][c]) // prev
         prev = a[p][p]
-    return True
-
-
-def _realizes(net: PlanarNetwork, s_mask: int) -> bool:
-    """The realizability test: the k-set stays put on the sources it keeps,
-    and the path-count minor from the sources it leaves out to the sinks it
-    keeps must be nonsingular."""
-    if s_mask.bit_count() != net.k:
-        return False
-    counts = net.path_counts
-    goals = members_of(s_mask & net.sinks)
-    return _nonsingular([[counts[i].get(j, 0) for j in goals]
-                         for i in members_of(net.sources & ~s_mask)])
+    return sign * prev
 
 
 def realizable_sets(diag: LeDiagram) -> Matroid:
-    """Matroid on [n] whose bases are exactly the k-subsets realized by some
-    vertex-disjoint path system of the diagram's network."""
+    """Matroid on [n] whose bases are the k-subsets with a nonzero maximal
+    minor in the boundary-measurement matrix.  Expanding along the identity
+    columns of the sources a k-set keeps leaves the minor whose rows are the
+    sources it leaves out and whose columns are the sinks it keeps."""
     net = build_network(diag)
+    rows = tuple(zip(members_of(net.sources), net.matrix))
+
+    def basis(mask: int) -> bool:
+        goals = [j - 1 for j in members_of(mask & net.sinks)]
+        return _det([[row[j] for j in goals] for i, row in rows
+                     if not mask >> (i - 1) & 1]) != 0
+
     return Matroid(diag.n, diag.k,
-                   frozenset(m for m in k_subset_masks(diag.n, diag.k)
-                             if _realizes(net, m)))
-
-
-class PathSystem(Record):
-    """One path per source, pairwise vertex-disjoint; a trivial path occupies
-    just its source vertex, every other path ends at a sink."""
-
-    __slots__ = ("paths",)
-    paths: tuple[tuple[tuple, ...], ...]
-
-    def __post_init__(self):
-        used: set = set()
-        for p in self.paths:
-            if not p or p[0][0] != "s":
-                raise ValueError("each path must start at a source")
-            if len(p) > 1 and p[-1][0] != "t":
-                raise ValueError("a routed path must end at a sink")
-            for v in p:
-                if v in used:
-                    raise ValueError("paths share a vertex")
-                used.add(v)
-
-    def realized(self) -> tuple[int, ...]:
-        ends = [p[-1][1] for p in self.paths]
-        return tuple(sorted(ends))
-
-
-def find_path_system(source, subset) -> PathSystem | None:
-    """Explicit vertex-disjoint path system realizing the subset, or None
-    when none exists.  The determinant test decides first; only then does a
-    source-by-source backtracking search build the paths."""
-    net = source if isinstance(source, PlanarNetwork) else build_network(source)
-    s_mask = as_mask(subset, net.n)
-    if not _realizes(net, s_mask):
-        return None
-    staying = members_of(net.sources & s_mask)
-    to_route = members_of(net.sources & ~s_mask)
-    goals = set(members_of(s_mask & net.sinks))
-
-    used: set = set()
-    routed: list[tuple] = []
-
-    def walks(vertex) -> Iterator[tuple]:
-        # The network is acyclic, so paths are simple without bookkeeping;
-        # `used` only guards against vertices claimed by earlier paths.
-        if vertex in used:
-            return
-        if vertex[0] == "t":
-            if vertex[1] in goals:
-                yield (vertex,)
-            return
-        for nxt in net.edges.get(vertex, ()):
-            for tail in walks(nxt):
-                yield (vertex,) + tail
-
-    def assign(idx: int) -> bool:
-        if idx == len(to_route):
-            return True
-        start = ("s", to_route[idx])
-        for path in walks(start):
-            goal = path[-1]
-            used.update(path)
-            goals.discard(goal[1])
-            routed.append(path)
-            if assign(idx + 1):
-                return True
-            routed.pop()
-            goals.add(goal[1])
-            used.difference_update(path)
-        return False
-
-    if not assign(0):
-        return None
-    return PathSystem(tuple((("s", i),) for i in staying) + tuple(routed))
+                   frozenset(filter(basis, k_subset_masks(diag.n, diag.k))))
 
 
 def cell_numbering(k: int, n: int) -> dict[int, tuple[int, int]]:

@@ -50,17 +50,20 @@ def gale_bounds(n: int, t: int, mask: int) -> tuple[tuple[int, int], ...]:
     A prefix can reject J only when I's count there is below the prefix's
     length, and J's count never falls as the prefix grows, so only the
     prefix ending just before each member of I is kept.  A cyclic interval
-    at t gives no pair, a bumped interval gives one.
+    at t gives no pair, a bumped interval gives one.  The walk visits I's
+    members, not all n positions, on the mask rotated to put t at bit 0.
     """
     out = []
-    prefix = count = 0
-    for m in range(n):
-        bit = 1 << ((t - 1 + m) % n)
-        if mask & bit:
-            if count < m:
-                out.append((prefix, count))
-            count += 1
-        prefix |= bit
+    shift = t - 1
+    rest = ((mask >> shift) | (mask << (n - shift))) & ((1 << n) - 1)
+    count = 0
+    while rest:
+        low = rest & -rest
+        m = low.bit_length() - 1
+        if count < m:
+            out.append((_interval_mask(m, n, t), count))
+        count += 1
+        rest ^= low
     return tuple(out)
 
 
@@ -351,17 +354,25 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
 
 
 def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
-    """Depth-first enumeration of every necklace of the given type."""
+    """Depth-first enumeration of every necklace of the given type, in
+    lexicographic order of the entry masks.
+
+    Every necklace has I_1 containing I_{i+1} minus {i+1, ..., n}: the
+    steps i+1, ..., n that lead back to I_1 only remove those elements.  So
+    when i is in I_i, the element that replaces it is drawn from I_1 and
+    {i+1, ..., n} only.  Every prefix built this way closes into a
+    necklace, so no branch dies and the last step needs no check.
+    """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"no necklaces for k={k}, n={n}")
+    full = (1 << n) - 1
 
     def extend(prefix: list[int]) -> Iterator[tuple[int, ...]]:
         i = len(prefix)
-        cur = prefix[-1]
         if i == n:
-            if _step_ok(1 << (n - 1), cur, prefix[0]):
-                yield tuple(prefix)
+            yield tuple(prefix)
             return
+        cur = prefix[-1]
         bit = 1 << (i - 1)
         if not cur & bit:
             prefix.append(cur)
@@ -369,13 +380,13 @@ def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
             prefix.pop()
             return
         stripped = cur ^ bit
-        for j in range(n):
-            jb = 1 << j
-            if jb & stripped:
-                continue
+        free = (prefix[0] | full >> i << i) & ~stripped
+        while free:
+            jb = free & -free
             prefix.append(stripped | jb)
             yield from extend(prefix)
             prefix.pop()
+            free ^= jb
 
     for first in k_subset_masks(n, k):
         for entries in extend([first]):

@@ -4,17 +4,20 @@ Everything here works with plain frozensets and itertools, deliberately
 avoiding the package's bit mask machinery so the two routes stay separate.
 Some are the only implementation of a rule the library no longer needs:
 brute_rank, brute_dual and brute_paving keep the rank, duality and paving
-identities under test.
-Three helpers deliberately drive the package.  matroid_of builds a Matroid
+identities under test.  reference_gale_bounds walks all n positions of a
+rotation, the reference for gale_bounds, which walks only the members.
+Four helpers deliberately drive the package.  matroid_of builds a Matroid
 from element collections, for tests that write families out by hand.
-checked_sparse_paving pins the
-classical equivalence of the three sparse paving definitions on the
-package's own circuit-hyperplane and relaxation code.  flow_realizable_sets
+checked_sparse_paving pins the classical equivalence of the three sparse
+paving definitions on the package's own circuit-hyperplane and relaxation
+code.  flow_realizable_sets
 runs unit-capacity max-flow on the package's path network, an independent
-route to the bases that the library decides by path-count determinants.
+route to the bases that the library decides by the minors of its
+boundary-measurement matrix, and count_path_systems counts, by
+backtracking on the same network, the path systems those minors stand for.
 """
 
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations, product
 
 from positroids import (
     LeDiagram,
@@ -146,6 +149,53 @@ def brute_positroid(n, k, entries):
         frozenset(c) for c in combinations(range(1, n + 1), k)
         if all(brute_gale_le(t, entries[t - 1], c, n)
                for t in range(1, n + 1)))
+
+
+def reference_gale_bounds(n, t, mask):
+    """The (prefix mask, bound) pairs of gale_bounds by the walk over all n
+    positions of the rotation at t, growing the prefix one bit at a time."""
+    out = []
+    prefix = count = 0
+    for m in range(n):
+        bit = 1 << ((t - 1 + m) % n)
+        if mask & bit:
+            if count < m:
+                out.append((prefix, count))
+            count += 1
+        prefix |= bit
+    return tuple(out)
+
+
+def brute_is_necklace(n, entries):
+    """The necklace condition on a sequence of n frozensets: I_{i+1}
+    contains I_i minus {i}, and equals I_i when i is not in I_i."""
+    for i in range(1, n + 1):
+        cur, nxt = entries[i - 1], entries[i % n]
+        if not cur - {i} <= nxt or (i not in cur and cur != nxt):
+            return False
+    return True
+
+
+def brute_necklaces(n, k):
+    """Every necklace of type (k, n), as tuples of frozensets, by filtering
+    all C(n, k)^n sequences of k-subsets."""
+    subsets = [frozenset(c) for c in combinations(range(1, n + 1), k)]
+    return [seq for seq in product(subsets, repeat=n)
+            if brute_is_necklace(n, seq)]
+
+
+def brute_det(a):
+    """Determinant of a square matrix by the Leibniz permutation expansion,
+    the sign of each permutation read off its inversion count."""
+    size = len(a)
+    total = 0
+    for perm in permutations(range(size)):
+        inversions = sum(1 for x, y in combinations(perm, 2) if x > y)
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= a[r][c]
+        total += term
+    return total
 
 
 def determined_rank(dp):
@@ -298,3 +348,29 @@ def flow_realizable_sets(diag):
         if max_disjoint_paths(net, to_route, goals) == len(to_route):
             out.append(subset)
     return frozenset(out)
+
+
+def count_path_systems(net, starts, goals):
+    """Number of systems of pairwise vertex-disjoint paths in the package's
+    path network that take each start label to a distinct goal label, by
+    backtracking over every path of each start in turn."""
+    starts = sorted(starts)
+
+    def paths(v, used):
+        if v in used:
+            return
+        if v[0] == "t":
+            if v[1] in goals:
+                yield (v,)
+            return
+        for w in net.edges[v]:
+            for tail in paths(w, used):
+                yield (v,) + tail
+
+    def systems(idx, used):
+        if idx == len(starts):
+            return 1
+        return sum(systems(idx + 1, used | set(p))
+                   for p in paths(("s", starts[idx]), used))
+
+    return systems(0, frozenset())

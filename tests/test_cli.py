@@ -83,6 +83,19 @@ class TestValidate:
         assert code == 1
         assert "exchange" in err
 
+    def test_one_basis_at_large_n(self, tmp_path):
+        """The round trip reads each Gale bound off the basis's one member,
+        not all n positions; in a child, so a cubic walk fails on the
+        timeout instead of hanging the suite."""
+        path = write_json(tmp_path, "bases.json",
+                          {"n": 6000, "k": 1, "bases": [[1]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "positroids.cli", "validate", "--kind",
+             "bases", path], capture_output=True, text=True, env=cli_env(),
+            timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "valid\n", "")
+
     def test_parse_error_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{\"n\": 4,")

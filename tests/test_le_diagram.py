@@ -12,7 +12,6 @@ from positroids import (
     build_network,
     cell_numbering,
     cyclic_interval,
-    find_path_system,
     is_le,
     k_subset_masks,
     le_from_removals,
@@ -27,10 +26,13 @@ from positroids import (
     top_permutation,
     uniform,
 )
+from positroids.le_diagram import _det
 
 from oracles import (
     all_le_diagrams,
+    brute_det,
     checked_sparse_paving,
+    count_path_systems,
     flow_realizable_sets,
 )
 
@@ -197,13 +199,59 @@ class TestRealizability:
         bases = realizable_sets(FIG_WIDE).bases
         assert mask_of({3, 5, 9, 10}, 12) in bases
 
-    def test_wrong_size_is_not_realizable(self):
-        net = build_network(full_box(2, 4))
-        assert find_path_system(net, {1}) is None
+
+class TestMatrix:
+    def test_full_2x2(self):
+        assert build_network(full_box(2, 4)).matrix == \
+            ((1, 0, -1, -2), (0, 1, 1, 1))
+
+    def test_staircase(self):
+        net = build_network(diagram(2, 4, (2, 1), [[1, 1], [1]]))
+        assert net.matrix == ((1, 1, 0, -1), (0, 0, 1, 1))
+
+    def test_removal_diagram(self):
+        # two sources sit between source 1 and the sinks 4..6, one between
+        # source 2 and them, so only row 2's sink entries change sign
+        assert build_network(le_from_removals({3}, 3, 6)).matrix == (
+            (1, 0, 0, 1, 2, 4), (0, 1, 0, -1, -2, -3), (0, 0, 1, 1, 1, 1))
+
+    def test_det_sign_of_a_swap(self):
+        assert _det([[0, 1], [1, 0]]) == -1
+        assert _det([]) == 1
+
+    @given(st.integers(0, 5).flatmap(lambda size: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]),
+                 min_size=size, max_size=size),
+        min_size=size, max_size=size)))
+    @settings(max_examples=300, deadline=None)
+    def test_det_matches_leibniz(self, a):
+        # mostly zeros, so zero pivots and row swaps come up often
+        assert _det([list(row) for row in a]) == brute_det(a)
 
 
 def bases_as_sets(m):
     return frozenset(frozenset(members_of(b)) for b in m.bases)
+
+
+def matrix_minors(d, det):
+    """Each k-set's maximal minor of the diagram's boundary-measurement
+    matrix, as a dict keyed by mask, computed by the given determinant."""
+    matrix = build_network(d).matrix
+    out = {}
+    for mask in k_subset_masks(d.n, d.k):
+        cols = [j - 1 for j in members_of(mask)]
+        out[mask] = det([[row[j] for j in cols] for row in matrix])
+    return out
+
+
+def assert_matrix_certifies(d, det):
+    """Every maximal minor is nonnegative, and the k-sets with a nonzero
+    one are exactly the bases of realizable_sets and of the max-flow."""
+    minors = matrix_minors(d, det)
+    assert min(minors.values()) >= 0, d
+    m = realizable_sets(d)
+    assert frozenset(mask for mask, v in minors.items() if v) == m.bases, d
+    assert bases_as_sets(m) == flow_realizable_sets(d)
 
 
 @st.composite
@@ -228,9 +276,10 @@ def random_le_diagrams(draw, low, high):
 
 
 class TestAgainstFlow:
-    """The library decides realizability by path-count determinants; the
-    unit-capacity max-flow in tests/oracles.py decides it independently on
-    the same network.  They must give the same bases on every diagram."""
+    """The library decides realizability by the maximal minors of the
+    boundary-measurement matrix; the unit-capacity max-flow in
+    tests/oracles.py decides it independently on the same network.  They
+    must give the same bases on every diagram."""
 
     @pytest.mark.parametrize("n,total", [(1, 2), (2, 5), (3, 16), (4, 65),
                                          (5, 326), (6, 1957)])
@@ -255,20 +304,22 @@ class TestAgainstFlow:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_path_system_for_every_basis(self, n):
+        # A maximal minor of the boundary-measurement matrix counts the
+        # path systems of its k-set, so a basis is a positive minor; the
+        # minors come from the Leibniz oracle, not the library's _det.
         for k in range(n + 1):
             for d in all_le_diagrams(k, n):
-                net = build_network(d)
-                for mask in realizable_sets(d).bases:
-                    system = find_path_system(net, members_of(mask))
-                    assert system is not None
-                    assert system.realized() == members_of(mask)
+                assert_matrix_certifies(d, brute_det)
+
+    @given(random_le_diagrams(7, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_random_matrices(self, d):
+        assert_matrix_certifies(d, _det)
 
 
 class TestPathSystemAgreement:
-    """The backtracking router builds explicit path systems only after the
-    determinant test accepts; on every subset it must find a system exactly
-    when the max-flow oracle routes the subset, and each system must
-    realize its subset."""
+    """On small diagrams each maximal minor of the matrix equals the number
+    of vertex-disjoint path systems found by backtracking in the oracle."""
 
     def test_cross_check_small_diagrams(self):
         cases = [full_box(2, 4), full_box(2, 5), full_box(3, 6),
@@ -277,20 +328,12 @@ class TestPathSystemAgreement:
                  le_from_removals({1, 3}, 3, 6),
                  le_from_removals({3, 6}, 2, 6)]
         for d in cases:
+            assert_matrix_certifies(d, brute_det)
             net = build_network(d)
-            routed = flow_realizable_sets(d)
-            for mask in k_subset_masks(d.n, d.k):
-                s = members_of(mask)
-                system = find_path_system(net, s)
-                assert (system is not None) == (frozenset(s) in routed)
-                if system is not None:
-                    assert system.realized() == s
-
-    def test_disjointness_validated(self):
-        d = full_box(2, 4)
-        system = find_path_system(d, {3, 4})
-        flat = [v for p in system.paths for v in p]
-        assert len(flat) == len(set(flat))
+            for mask, minor in matrix_minors(d, brute_det).items():
+                assert minor == count_path_systems(
+                    net, members_of(net.sources & ~mask),
+                    set(members_of(mask & net.sinks))), (d, mask)
 
 
 class TestCellNumbering:

@@ -40,11 +40,13 @@ from oracles import (
     all_basis_families,
     brute_gale_le,
     brute_gale_min,
+    brute_necklaces,
     brute_nonadjacent,
     brute_positroid,
     checked_sparse_paving,
     determined_rank,
     matroid_of,
+    reference_gale_bounds,
 )
 
 
@@ -182,6 +184,20 @@ class TestGaleOrder:
             assert a == b
         if gale_le(t, a, b, n) and gale_le(t, b, c, n):
             assert gale_le(t, a, c, n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bounds_match_reference_walk(self, n):
+        for mask in range(1 << n):
+            for t in range(1, n + 1):
+                assert gale_bounds(n, t, mask) == \
+                    reference_gale_bounds(n, t, mask), (t, mask)
+
+    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n), st.integers(0, (1 << n) - 1))))
+    @settings(max_examples=300, deadline=None)
+    def test_bounds_match_reference_walk_up_to_64(self, args):
+        n, t, mask = args
+        assert gale_bounds(n, t, mask) == reference_gale_bounds(n, t, mask)
 
 
 class TestCyclicInterval:
@@ -495,6 +511,15 @@ class TestSchubertKernel:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_same_necklaces_in_order_as_brute_filter(self, n):
+        # the depth-first walk yields the entry mask tuples in sorted order
+        for k in range(n + 1):
+            expected = sorted(tuple(mask_of(e, n) for e in seq)
+                              for seq in brute_necklaces(n, k))
+            assert [neck.entries for neck in all_necklaces(k, n)] == \
+                expected, k
+
     def test_counts_match_census(self):
         assert sum(1 for _ in all_necklaces(2, 4)) == 33
         sp = [n for n in all_necklaces(2, 4)

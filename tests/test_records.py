@@ -17,7 +17,6 @@ from positroids import (
     LeDiagram,
     Matroid,
     NonAdjacentSet,
-    PathSystem,
     SparsePavingPositroid,
     all_necklaces,
     enumerate_sparse_paving,
@@ -44,9 +43,6 @@ SPECS = {
         (2, 4, (2, 1), ((True, True), (True,))),
         (2, 4, (2, 1), ((True, True), (True,))),
         (2, 4, (2, 1), ((True, False), (True,))), (2, 4, (), ())]),
-    PathSystem: (["paths"], [
-        (((("s", 1),),),), (((("s", 1),),),),
-        (((("s", 1), ("b", 1, 1), ("t", 2)),),)]),
     SparsePavingPositroid: (
         ["nonadjacent", "necklace", "perm", "diagram", "matroid"],
         [(e.nonadjacent, e.necklace, e.perm, e.diagram, e.matroid)
@@ -135,7 +131,6 @@ def test_records_never_equal_their_field_tuples():
     (Matroid, (3, 1, frozenset({3})), "differs from the rank"),
     (DecoratedPermutation, (3, (2, 1, 3)), "fixed points"),
     (LeDiagram, (2, 4, (1, 2), ((True,), (True, True))), "decreasing"),
-    (PathSystem, (((("b", 1, 1),),),), "start at a source"),
 ])
 def test_post_init_still_validates(cls, args, message):
     with pytest.raises(ValueError, match=message):

@@ -51,11 +51,9 @@ def test_cli_start_up_skips_dataclasses_and_inspect():
 
 
 # Public names that nothing in the package calls but that stay on purpose:
-# the paper's named statements, and the explicit path-system router with
-# the method that reads off what its paths realize.
+# the paper's named statements.
 KEPT_UNCALLED = ("bumped_interval", "is_le", "perm_sparse_paving_witness",
-                 "recurrence_case", "uniform", "find_path_system",
-                 "PathSystem.realized")
+                 "recurrence_case", "uniform")
 
 
 def public_definitions(tree):
