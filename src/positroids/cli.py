@@ -74,6 +74,16 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; a repeated key is an error, never a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise CliError(f"duplicate key {json.dumps(key)}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str | None):
     try:
         if path is None or path == "-":
@@ -84,7 +94,7 @@ def _read_json(path: str | None):
     except OSError as exc:
         raise CliError(str(exc))
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise CliError(f"parse error at line {exc.lineno} column {exc.colno}: "
                        f"{exc.msg}")

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .matroid import Record, as_mask, json_int, json_ints, mask_of
+from .matroid import Record, as_mask, json_int, json_list
 from .necklace import (
     GrassmannNecklace,
     NonAdjacentSet,
     _check_classification,
-    cyclic_pos,
     mod1,
     nonadjacent_mask_ok,
 )
 
 
-class DecoratedPermutation(Record, defaults=((),)):
+class DecoratedPermutation(Record):
     """Permutation of [n] in one-line notation with every fixed point marked
     +1 or -1.  Marks are stored sorted by position so equality is canonical."""
 
@@ -47,16 +46,13 @@ class DecoratedPermutation(Record, defaults=((),)):
                              for i, c in (colors or {}).items()))
         return cls(len(line), line, marks)
 
-    def apply(self, i: int) -> int:
-        return self.perm[i - 1]
-
     def to_dict(self) -> dict:
         return {"n": self.n, "perm": list(self.perm),
                 "colors": {str(i): c for i, c in self.colors}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecoratedPermutation":
-        perm = json_ints(data["perm"], "perm")
+        perm = json_list(data["perm"], "perm")
         if len(perm) != json_int(data["n"], "n"):
             raise ValueError("one-line length differs from n")
         colors = data.get("colors", {})
@@ -97,27 +93,24 @@ def necklace_to_decperm(neck: GrassmannNecklace) -> DecoratedPermutation:
 
 
 def decperm_to_necklace(dp: DecoratedPermutation, k: int) -> GrassmannNecklace:
-    """Rebuild the necklace: element j belongs to the t-th entry when it
-    strictly precedes its preimage in the rotation at t, or when it is a
-    -1 fixed point.  The permutation determines k; a different k is an
+    """Rebuild the necklace by the step rule that necklace_to_decperm reads:
+    the first entry holds the images j = perm(i) with j < i and the -1
+    fixed points, and I_{i+1} = (I_i - {i}) + {perm(i)} whenever i is in
+    I_i.  The permutation determines k; a different k is an
     inconsistency."""
-    n = dp.n
-    inv = [0] * (n + 1)
-    for i in range(1, n + 1):
-        inv[dp.apply(i)] = i
-    always = {i for i, c in dp.colors if c == -1}
-    entries = []
-    for t in range(1, n + 1):
-        members = [j for j in range(1, n + 1)
-                   if j in always
-                   or (j != inv[j]
-                       and cyclic_pos(t, j, n) < cyclic_pos(t, inv[j], n))]
-        entries.append(mask_of(members, n))
-    derived = entries[0].bit_count()
+    cur = (sum(1 << (j - 1) for i, j in enumerate(dp.perm, 1) if j < i)
+           + sum(1 << (i - 1) for i, c in dp.colors if c == -1))
+    derived = cur.bit_count()
     if derived != k:
         raise ValueError(
             f"permutation determines rank {derived}, not {k}")
-    return GrassmannNecklace(n, k, tuple(entries))
+    entries = [cur]
+    for i, j in enumerate(dp.perm[:-1], 1):
+        bit = 1 << (i - 1)
+        if cur & bit:
+            cur = (cur ^ bit) | 1 << (j - 1)
+        entries.append(cur)
+    return GrassmannNecklace(dp.n, k, tuple(entries))
 
 
 def top_permutation(k: int, n: int,

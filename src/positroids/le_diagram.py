@@ -15,11 +15,15 @@ its minor is nonzero (Postnikov, "Total positivity, Grassmannians, and
 networks", arXiv math/0609764; Talaska's formula for the Plucker
 coordinates).  The matrix is therefore a totally nonnegative certificate
 of the positroid.
+
+build_network makes the network and the matrix in one sweep over the cells,
+from the bottom row up and left to right within a row.  That order builds a
+bullet's left neighbour and its nearest vertex below before the bullet
+itself, so the bullet's path counts per sink are the sum of theirs.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable
 
 from .matroid import (
@@ -86,7 +90,7 @@ class LeDiagram(Record):
         filling = [json_ints(row, "filling row")
                    for row in json_list(data["filling"], "filling")]
         return cls.make(json_int(data["k"], "k"), json_int(data["n"], "n"),
-                        json_ints(data["shape"], "shape"), filling)
+                        json_list(data["shape"], "shape"), filling)
 
 
 def _cell(x) -> bool:
@@ -100,18 +104,14 @@ def _cell(x) -> bool:
 def le_violation(diag: LeDiagram) -> tuple[int, int] | None:
     """First cell breaking the Le condition: an empty cell with a bullet above
     it in its column and a bullet to its left in its row."""
-    width = diag.n - diag.k
-    above = [False] * (width + 1)
+    above = [False] * (diag.n - diag.k + 1)
     for r, row in enumerate(diag.filling, 1):
         seen_left = False
         for c, bullet in enumerate(row, 1):
             if bullet:
-                seen_left = True
+                seen_left = above[c] = True
             elif seen_left and above[c]:
                 return (r, c)
-        for c, bullet in enumerate(row, 1):
-            if bullet:
-                above[c] = True
     return None
 
 
@@ -125,111 +125,87 @@ def boundary_labels(diag: LeDiagram) -> tuple[dict, dict]:
     box, from the box's top right corner to its bottom left corner, numbering
     the n steps in order.  The labels split into sources (down-steps, tied to
     rows) and sinks (left-steps, tied to columns); returns the maps
-    (source_row, sink_col) from each label to its row or column."""
+    (row_source, col_sink) from each row to its source label and from each
+    column to its sink label."""
     n, k = diag.n, diag.k
     widths = list(diag.shape) + [0] * (k - len(diag.shape))
     label = 0
     col = n - k
-    source_row: dict[int, int] = {}
-    sink_col: dict[int, int] = {}
+    row_source: dict[int, int] = {}
+    col_sink: dict[int, int] = {}
     for r in range(1, k + 1):
         while col > widths[r - 1]:
             label += 1
-            sink_col[label] = col
+            col_sink[col] = label
             col -= 1
         label += 1
-        source_row[label] = r
+        row_source[r] = label
     while col > 0:
         label += 1
-        sink_col[label] = col
+        col_sink[col] = label
         col -= 1
-    return source_row, sink_col
+    return row_source, col_sink
 
 
 class PlanarNetwork:
     """Acyclic directed network over the bullets of a Le-diagram: rows carry
     traffic leftward from the row's source, columns carry it downward into
-    the column's sink.  The sources and sinks are masks of their labels."""
+    the column's sink.  The sources and sinks are masks of their labels.
 
-    def __init__(self, n: int, k: int, sources: int, sinks: int,
-                 edges: dict[tuple, tuple[tuple, ...]]):
-        self.n = n
-        self.k = k
+    `matrix` is Postnikov's boundary-measurement matrix with unit weights:
+    one row per source in label order.  A source's own column holds 1 and
+    the other sources' columns 0; a sink column j holds (-1)^s times the
+    number of paths from the row's source i to j, where s counts the
+    sources strictly between i and j.  A source only reaches sinks with
+    larger labels."""
+
+    def __init__(self, sources: int, sinks: int, edges: dict, matrix: tuple):
         self.sources = sources
         self.sinks = sinks
         self.edges = edges
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Postnikov's boundary-measurement matrix with unit weights: one
-        row per source in label order.  A source's own column holds 1 and
-        the other sources' columns 0; a sink column j holds (-1)^s times
-        the number of paths from the row's source i to j, where s counts the
-        sources strictly between i and j.  The paths are counted once by a
-        memoized pass over the edges, and a source only reaches sinks with
-        larger labels."""
-        memo: dict[tuple, dict[int, int]] = {}
-
-        def count(v) -> dict[int, int]:
-            if v not in memo:
-                if v[0] == "t":
-                    memo[v] = {v[1]: 1}
-                else:
-                    out: dict[int, int] = {}
-                    for w in self.edges[v]:
-                        for sink, c in count(w).items():
-                            out[sink] = out.get(sink, 0) + c
-                    memo[v] = out
-            return memo[v]
-
-        rows = []
-        for i in members_of(self.sources):
-            row = [0] * self.n
-            row[i - 1] = 1
-            for j, c in count(("s", i)).items():
-                between = (self.sources >> i) & ((1 << (j - i - 1)) - 1)
-                row[j - 1] = -c if between.bit_count() & 1 else c
-            rows.append(tuple(row))
-        return tuple(rows)
+        self.matrix = matrix
 
 
 def build_network(diag: LeDiagram) -> PlanarNetwork:
-    """Construct the path network: each source points to the rightmost bullet
-    of its row; each bullet points to the nearest bullet on its left in the
-    row and to the nearest bullet below in its column, or to the column's
-    sink when none intervenes.  Gaps left by empty cells are skipped."""
+    """Construct the path network and its matrix: each source points to the
+    rightmost bullet of its row; each bullet points to the nearest bullet
+    on its left in the row and to the nearest bullet below in its column
+    (`below`, which starts at the column's sink).  Gaps left by empty
+    cells are skipped.  The sweep runs from the bottom row up and left to
+    right within a row, so both successors of a bullet are built before
+    it, and its path counts per sink are the sum of theirs."""
     bad = le_violation(diag)
     if bad is not None:
         raise ValueError(f"Le condition fails at cell {bad}")
-    source_row, sink_col = boundary_labels(diag)
-    rows: dict[int, list[int]] = {}
-    cols: dict[int, list[int]] = {}
-    for r, row in enumerate(diag.filling, 1):
-        for c, bullet in enumerate(row, 1):
+    n = diag.n
+    row_source, col_sink = boundary_labels(diag)
+    sources = mask_of(row_source.values(), n)
+    below = {c: ("t", label) for c, label in col_sink.items()}
+    edges: dict[tuple, tuple[tuple, ...]] = dict.fromkeys(below.values(), ())
+    paths = {v: {v[1]: 1} for v in below.values()}
+    filling = diag.filling + ((),) * (diag.k - len(diag.filling))
+    rows = []
+    for r in range(diag.k, 0, -1):
+        last = None
+        for c, bullet in enumerate(filling[r - 1], 1):
             if bullet:
-                rows.setdefault(r, []).append(c)
-                cols.setdefault(c, []).append(r)
-    edges: dict[tuple, tuple[tuple, ...]] = {}
-    for label, r in source_row.items():
-        cells = rows.get(r, [])
-        edges[("s", label)] = (("b", r, cells[-1]),) if cells else ()
-    sink_of_col = {c: label for label, c in sink_col.items()}
-    for r, cs in rows.items():
-        for idx, c in enumerate(cs):
-            out: list[tuple] = []
-            if idx > 0:
-                out.append(("b", r, cs[idx - 1]))
-            col_rows = cols[c]
-            pos = col_rows.index(r)
-            if pos + 1 < len(col_rows):
-                out.append(("b", col_rows[pos + 1], c))
-            else:
-                out.append(("t", sink_of_col[c]))
-            edges[("b", r, c)] = tuple(out)
-    for label in sink_col:
-        edges[("t", label)] = ()
-    return PlanarNetwork(diag.n, diag.k, mask_of(source_row, diag.n),
-                         mask_of(sink_col, diag.n), edges)
+                v = ("b", r, c)
+                edges[v] = (below[c],) if last is None else (last, below[c])
+                paths[v] = count = {}
+                for w in edges[v]:
+                    for j, x in paths[w].items():
+                        count[j] = count.get(j, 0) + x
+                below[c] = last = v
+        i = row_source[r]
+        edges[("s", i)] = () if last is None else (last,)
+        row = [0] * n
+        row[i - 1] = 1
+        for j, x in paths.get(last, {}).items():
+            between = (sources >> i) & ((1 << (j - i - 1)) - 1)
+            row[j - 1] = -x if between.bit_count() & 1 else x
+        rows.append(tuple(row))
+    return PlanarNetwork(sources, mask_of(col_sink.values(), n), edges,
+                         tuple(reversed(rows)))
 
 
 def _det(a: list[list[int]]) -> int:
@@ -287,10 +263,8 @@ def le_from_removals(removed, k: int, n: int) -> LeDiagram:
     """Fully bulleted box with the bullets at the numbered boundary cells in
     `removed` taken out; removing label 1 also trims its corner cell, which
     keeps the filling a Le-diagram.  Any subset of [n] is accepted."""
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"construction needs 2 <= k <= n-1, got k={k}, n={n}")
-    labels = members_of(as_mask(removed, n))
     cells = cell_numbering(k, n)
+    labels = members_of(as_mask(removed, n))
     shape = [n - k] * k
     if 1 in labels:
         shape[k - 1] = n - k - 1
@@ -306,10 +280,8 @@ def render_le(diag: LeDiagram) -> str:
     """ASCII picture: '*' for a bullet, '.' for an empty cell, each row's
     source label after the row, and the sink labels under their columns on
     the final line."""
-    source_row, sink_col = boundary_labels(diag)
+    row_source, col_sink = boundary_labels(diag)
     w = len(str(diag.n))
-    row_source = {r: label for label, r in source_row.items()}
-    col_sink = {c: label for label, c in sink_col.items()}
     widths = list(diag.shape) + [0] * (diag.k - len(diag.shape))
     lines = []
     for r in range(1, diag.k + 1):

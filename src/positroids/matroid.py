@@ -80,15 +80,15 @@ def json_ints(value, what: str) -> list[int]:
 
 class Record:
     """Immutable value type whose fields are its class's __slots__, in order,
-    behaving as dataclass(frozen=True) does: tail defaults come from the
-    `defaults` class keyword, and `__slots__ = ()` keeps the parent's fields.
+    behaving as dataclass(frozen=True) without defaults does: every field is
+    a required argument, and `__slots__ = ()` keeps the parent's fields.
     Each class's __init__ is compiled once from its field names, so building
     a record costs what a hand-written __init__ would."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, defaults: tuple = (), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__dict__.get("__slots__", ()))
         if not fields:
@@ -100,7 +100,6 @@ class Record:
              f"def _values(self):\n"
              f"    return ({''.join(f'self.{f}, ' for f in fields)})\n", ns)
         init = ns["__init__"]
-        init.__defaults__ = tuple(defaults) or None
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__, cls._values, cls._fields = init, ns["_values"], fields
 
@@ -129,7 +128,7 @@ class Record:
         return type(self), self._values()
 
 
-class MaskSet(Record, defaults=(0,)):
+class MaskSet(Record):
     """A subset of the ground set [n] that carries n along with its bit mask,
     so as_mask can reject it on another ground set."""
 
@@ -217,7 +216,7 @@ class Matroid(Record):
     def from_dict(cls, data: dict) -> "Matroid":
         n = json_int(data["n"], "n")
         return cls(n, json_int(data["k"], "k"),
-                   frozenset(mask_of(json_ints(b, "basis"), n)
+                   frozenset(mask_of(json_list(b, "basis"), n)
                              for b in json_list(data["bases"], "bases")))
 
 

@@ -25,7 +25,6 @@ from .matroid import (
     Record,
     as_mask,
     json_int,
-    json_ints,
     json_list,
     k_subset_masks,
     members_of,
@@ -35,11 +34,6 @@ from .matroid import (
 def mod1(i: int, n: int) -> int:
     """Reduce i modulo n into the representative range 1..n."""
     return (i - 1) % n + 1
-
-
-def cyclic_pos(t: int, x: int, n: int) -> int:
-    """Position of x in the rotation t, t+1, ..., n, 1, ..., t-1 of [n]."""
-    return (x - t) % n
 
 
 def gale_bounds(n: int, t: int, mask: int) -> tuple[tuple[int, int], ...]:
@@ -198,7 +192,7 @@ class NonAdjacentSet(MaskSet):
     @classmethod
     def from_dict(cls, data: dict) -> "NonAdjacentSet":
         return cls.of(json_int(data["n"], "n"),
-                      json_ints(data["members"], "members"))
+                      json_list(data["members"], "members"))
 
 
 def nonadjacent_mask_ok(mask: int, n: int) -> bool:

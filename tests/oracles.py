@@ -6,6 +6,11 @@ Some are the only implementation of a rule the library no longer needs:
 brute_rank, brute_dual and brute_paving keep the rank, duality and paving
 identities under test.  reference_gale_bounds walks all n positions of a
 rotation, the reference for gale_bounds, which walks only the members.
+reference_network_edges and reference_matrix rebuild a Le-diagram's
+network from a row and column index and count its paths by recursion over
+the edges, the references for build_network's one sweep;
+reference_decperm_necklace places each element by cyclic positions, the
+reference for decperm_to_necklace's step rule.
 Four helpers deliberately drive the package.  matroid_of builds a Matroid
 from element collections, for tests that write families out by hand.
 checked_sparse_paving pins the classical equivalence of the three sparse
@@ -20,8 +25,10 @@ backtracking on the same network, the path systems those minors stand for.
 from itertools import chain, combinations, permutations, product
 
 from positroids import (
+    DecoratedPermutation,
     LeDiagram,
     Matroid,
+    boundary_labels,
     build_network,
     circuit_hyperplanes,
     is_sparse_paving,
@@ -198,11 +205,40 @@ def brute_det(a):
     return total
 
 
+def all_decorated_permutations(n):
+    """Every decorated permutation of [n]: each permutation in lexicographic
+    order, with each +1/-1 marking of its fixed points."""
+    for perm in permutations(range(1, n + 1)):
+        fixed = [i for i, x in enumerate(perm, 1) if x == i]
+        for marks in product((1, -1), repeat=len(fixed)):
+            yield DecoratedPermutation.make(perm, dict(zip(fixed, marks)))
+
+
 def determined_rank(dp):
     """Size of the first necklace entry of a decorated permutation: the
     anti-exceedances i with perm(i) < i, plus the fixed points marked -1."""
-    return (sum(1 for i in range(1, dp.n + 1) if dp.apply(i) < i)
+    return (sum(1 for i in range(1, dp.n + 1) if dp.perm[i - 1] < i)
             + sum(1 for _, c in dp.colors if c == -1))
+
+
+def reference_decperm_necklace(dp, k):
+    """The necklace entries of a decorated permutation, as frozensets, by the
+    cyclic-position rule: j belongs to the t-th entry when it strictly
+    precedes its preimage in the rotation of [n] at t, or when it is a -1
+    fixed point.  A k other than the first entry's size is rejected with
+    decperm_to_necklace's message."""
+    n = dp.n
+    inv = {j: i for i, j in enumerate(dp.perm, 1)}
+    always = {i for i, c in dp.colors if c == -1}
+    entries = tuple(
+        frozenset(j for j in range(1, n + 1)
+                  if j in always
+                  or (j != inv[j] and (j - t) % n < (inv[j] - t) % n))
+        for t in range(1, n + 1))
+    if len(entries[0]) != k:
+        raise ValueError(
+            f"permutation determines rank {len(entries[0])}, not {k}")
+    return entries
 
 
 def all_families(n, k):
@@ -348,6 +384,63 @@ def flow_realizable_sets(diag):
         if max_disjoint_paths(net, to_route, goals) == len(to_route):
             out.append(subset)
     return frozenset(out)
+
+
+def reference_network_edges(diag):
+    """The edges of build_network's path network, read off a row and column
+    index of the bullets: each source to the rightmost bullet of its row,
+    each bullet to the next bullet left in its row and to the next bullet
+    down in its column, or to the column's sink when there is none."""
+    row_source, col_sink = boundary_labels(diag)
+    rows, cols = {}, {}
+    for r, row in enumerate(diag.filling, 1):
+        for c, bullet in enumerate(row, 1):
+            if bullet:
+                rows.setdefault(r, []).append(c)
+                cols.setdefault(c, []).append(r)
+    edges = {("t", label): () for label in col_sink.values()}
+    for r, label in row_source.items():
+        edges[("s", label)] = (("b", r, rows[r][-1]),) if r in rows else ()
+    for r, cs in rows.items():
+        for idx, c in enumerate(cs):
+            down = [q for q in cols[c] if q > r]
+            edges[("b", r, c)] = (
+                ((("b", r, cs[idx - 1]),) if idx else ())
+                + ((("b", down[0], c),) if down else (("t", col_sink[c]),)))
+    return edges
+
+
+def reference_matrix(net):
+    """The boundary-measurement matrix of a path network by a memoized
+    recursive count of the paths from each source to each sink over
+    net.edges, with the sign rule: a sink column j of source i's row holds
+    (-1)^s times the count, s the number of sources strictly between i and
+    j, and the sources' own columns hold the identity."""
+    n = (net.sources | net.sinks).bit_length()
+    sources = members_of(net.sources)
+    memo = {}
+
+    def count(v):
+        if v not in memo:
+            if v[0] == "t":
+                memo[v] = {v[1]: 1}
+            else:
+                out = {}
+                for w in net.edges[v]:
+                    for sink, c in count(w).items():
+                        out[sink] = out.get(sink, 0) + c
+                memo[v] = out
+        return memo[v]
+
+    rows = []
+    for i in sources:
+        row = [0] * n
+        row[i - 1] = 1
+        for j, c in count(("s", i)).items():
+            between = sum(1 for s in sources if i < s < j)
+            row[j - 1] = -c if between % 2 else c
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def count_path_systems(net, starts, goals):

@@ -19,7 +19,13 @@ from positroids import (
     uniform,
 )
 
-from oracles import all_families, brute_bases_verdict
+from oracles import (
+    all_decorated_permutations,
+    all_families,
+    all_le_diagrams,
+    brute_bases_verdict,
+    determined_rank,
+)
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -173,6 +179,60 @@ class TestStrictPayloads:
         assert code == 1
         assert out == ""
         assert err.startswith("invalid:")
+
+    # Each integer is checked once, by the constructor that reads it, and
+    # the message names what that constructor calls it.
+    @pytest.mark.parametrize("kind,payload,message", [
+        pytest.param("bases", {"n": 4, "k": 2, "bases": [[1, True]]},
+                     "element must be an integer, got bool",
+                     id="bool-basis-element"),
+        pytest.param("nonadjacent", {"n": 6, "members": [True]},
+                     "element must be an integer, got bool",
+                     id="bool-member"),
+        pytest.param("nonadjacent", {"n": 6, "members": [1, 3.0]},
+                     "element must be an integer, got float",
+                     id="float-member"),
+        pytest.param("le", {"k": 2, "n": 4, "shape": [2, True],
+                            "filling": [[1, 1], [1]]},
+                     "shape width must be an integer, got bool",
+                     id="bool-shape"),
+        pytest.param("le", {"k": 2, "n": 4, "shape": [2, 1],
+                            "filling": [[1, True], [1]]},
+                     "filling row entry must be an integer, got bool",
+                     id="bool-filling-cell"),
+        pytest.param("decperm", {"n": 3, "perm": [3, True, 1]},
+                     "perm entry must be an integer, got bool",
+                     id="bool-perm-entry"),
+    ])
+    def test_message(self, kind, payload, message, tmp_path, capsys):
+        path = write_json(tmp_path, "payload.json", payload)
+        assert run(capsys, ["validate", "--kind", kind, path]) == \
+            (1, "", f"invalid: {message}\n")
+
+    # A repeated key would otherwise keep only its last value.
+    @pytest.mark.parametrize("argv,text,key", [
+        pytest.param(["convert", "--from", "decperm", "--to", "necklace",
+                      "--k", "1"],
+                     '{"n":3,"perm":[3,2,1],"colors":{"2":-1,"2":1}}', "2",
+                     id="decperm"),
+        pytest.param(["validate", "--kind", "nonadjacent"],
+                     '{"n":4,"k":2,"n":5,"members":[1]}', "n",
+                     id="nonadjacent"),
+        pytest.param(["validate", "--kind", "necklace"],
+                     '{"n":2,"k":1,"entries":[[1],[2]],"k":1}', "k",
+                     id="necklace"),
+        pytest.param(["validate", "--kind", "bases"],
+                     '{"n":2,"k":1,"bases":[[1]],"bases":[[1],[2]]}',
+                     "bases", id="bases"),
+        pytest.param(["validate", "--kind", "le"],
+                     '{"k":1,"n":2,"shape":[1],"filling":[[1]],'
+                     '"filling":[[0]]}', "filling", id="le"),
+    ])
+    def test_duplicate_key(self, argv, text, key, tmp_path, capsys):
+        path = tmp_path / "payload.json"
+        path.write_text(text)
+        assert run(capsys, argv + [str(path)]) == \
+            (1, "", f'invalid: duplicate key "{key}"\n')
 
 
 HUGE = "1" + "0" * 100
@@ -787,3 +847,50 @@ class TestConversionClosure:
                     code, out, err = run(capsys, argv)
                     assert code == 0, (src, dst, err)
                     assert json.loads(out) == payloads[dst], (src, dst)
+
+
+def replay_requests(top):
+    """(argv, payload) for every Le-diagram and every decorated permutation
+    with n <= top: each through `convert` to every kind and `check-sp`, a
+    Le-diagram also through the ASCII picture of both commands that draw
+    one, a decorated permutation at its rank and at one more."""
+    for n in range(1, top + 1):
+        for k in range(n + 1):
+            for diag in all_le_diagrams(k, n):
+                payload = json.dumps(diag.to_dict())
+                for dst in cli.KINDS:
+                    yield ["convert", "--from", "le", "--to", dst], payload
+                yield (["convert", "--from", "le", "--to", "le", "--format",
+                        "ascii"], payload)
+                yield ["check-sp", "--kind", "le"], payload
+                yield ["render-le"], payload
+        for dp in all_decorated_permutations(n):
+            payload = json.dumps(dp.to_dict())
+            for k in (determined_rank(dp), determined_rank(dp) + 1):
+                flag = ["--k", str(k)]
+                for dst in cli.KINDS:
+                    yield (["convert", "--from", "decperm", "--to", dst]
+                           + flag, payload)
+                yield ["check-sp", "--kind", "decperm"] + flag, payload
+
+
+class TestByteReplay:
+    """Every request of replay_requests(4), read from stdin, hashed with its
+    exit code, stdout and stderr into one digest.  The digest was recorded
+    before the Le network and the decorated permutation's necklace were
+    rebuilt as single ordered passes; any change to a CLI byte on these
+    inputs moves it."""
+
+    DIGEST = ("495e355ff021edfe3612c39eb77cb4e6"
+              "2c60d15a2d5c03a2a50eaf6804a06414")
+
+    def test_digest(self, capsys, monkeypatch):
+        digest = hashlib.sha256()
+        count = 0
+        for argv, payload in replay_requests(4):
+            result = run(capsys, argv, stdin=payload, monkeypatch=monkeypatch)
+            digest.update(json.dumps([argv, payload, *result]).encode())
+            digest.update(b"\n")
+            count += 1
+        assert count == 1760
+        assert digest.hexdigest() == self.DIGEST

@@ -12,6 +12,7 @@ from positroids import (
     apply_adjacent_swaps,
     cyclic_interval,
     decperm_to_necklace,
+    members_of,
     necklace_from_nonadjacent,
     necklace_to_decperm,
     perm_sparse_paving_witness,
@@ -19,7 +20,12 @@ from positroids import (
     top_permutation,
 )
 
-from oracles import brute_nonadjacent, determined_rank
+from oracles import (
+    all_decorated_permutations,
+    brute_nonadjacent,
+    determined_rank,
+    reference_decperm_necklace,
+)
 
 
 def necklace(n, sets):
@@ -134,6 +140,35 @@ class TestDecpermToNecklace:
         marks = data.draw(st.lists(st.sampled_from((1, -1)),
                                    min_size=fixed, max_size=fixed))
         assert_round_trip(perm, marks)
+
+
+def assert_step_rule_matches_reference(dp):
+    """decperm_to_necklace gives the cyclic-position rule's entries at the
+    rank the permutation determines, and its error one rank higher."""
+    k = determined_rank(dp)
+    got = decperm_to_necklace(dp, k).entries
+    assert tuple(frozenset(members_of(e)) for e in got) == \
+        reference_decperm_necklace(dp, k), dp
+    with pytest.raises(ValueError) as exc:
+        reference_decperm_necklace(dp, k + 1)
+    with pytest.raises(ValueError, match=f"^{exc.value}$"):
+        decperm_to_necklace(dp, k + 1)
+
+
+class TestStepRuleAgainstReference:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_decorated_permutation(self, n):
+        for dp in all_decorated_permutations(n):
+            assert_step_rule_matches_reference(dp)
+
+    @given(st.integers(7, 10), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_decorated_permutations(self, n, data):
+        perm = data.draw(st.permutations(range(1, n + 1)))
+        marks = {i: data.draw(st.sampled_from((1, -1)))
+                 for i in fixed_points(perm)}
+        assert_step_rule_matches_reference(
+            DecoratedPermutation.make(perm, marks))
 
 
 class TestTopPermutation:

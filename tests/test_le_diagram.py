@@ -34,6 +34,8 @@ from oracles import (
     checked_sparse_paving,
     count_path_systems,
     flow_realizable_sets,
+    reference_matrix,
+    reference_network_edges,
 )
 
 
@@ -114,23 +116,23 @@ class TestLeCondition:
 
 class TestBoundary:
     def test_full_rectangle(self):
-        source_row, sink_col = boundary_labels(full_box(2, 4))
-        assert sorted(source_row) == [1, 2]
-        assert sorted(sink_col) == [3, 4]
-        assert source_row == {1: 1, 2: 2}
-        assert sink_col == {3: 2, 4: 1}
+        row_source, col_sink = boundary_labels(full_box(2, 4))
+        assert sorted(row_source.values()) == [1, 2]
+        assert sorted(col_sink.values()) == [3, 4]
+        assert row_source == {1: 1, 2: 2}
+        assert col_sink == {2: 3, 1: 4}
 
     def test_staircase(self):
-        source_row, sink_col = boundary_labels(
+        row_source, col_sink = boundary_labels(
             diagram(2, 4, (2, 1), [[1, 1], [1]]))
-        assert sorted(source_row) == [1, 3]
-        assert sorted(sink_col) == [2, 4]
+        assert sorted(row_source.values()) == [1, 3]
+        assert sorted(col_sink.values()) == [2, 4]
 
     def test_trimmed_corner(self):
         # removing label 1 trims the corner cell, shifting the source labels
         for (k, n) in [(2, 4), (3, 6), (4, 10)]:
-            source_row, _ = boundary_labels(le_from_removals({1}, k, n))
-            assert set(source_row) == set(range(1, k)) | {k + 1}
+            row_source, _ = boundary_labels(le_from_removals({1}, k, n))
+            assert set(row_source.values()) == set(range(1, k)) | {k + 1}
 
 
 class TestNetwork:
@@ -315,6 +317,29 @@ class TestAgainstFlow:
     @settings(max_examples=150, deadline=None)
     def test_random_matrices(self, d):
         assert_matrix_certifies(d, _det)
+
+
+def assert_network_matches_reference(d):
+    net = build_network(d)
+    assert net.edges == reference_network_edges(d), d
+    assert net.matrix == reference_matrix(net), d
+
+
+class TestSweepAgainstReference:
+    """build_network writes the edges and sums the path counts in one sweep;
+    the oracles rebuild the edges from a row and column index and count
+    the paths by recursion over the edges."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_diagram(self, n):
+        for k in range(n + 1):
+            for d in all_le_diagrams(k, n):
+                assert_network_matches_reference(d)
+
+    @given(random_le_diagrams(7, 10))
+    @settings(max_examples=150, deadline=None)
+    def test_random_diagrams(self, d):
+        assert_network_matches_reference(d)
 
 
 class TestPathSystemAgreement:

@@ -32,7 +32,6 @@ from positroids.matroid import _exchange_masks
 from positroids.necklace import (
     SchubertKernel,
     _dominating,
-    cyclic_pos,
     gale_bounds,
 )
 
@@ -56,11 +55,6 @@ def ks(n, members):
 
 def necklace(n, sets):
     return GrassmannNecklace.of(n, sets)
-
-
-def cyclic_le(t, a, b, n):
-    """Whether a comes no later than b in the rotation of [n] at t."""
-    return cyclic_pos(t, a, n) <= cyclic_pos(t, b, n)
 
 
 def gale_le(t, i_mask, j_mask, n):
@@ -117,30 +111,6 @@ def assert_conversions_match_oracles(neck, kernel=None):
     assert entry_sets(back) == [brute_gale_min(expected, t, n)
                                 for t in range(1, n + 1)]
     assert back == neck
-
-
-class TestCyclicOrder:
-    def test_natural(self):
-        assert cyclic_le(1, 2, 4, 5)
-
-    def test_wraps(self):
-        # rotation at 3 reads 3 < 4 < 5 < 1 < 2
-        assert cyclic_le(3, 1, 2, 5)
-        assert not cyclic_le(3, 2, 1, 5)
-
-    @given(st.integers(1, 10), st.data())
-    def test_total_order(self, n, data):
-        t = data.draw(st.integers(1, n))
-        a = data.draw(st.integers(1, n))
-        b = data.draw(st.integers(1, n))
-        c = data.draw(st.integers(1, n))
-        assert cyclic_le(t, a, a, n)
-        assert cyclic_le(t, a, b, n) or cyclic_le(t, b, a, n)
-        if cyclic_le(t, a, b, n) and cyclic_le(t, b, a, n):
-            assert a == b
-        if cyclic_le(t, a, b, n) and cyclic_le(t, b, c, n):
-            assert cyclic_le(t, a, c, n)
-        assert cyclic_le(t, t, a, n)  # t is least
 
 
 class TestGaleOrder:
