@@ -259,9 +259,8 @@ def cmd_enumerate(args) -> int:
 def cmd_oracle(args) -> int:
     n, k = args.n, args.k
     if n > args.budget:
-        print(f"n={n} exceeds the oracle budget {args.budget}; pass a larger "
-              f"--budget to run it anyway", file=sys.stderr)
-        return 1
+        raise CliError(f"n={n} exceeds the oracle budget {args.budget}; pass "
+                       f"a larger --budget to run it anyway")
     _check_classification(k, n)
     # The matroid-level verdict comes from the Schubert intersection and
     # the symmetric-difference definition, never from the interval pattern

@@ -97,7 +97,9 @@ def decperm_to_necklace(dp: DecoratedPermutation, k: int) -> GrassmannNecklace:
     the first entry holds the images j = perm(i) with j < i and the -1
     fixed points, and I_{i+1} = (I_i - {i}) + {perm(i)} whenever i is in
     I_i.  The permutation determines k; a different k is an
-    inconsistency."""
+    inconsistency.  Once k matches, the rule gives a necklace for every
+    decorated permutation (Postnikov, arXiv math/0609764), so the result
+    is built with Record._trusted."""
     cur = (sum(1 << (j - 1) for i, j in enumerate(dp.perm, 1) if j < i)
            + sum(1 << (i - 1) for i, c in dp.colors if c == -1))
     derived = cur.bit_count()
@@ -110,7 +112,7 @@ def decperm_to_necklace(dp: DecoratedPermutation, k: int) -> GrassmannNecklace:
         if cur & bit:
             cur = (cur ^ bit) | 1 << (j - 1)
         entries.append(cur)
-    return GrassmannNecklace(dp.n, k, tuple(entries))
+    return GrassmannNecklace._trusted(dp.n, k, tuple(entries))
 
 
 def top_permutation(k: int, n: int,

@@ -85,7 +85,9 @@ def enumerate_sparse_paving(k: int, n: int) -> Iterator[SparsePavingPositroid]:
     |A| intervals.  No Schubert intersection runs here;
     `necklace_to_positroid` (Oh, "Positroids and Schubert matroids", JCTA
     118 (2011)) builds the same family from the necklace and is the census's
-    test oracle.
+    test oracle.  The family is never empty, since C(n, k) > n / 2 for
+    2 <= k <= n - 2, and holds only k-subsets, so the matroid is built with
+    Record._trusted.
     """
     _check_classification(k, n)
     every = frozenset(k_subset_masks(n, k))
@@ -94,7 +96,7 @@ def enumerate_sparse_paving(k: int, n: int) -> Iterator[SparsePavingPositroid]:
         nonbases = {_interval_mask(k, n, i) for i in a.members}
         yield SparsePavingPositroid(a, neck, necklace_to_decperm(neck),
                                     le_from_removals(a, k, n),
-                                    Matroid(n, k, every - nonbases))
+                                    Matroid._trusted(n, k, every - nonbases))
 
 
 def count_sparse_paving(k: int, n: int) -> int:

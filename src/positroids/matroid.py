@@ -83,7 +83,13 @@ class Record:
     behaving as dataclass(frozen=True) without defaults does: every field is
     a required argument, and `__slots__ = ()` keeps the parent's fields.
     Each class's __init__ is compiled once from its field names, so building
-    a record costs what a hand-written __init__ would."""
+    a record costs what a hand-written __init__ would.
+
+    Calling the class validates the fields through __post_init__.  The
+    private classmethod _trusted, compiled next to __init__, sets the same
+    fields without that check; only library builders whose output is valid
+    by construction call it, and the test suite runs the validating
+    constructor on what each of them builds."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -94,14 +100,20 @@ class Record:
         if not fields:
             return
         ns = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
-        exec(f"def __init__(self, {', '.join(fields)}):\n"
-             + "".join(f"    _set_{f}(self, {f})\n" for f in fields)
-             + "    self.__post_init__()\n"
+        ns["_new"] = object.__new__
+        args = ", ".join(fields)
+        setters = "".join(f"    _set_{f}(self, {f})\n" for f in fields)
+        exec(f"def __init__(self, {args}):\n{setters}"
+             "    self.__post_init__()\n"
+             f"def _trusted(cls, {args}):\n    self = _new(cls)\n{setters}"
+             "    return self\n"
              f"def _values(self):\n"
              f"    return ({''.join(f'self.{f}, ' for f in fields)})\n", ns)
-        init = ns["__init__"]
+        init, trusted = ns["__init__"], ns["_trusted"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
+        trusted.__qualname__ = f"{cls.__qualname__}._trusted"
         cls.__init__, cls._values, cls._fields = init, ns["_values"], fields
+        cls._trusted = classmethod(trusted)
 
     def __post_init__(self):
         pass

@@ -17,6 +17,7 @@ the library; only a NonAdjacentSet carries its ground set.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .matroid import (
@@ -135,7 +136,9 @@ def _axiom_problem(entries: Sequence[int]) -> str | None:
 
 class GrassmannNecklace(Record):
     """Cyclic sequence (I_1, ..., I_n) of k-subsets of [n], as masks, obeying
-    the necklace condition; construction validates it."""
+    the necklace condition.  Public construction validates it; the library
+    builders whose necklaces are valid by construction (all_necklaces,
+    necklace_from_nonadjacent, decperm_to_necklace) use Record._trusted."""
 
     __slots__ = ("n", "k", "entries")
     n: int
@@ -206,12 +209,16 @@ def nonadjacent_mask_ok(mask: int, n: int) -> bool:
 
 
 def necklace_to_positroid(neck: GrassmannNecklace) -> Matroid:
-    """Intersect the n shifted Schubert matroids read off the necklace."""
+    """Intersect the n shifted Schubert matroids read off the necklace.
+
+    The family is a matroid's without a check: it holds only k-subsets,
+    and I_1 among them, since every entry of a necklace is a basis of its
+    positroid (Oh, JCTA 118 (2011))."""
     n, k = neck.n, neck.k
     bounds = {pair for t in range(1, n + 1)
               for pair in gale_bounds(n, t, neck.entries[t - 1])}
-    return Matroid(n, k, frozenset(_dominating(k_subset_masks(n, k),
-                                               bounds)))
+    return Matroid._trusted(n, k, frozenset(_dominating(k_subset_masks(n, k),
+                                                        bounds)))
 
 
 class SchubertKernel:
@@ -323,17 +330,28 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
     are cyclic neighbours.  Returns the deviation set, which indexes the
     circuit-hyperplanes, or None when the test fails.
     """
-    n, k = neck.n, neck.k
-    _check_classification(k, n)
+    n = neck.n
     deviating = 0
-    for i, entry in enumerate(neck.entries, 1):
-        if entry != _interval_mask(k, n, i):
-            if entry != _bumped_mask(k, n, i):
+    bit = 1
+    for entry, (interval, bumped) in zip(neck.entries,
+                                         _patterns(neck.k, n)):
+        if entry != interval:
+            if entry != bumped:
                 return None
-            deviating |= 1 << (i - 1)
+            deviating |= bit
+        bit <<= 1
     if not nonadjacent_mask_ok(deviating, n):
         return None
     return NonAdjacentSet(n, deviating)
+
+
+@lru_cache(maxsize=None)
+def _patterns(k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (cyclic interval, bumped interval) masks at each index 1..n of a
+    type that the classification covers."""
+    _check_classification(k, n)
+    return tuple((_interval_mask(k, n, i), _bumped_mask(k, n, i))
+                 for i in range(1, n + 1))
 
 
 def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
@@ -344,7 +362,7 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
     entries = tuple(_bumped_mask(k, n, i) if i in ns
                     else _interval_mask(k, n, i)
                     for i in range(1, n + 1))
-    return GrassmannNecklace(n, k, entries)
+    return GrassmannNecklace._trusted(n, k, entries)
 
 
 def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
@@ -354,34 +372,48 @@ def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
     Every necklace has I_1 containing I_{i+1} minus {i+1, ..., n}: the
     steps i+1, ..., n that lead back to I_1 only remove those elements.  So
     when i is in I_i, the element that replaces it is drawn from I_1 and
-    {i+1, ..., n} only.  Every prefix built this way closes into a
-    necklace, so no branch dies and the last step needs no check.
+    {i+1, ..., n} only, and there is always one to draw: I_i minus {i}
+    has k - 1 elements, all in that set of at least k.  Every prefix built
+    this way closes into a necklace, so no branch dies, the last step needs
+    no check, and each necklace is built with Record._trusted.
+
+    The walk is one loop over the levels i = 1, ..., n-1 of the entry
+    I_{i+1} being chosen: base[i] is I_i minus {i} and free[i] the
+    replacements not yet tried, ascending; a level where i is absent from
+    I_i copies the entry and keeps no choice.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"no necklaces for k={k}, n={n}")
     full = (1 << n) - 1
-
-    def extend(prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(prefix)
-        if i == n:
-            yield tuple(prefix)
-            return
-        cur = prefix[-1]
-        bit = 1 << (i - 1)
-        if not cur & bit:
-            prefix.append(cur)
-            yield from extend(prefix)
-            prefix.pop()
-            return
-        stripped = cur ^ bit
-        free = (prefix[0] | full >> i << i) & ~stripped
-        while free:
-            jb = free & -free
-            prefix.append(stripped | jb)
-            yield from extend(prefix)
-            prefix.pop()
-            free ^= jb
-
+    make = GrassmannNecklace._trusted
+    entries = [0] * n
+    base = [0] * n
+    free = [0] * n
     for first in k_subset_masks(n, k):
-        for entries in extend([first]):
-            yield GrassmannNecklace(n, k, entries)
+        entries[0] = first
+        i = 1
+        while True:
+            while i < n:
+                cur = entries[i - 1]
+                bit = 1 << (i - 1)
+                if cur & bit:
+                    stripped = cur ^ bit
+                    choices = (first | full >> i << i) & ~stripped
+                    low = choices & -choices
+                    base[i], free[i] = stripped, choices ^ low
+                    entries[i] = stripped | low
+                else:
+                    free[i] = 0
+                    entries[i] = cur
+                i += 1
+            yield make(n, k, tuple(entries))
+            i = n - 1
+            while i and not free[i]:
+                i -= 1
+            if not i:
+                break
+            rest = free[i]
+            low = rest & -rest
+            free[i] = rest ^ low
+            entries[i] = base[i] | low
+            i += 1

@@ -10,7 +10,9 @@ reference_network_edges and reference_matrix rebuild a Le-diagram's
 network from a row and column index and count its paths by recursion over
 the edges, the references for build_network's one sweep;
 reference_decperm_necklace places each element by cyclic positions, the
-reference for decperm_to_necklace's step rule.
+reference for decperm_to_necklace's step rule.  reference_all_necklaces is
+the recursive depth-first walk, one generator frame per entry, that
+all_necklaces replaced with a flat loop.
 Four helpers deliberately drive the package.  matroid_of builds a Matroid
 from element collections, for tests that write families out by hand.
 checked_sparse_paving pins the classical equivalence of the three sparse
@@ -189,6 +191,33 @@ def brute_necklaces(n, k):
     subsets = [frozenset(c) for c in combinations(range(1, n + 1), k)]
     return [seq for seq in product(subsets, repeat=n)
             if brute_is_necklace(n, seq)]
+
+
+def reference_all_necklaces(k, n):
+    """The entry mask tuples of every necklace of type (k, n), by the
+    recursive walk: each prefix grows through a nested generator, and when
+    i is in I_i its replacement is drawn from I_1 and {i+1, ..., n}."""
+    full = (1 << n) - 1
+
+    def extend(prefix):
+        i = len(prefix)
+        if i == n:
+            yield tuple(prefix)
+            return
+        cur = prefix[-1]
+        bit = 1 << (i - 1)
+        if not cur & bit:
+            yield from extend(prefix + [cur])
+            return
+        stripped = cur ^ bit
+        free = (prefix[0] | full >> i << i) & ~stripped
+        while free:
+            jb = free & -free
+            yield from extend(prefix + [stripped | jb])
+            free ^= jb
+
+    for first in k_subset_masks(n, k):
+        yield from extend([first])
 
 
 def brute_det(a):

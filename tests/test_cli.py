@@ -707,9 +707,13 @@ class TestOracle:
         assert "discrepancies: 0" in lines[2]
 
     def test_budget_refusal(self, capsys):
-        code, out, err = run(capsys, ["oracle", "--n", "10", "--k", "2"])
-        assert code == 1
-        assert "--budget" in err
+        assert run(capsys, ["oracle", "--n", "10", "--k", "2"]) == (
+            1, "", "invalid: n=10 exceeds the oracle budget 9; pass a "
+                   "larger --budget to run it anyway\n")
+        assert run(capsys, ["oracle", "--n", "7", "--k", "3",
+                            "--budget", "-1"]) == (
+            1, "", "invalid: n=7 exceeds the oracle budget -1; pass a "
+                   "larger --budget to run it anyway\n")
 
     def test_eight_four(self, capsys):
         assert run(capsys, ["oracle", "--n", "8", "--k", "4",
@@ -730,9 +734,15 @@ class TestOracle:
                f"discrepancies: 0\n", "")
 
     def test_clean_run_builds_no_matroid(self, monkeypatch, capsys):
+        # A Matroid comes from the validating constructor, which runs
+        # __post_init__, or from the trusted one, which skips it; both
+        # are watched.
         built = []
         monkeypatch.setattr(Matroid, "__post_init__",
                             lambda self: built.append(self))
+        monkeypatch.setattr(Matroid, "_trusted",
+                            classmethod(lambda cls, *fields:
+                                        built.append(fields)))
         assert run(capsys, ["oracle", "--n", "6", "--k", "3"])[0] == 0
         assert built == []
 

@@ -500,7 +500,7 @@ class TestEnumeration:
         assert sum(1 for _ in all_necklaces(0, 3)) == 1
         assert sum(1 for _ in all_necklaces(3, 3)) == 1
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_counts_match_williams_closed_form(self, n):
         """Williams' count of the positroid cells of type (k, n)
         ("Enumeration of totally positive Grassmann cells", Adv. Math. 190

@@ -101,6 +101,15 @@ class TestAgainstFrozenDataclass:
                 delattr(rec, name)
         assert rec == cls(*SPECS[cls][1][0])
 
+    def test_trusted_matches_init(self, cls):
+        for args in SPECS[cls][1]:
+            rec = cls._trusted(*args)
+            assert type(rec) is cls and rec == cls(*args)
+            assert repr(rec) == repr(cls(*args))
+            assert hash(rec) == hash(cls(*args))
+        with pytest.raises(TypeError):
+            cls._trusted()
+
     def test_copy_and_pickle(self, cls):
         rec = cls(*SPECS[cls][1][0])
         for other in (copy.copy(rec), copy.deepcopy(rec),
@@ -132,3 +141,18 @@ def test_records_never_equal_their_field_tuples():
 def test_post_init_still_validates(cls, args, message):
     with pytest.raises(ValueError, match=message):
         cls(*args)
+
+
+@pytest.mark.parametrize("cls,args,message", [
+    (NonAdjacentSet, (4, 0b11), "cyclically adjacent"),
+    (Matroid, (3, 1, frozenset()), "empty"),
+    (GrassmannNecklace, (3, 1, (1, 1, 2)), "axiom"),
+])
+def test_trusted_skips_post_init(cls, args, message):
+    # The trusted constructor sets the fields as given, even ones that the
+    # validating constructor rejects, so only builders that are valid by
+    # construction may call it.
+    with pytest.raises(ValueError, match=message):
+        cls(*args)
+    rec = cls._trusted(*args)
+    assert type(rec) is cls and rec._values() == args

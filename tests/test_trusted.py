@@ -1,0 +1,121 @@
+"""The library builders that skip record validation, against the validating
+constructor.
+
+all_necklaces, necklace_from_nonadjacent, decperm_to_necklace,
+necklace_to_positroid and the census's closed-form matroid build their
+records with Record._trusted, which sets the fields without running
+__post_init__.  Whatever they build must pass the validating constructor
+unchanged, type(x)(*x._values()) == x: exhaustively at small n, and on
+hypothesis draws up to n = 12.
+"""
+
+import ast
+import itertools
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from positroids import (
+    all_necklaces,
+    decperm_to_necklace,
+    enumerate_sparse_paving,
+    necklace_to_positroid,
+)
+
+from oracles import (
+    all_decorated_permutations,
+    determined_rank,
+    reference_all_necklaces,
+)
+from test_necklace import decperm_necklaces
+
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "positroids"
+
+# The module-level functions that may call Record._trusted: each builds
+# records that are valid by construction from input that is already valid.
+TRUSTED_BUILDERS = {
+    ("decorated.py", "decperm_to_necklace"),
+    ("enumeration.py", "enumerate_sparse_paving"),
+    ("necklace.py", "all_necklaces"),
+    ("necklace.py", "necklace_from_nonadjacent"),
+    ("necklace.py", "necklace_to_positroid"),
+}
+
+
+def assert_revalidates(rec):
+    assert type(rec)(*rec._values()) == rec
+
+
+def test_only_the_listed_builders_trust():
+    """No payload loader, public constructor, method or CLI command builds a
+    record without validating it: outside Record, which defines _trusted,
+    only the listed functions name it."""
+    named = set()
+    for path in SOURCES.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "_trusted"
+                   for sub in ast.walk(node)):
+                named.add((path.name, getattr(node, "name", None)))
+    assert named == TRUSTED_BUILDERS | {("matroid.py", "Record")}
+
+
+class TestAllNecklaces:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_necklace_revalidates(self, n):
+        for k in range(n + 1):
+            for neck in all_necklaces(k, n):
+                assert_revalidates(neck)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_sequence_as_recursive_walk(self, n):
+        for k in range(n + 1):
+            assert [neck.entries for neck in all_necklaces(k, n)] == \
+                list(reference_all_necklaces(k, n)), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n),
+                            st.integers(0, 3000))))
+    def test_drawn_runs_revalidate(self, args):
+        n, k, start = args
+        for neck in itertools.islice(all_necklaces(k, n), start,
+                                     start + 40):
+            assert_revalidates(neck)
+
+
+class TestDecpermToNecklace:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_decorated_permutation(self, n):
+        for dp in all_decorated_permutations(n):
+            assert_revalidates(decperm_to_necklace(dp, determined_rank(dp)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(decperm_necklaces(8, 12))
+    def test_drawn(self, neck):
+        assert_revalidates(neck)
+
+
+class TestNecklaceToPositroid:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_necklace(self, n):
+        for k in range(n + 1):
+            for neck in all_necklaces(k, n):
+                assert_revalidates(necklace_to_positroid(neck))
+
+    @settings(max_examples=40, deadline=None)
+    @given(decperm_necklaces(7, 12))
+    def test_drawn(self, neck):
+        assert_revalidates(necklace_to_positroid(neck))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_every_census_entry(n):
+    """The census's closed-form matroid and its necklace, which
+    necklace_from_nonadjacent builds, at every middle rank."""
+    for k in range(2, n - 1):
+        for entry in enumerate_sparse_paving(k, n):
+            assert_revalidates(entry.matroid)
+            assert_revalidates(entry.necklace)
