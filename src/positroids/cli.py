@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import compress
 
 from .decorated import (
     DecoratedPermutation,
@@ -226,6 +225,20 @@ def cmd_check_sp(args) -> int:
     return 2
 
 
+def _rendered_subsets(n: int, k: int) -> tuple[str, dict]:
+    """Every k-subset's compact JSON followed by a comma, in lexicographic
+    order, as one text, and each subset's (start, end) offsets in it."""
+    parts = []
+    spans = {}
+    pos = 0
+    for mask, members in lex_subsets(n, k):
+        part = _dumps(list(members)) + ","
+        spans[mask] = (pos, pos + len(part))
+        pos += len(part)
+        parts.append(part)
+    return "".join(parts), spans
+
+
 def cmd_enumerate(args) -> int:
     if args.count_only:
         if args.n > _COUNT_BUDGET:
@@ -235,19 +248,23 @@ def cmd_enumerate(args) -> int:
         return 0
     # Each line is _dumps of the five views keyed "A", "necklace", "perm",
     # "le" and "bases" (the matroid's to_dict), spelled out in sorted key
-    # order.  The basis list runs to C(n, k) subsets, so each k-subset's
-    # JSON is rendered once, after the census has checked n and k, and
-    # every line joins the kept ones in lexicographic order.
-    masks: list[int] = []
-    fragments: list[str] = []
+    # order.  The basis list runs to C(n, k) subsets, of which a census
+    # entry misses only the |A| cyclic intervals at A.  So once the census
+    # has checked n and k, every k-subset's JSON is rendered into one text,
+    # and each line cuts the missing subsets out of it.
+    rendered, spans, universe = "", {}, frozenset()
     for entry in enumerate_sparse_paving(args.k, args.n):
         m = entry.matroid
-        if not masks:
-            for mask, members in lex_subsets(m.n, m.k):
-                masks.append(mask)
-                fragments.append(_dumps(list(members)))
-        bases = ",".join(compress(fragments,
-                                  map(m.bases.__contains__, masks)))
+        if not spans:
+            rendered, spans = _rendered_subsets(m.n, m.k)
+            universe = frozenset(spans)
+        pieces = []
+        pos = 0
+        for start, end in sorted(spans[c] for c in universe - m.bases):
+            pieces.append(rendered[pos:start])
+            pos = end
+        pieces.append(rendered[pos:])
+        bases = "".join(pieces)[:-1]
         print(f'{{"A":{_dumps(list(entry.nonadjacent.members))},'
               f'"bases":{{"bases":[{bases}],"k":{m.k},"n":{m.n}}},'
               f'"le":{_dumps(entry.diagram.to_dict())},'

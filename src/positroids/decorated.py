@@ -72,7 +72,10 @@ class DecoratedPermutation(Record):
 def necklace_to_decperm(neck: GrassmannNecklace) -> DecoratedPermutation:
     """Read the permutation off consecutive entries: when i leaves the entry
     the inserted element is its image; an untouched entry makes i a fixed
-    point, marked +1 when i is missing from it and -1 when present."""
+    point, marked +1 when i is missing from it and -1 when present.  A
+    necklace always gives a decorated permutation (Postnikov, arXiv
+    math/0609764), with its marks found in ascending position, so the
+    result is built with Record._trusted."""
     n = neck.n
     perm = [0] * n
     colors: dict[int, int] = {}
@@ -89,7 +92,8 @@ def necklace_to_decperm(neck: GrassmannNecklace) -> DecoratedPermutation:
         else:
             inserted = nxt & ~(cur ^ bit)
             perm[i - 1] = inserted.bit_length()
-    return DecoratedPermutation.make(perm, colors)
+    return DecoratedPermutation._trusted(n, tuple(perm),
+                                         tuple(colors.items()))
 
 
 def decperm_to_necklace(dp: DecoratedPermutation, k: int) -> GrassmannNecklace:

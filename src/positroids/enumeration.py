@@ -30,12 +30,13 @@ def nonadjacent_subsets(n: int) -> Iterator[NonAdjacentSet]:
     # bit that is clear with its upper neighbour clear too, and clears every
     # bit below it; the walk visits only such masks, in O(n) memory.  On the
     # cycle 1 and n are adjacent as well, except on the one-element ground
-    # set.
+    # set.  So every mask yielded is a valid NonAdjacentSet, built with
+    # Record._trusted.
     ends = 1 | 1 << (n - 1)
     mask, top = 0, 1 << n
     while mask < top:
         if n == 1 or mask & ends != ends:
-            yield NonAdjacentSet(n, mask)
+            yield NonAdjacentSet._trusted(n, mask)
         low = (mask | mask >> 1) + 1
         low &= -low
         mask = (mask | low) & -low

@@ -262,18 +262,25 @@ def cell_numbering(k: int, n: int) -> dict[int, tuple[int, int]]:
 def le_from_removals(removed, k: int, n: int) -> LeDiagram:
     """Fully bulleted box with the bullets at the numbered boundary cells in
     `removed` taken out; removing label 1 also trims its corner cell, which
-    keeps the filling a Le-diagram.  Any subset of [n] is accepted."""
+    keeps the filling a Le-diagram.  Any subset of [n] is accepted, and the
+    shape and the filling fit the box by construction, so the diagram is
+    built with Record._trusted."""
     cells = cell_numbering(k, n)
     labels = members_of(as_mask(removed, n))
     shape = [n - k] * k
     if 1 in labels:
-        shape[k - 1] = n - k - 1
+        shape[k - 1] -= 1
     filling = [[True] * w for w in shape]
     for lab in labels:
         r, c = cells[lab]
         if c <= shape[r - 1]:
             filling[r - 1][c - 1] = False
-    return LeDiagram.make(k, n, shape, filling)
+    if not shape[-1]:
+        # At k = n - 1 the trim empties the last row; a shape has no empty
+        # rows.
+        shape.pop()
+        filling.pop()
+    return LeDiagram._trusted(k, n, tuple(shape), tuple(map(tuple, filling)))
 
 
 def render_le(diag: LeDiagram) -> str:

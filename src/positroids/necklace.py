@@ -356,13 +356,14 @@ def _patterns(k: int, n: int) -> tuple[tuple[int, int], ...]:
 
 def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
     """Necklace of the sparse paving positroid indexed by a non-adjacent set:
-    bumped intervals at the chosen indices, cyclic intervals elsewhere."""
-    _check_classification(k, n)
-    ns = NonAdjacentSet(n, as_mask(a, n))
-    entries = tuple(_bumped_mask(k, n, i) if i in ns
-                    else _interval_mask(k, n, i)
-                    for i in range(1, n + 1))
-    return GrassmannNecklace._trusted(n, k, entries)
+    bumped intervals at the chosen indices, cyclic intervals elsewhere.
+    A NonAdjacentSet on [n] is taken as it is; any other set is checked."""
+    patterns = _patterns(k, n)
+    mask = as_mask(a, n)
+    if not isinstance(a, NonAdjacentSet):
+        NonAdjacentSet(n, mask)
+    return GrassmannNecklace._trusted(
+        n, k, tuple(pair[mask >> i & 1] for i, pair in enumerate(patterns)))
 
 
 def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:

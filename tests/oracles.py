@@ -10,7 +10,9 @@ reference_network_edges and reference_matrix rebuild a Le-diagram's
 network from a row and column index and count its paths by recursion over
 the edges, the references for build_network's one sweep;
 reference_decperm_necklace places each element by cyclic positions, the
-reference for decperm_to_necklace's step rule.  reference_all_necklaces is
+reference for decperm_to_necklace's step rule.  reference_le_from_removals
+builds the census's Le-diagram through the validating constructor, the
+reference for le_from_removals.  reference_all_necklaces is
 the recursive depth-first walk, one generator frame per entry, that
 all_necklaces replaced with a flat loop.
 Four helpers deliberately drive the package.  matroid_of builds a Matroid
@@ -268,6 +270,29 @@ def reference_decperm_necklace(dp, k):
         raise ValueError(
             f"permutation determines rank {len(entries[0])}, not {k}")
     return entries
+
+
+def reference_le_from_removals(labels, k, n):
+    """The fully bulleted k x (n-k) box with the numbered boundary cells in
+    `labels` emptied, built through the validating LeDiagram.make: label 1
+    is the bottom right corner, which is trimmed off, then the top row
+    right to left, then the left column top to bottom.  make drops a row
+    the trim leaves empty."""
+    width = n - k
+    cells = {1: (k, width)}
+    cells.update((label, (1, width + 2 - label))
+                 for label in range(2, width + 2))
+    cells.update((label, (label - width, 1))
+                 for label in range(width + 1, n + 1))
+    shape = [width] * k
+    if 1 in labels:
+        shape[-1] -= 1
+    filling = [[1] * w for w in shape]
+    for label in labels:
+        r, c = cells[label]
+        if c <= shape[r - 1]:
+            filling[r - 1][c - 1] = 0
+    return LeDiagram.make(k, n, shape, filling)
 
 
 def all_families(n, k):

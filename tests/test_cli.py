@@ -639,6 +639,12 @@ class TestEnumerate:
                      "f0e68002193487773cf231c699dafe0f"),
         (12, 6, 322, "e47dfb7bef9db75d9cbb8eb26e7d8193"
                      "eaea2c4d30184c49b44247eaa1c7923b"),
+        (9, 2, 76, "8f93ada4605c4d37d2a357973d72854c"
+                   "2e2042c745bea135ace9268f828507a4"),
+        (9, 7, 76, "78c377fa99c4726ebcb40304c2979bf0"
+                   "66e91392ceaeb0072c76abb9e6a3e1ea"),
+        (14, 7, 843, "67cd39e583f693eccf60f96a64647836"
+                     "1e28d31d72d859fbbc470531c3b6ee51"),
     ])
     def test_golden_census_bytes(self, n, k, lines, digest, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", str(n),
@@ -649,8 +655,11 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_lines_equal_dumps_of_the_views(self, n, capsys):
-        """Each census line, assembled from pre-rendered basis fragments,
-        is the sorted compact JSON of the five to_dict views."""
+        """Each census line, spliced from the pre-rendered basis list, is
+        the sorted compact JSON of the five to_dict views.  That includes
+        the lines whose A holds n - k + 1, which cut out the last k-subset
+        in lexicographic order, {n-k+1, ..., n}, and with it the last
+        fragment of the list."""
         for k in range(2, n - 1):
             code, out, err = run(capsys, ["enumerate", "--n", str(n),
                                           "--k", str(k)])
@@ -658,6 +667,7 @@ class TestEnumerate:
             lines = out.splitlines()
             entries = list(enumerate_sparse_paving(k, n))
             assert len(lines) == len(entries)
+            assert any(n - k + 1 in entry.nonadjacent for entry in entries)
             for line, entry in zip(lines, entries):
                 views = {
                     "A": list(entry.nonadjacent.members),

@@ -2,7 +2,8 @@
 constructor.
 
 all_necklaces, necklace_from_nonadjacent, decperm_to_necklace,
-necklace_to_positroid and the census's closed-form matroid build their
+necklace_to_positroid, necklace_to_decperm, le_from_removals,
+nonadjacent_subsets and the census's closed-form matroid build their
 records with Record._trusted, which sets the fields without running
 __post_init__.  Whatever they build must pass the validating constructor
 unchanged, type(x)(*x._values()) == x: exhaustively at small n, and on
@@ -21,13 +22,18 @@ from positroids import (
     all_necklaces,
     decperm_to_necklace,
     enumerate_sparse_paving,
+    le_from_removals,
+    members_of,
+    necklace_to_decperm,
     necklace_to_positroid,
+    nonadjacent_subsets,
 )
 
 from oracles import (
     all_decorated_permutations,
     determined_rank,
     reference_all_necklaces,
+    reference_le_from_removals,
 )
 from test_necklace import decperm_necklaces
 
@@ -37,7 +43,10 @@ SOURCES = Path(__file__).resolve().parent.parent / "src" / "positroids"
 # records that are valid by construction from input that is already valid.
 TRUSTED_BUILDERS = {
     ("decorated.py", "decperm_to_necklace"),
+    ("decorated.py", "necklace_to_decperm"),
     ("enumeration.py", "enumerate_sparse_paving"),
+    ("enumeration.py", "nonadjacent_subsets"),
+    ("le_diagram.py", "le_from_removals"),
     ("necklace.py", "all_necklaces"),
     ("necklace.py", "necklace_from_nonadjacent"),
     ("necklace.py", "necklace_to_positroid"),
@@ -96,6 +105,43 @@ class TestDecpermToNecklace:
     @given(decperm_necklaces(8, 12))
     def test_drawn(self, neck):
         assert_revalidates(neck)
+
+
+class TestNecklaceToDecperm:
+    """Serves the census and the user payloads of convert --to decperm."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_necklace(self, n):
+        for k in range(n + 1):
+            for neck in all_necklaces(k, n):
+                dp = necklace_to_decperm(neck)
+                assert_revalidates(dp)
+                assert decperm_to_necklace(dp, k) == neck
+
+    @settings(max_examples=60, deadline=None)
+    @given(decperm_necklaces(8, 12))
+    def test_drawn(self, neck):
+        dp = necklace_to_decperm(neck)
+        assert_revalidates(dp)
+        assert decperm_to_necklace(dp, neck.k) == neck
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_every_removal_diagram(n):
+    """le_from_removals on every subset of [n] at every rank it numbers,
+    k = n - 1 included, where removing label 1 empties the last row."""
+    for k in range(2, n):
+        for mask in range(1 << n):
+            labels = members_of(mask)
+            diag = le_from_removals(labels, k, n)
+            assert_revalidates(diag)
+            assert diag == reference_le_from_removals(labels, k, n)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_every_nonadjacent_subset(n):
+    for a in nonadjacent_subsets(n):
+        assert_revalidates(a)
 
 
 class TestNecklaceToPositroid:
