@@ -8,6 +8,7 @@ Lucas-number census of sparse paving positroids.
 
 from .matroid import (
     Matroid,
+    NonAdjacentSet,
     circuit_hyperplanes,
     circuits,
     hyperplanes,
@@ -15,12 +16,12 @@ from .matroid import (
     k_subset_masks,
     mask_of,
     members_of,
+    nonadjacent_mask_ok,
     relax,
     uniform,
 )
 from .necklace import (
     GrassmannNecklace,
-    NonAdjacentSet,
     all_necklaces,
     bumped_interval,
     cyclic_interval,
@@ -28,7 +29,6 @@ from .necklace import (
     mod1,
     necklace_from_nonadjacent,
     necklace_to_positroid,
-    nonadjacent_mask_ok,
     positroid_necklace,
     sparse_paving_witness,
 )

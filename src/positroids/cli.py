@@ -29,6 +29,7 @@ from .le_diagram import (
 )
 from .matroid import (
     Matroid,
+    NonAdjacentSet,
     _exchange_masks,
     _violating_pair,
     lex_subsets,
@@ -36,7 +37,6 @@ from .matroid import (
 )
 from .necklace import (
     GrassmannNecklace,
-    NonAdjacentSet,
     SchubertKernel,
     all_necklaces,
     _check_classification,
@@ -47,8 +47,6 @@ from .necklace import (
     positroid_necklace,
     sparse_paving_witness,
 )
-
-KINDS = ("necklace", "decperm", "le", "bases", "nonadjacent")
 
 # `enumerate --count-only` prints the count in decimal, and CPython converts
 # at most 4300 digits by default (sys.get_int_max_str_digits); the count at
@@ -108,6 +106,7 @@ _LOADERS = {
     "bases": Matroid.from_dict,
     "nonadjacent": NonAdjacentSet.from_dict,
 }
+KINDS = tuple(_LOADERS)
 
 
 def _load(kind: str, data) -> object:
@@ -165,9 +164,7 @@ def _as_necklace(kind: str, obj, k: int) -> GrassmannNecklace:
         if isinstance(obj, Matroid):
             raise NegativeVerdict("not a positroid")
         return obj
-    if kind == "le":
-        return positroid_necklace(realizable_sets(obj))
-    raise CliError(f"unknown kind {kind!r}")
+    return positroid_necklace(realizable_sets(obj))
 
 
 def _from_necklace(kind: str, neck: GrassmannNecklace):
@@ -182,9 +179,7 @@ def _from_necklace(kind: str, neck: GrassmannNecklace):
         raise NegativeVerdict("not sparse paving")
     if kind == "nonadjacent":
         return witness
-    if kind == "le":
-        return le_from_removals(witness, neck.k, neck.n)
-    raise CliError(f"unknown kind {kind!r}")
+    return le_from_removals(witness, neck.k, neck.n)
 
 
 def cmd_validate(args) -> int:
@@ -247,26 +242,25 @@ def cmd_enumerate(args) -> int:
         print(count_sparse_paving(args.k, args.n))
         return 0
     # Each line is _dumps of the five views keyed "A", "necklace", "perm",
-    # "le" and "bases" (the matroid's to_dict), spelled out in sorted key
-    # order.  The basis list runs to C(n, k) subsets, of which a census
-    # entry misses only the |A| cyclic intervals at A.  So once the census
-    # has checked n and k, every k-subset's JSON is rendered into one text,
-    # and each line cuts the missing subsets out of it.
-    rendered, spans, universe = "", {}, frozenset()
-    for entry in enumerate_sparse_paving(args.k, args.n):
-        m = entry.matroid
+    # "le" and "bases" (Matroid.to_dict of the basis view), spelled out in
+    # sorted key order.  The basis list runs to C(n, k) subsets, of which
+    # an entry misses only its |A| nonbases.  So once the census has
+    # checked n and k, every k-subset's JSON is rendered into one text, and
+    # each line cuts the nonbases out of it.
+    n, k = args.n, args.k
+    rendered, spans = "", {}
+    for entry in enumerate_sparse_paving(k, n):
         if not spans:
-            rendered, spans = _rendered_subsets(m.n, m.k)
-            universe = frozenset(spans)
+            rendered, spans = _rendered_subsets(n, k)
         pieces = []
         pos = 0
-        for start, end in sorted(spans[c] for c in universe - m.bases):
+        for start, end in sorted(spans[c] for c in entry.nonbases):
             pieces.append(rendered[pos:start])
             pos = end
         pieces.append(rendered[pos:])
         bases = "".join(pieces)[:-1]
         print(f'{{"A":{_dumps(list(entry.nonadjacent.members))},'
-              f'"bases":{{"bases":[{bases}],"k":{m.k},"n":{m.n}}},'
+              f'"bases":{{"bases":[{bases}],"k":{k},"n":{n}}},'
               f'"le":{_dumps(entry.diagram.to_dict())},'
               f'"necklace":{_dumps(entry.necklace.to_dict())},'
               f'"perm":{_dumps(entry.perm.to_dict())}}}')

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .matroid import Record, as_mask, json_int, json_list
-from .necklace import (
-    GrassmannNecklace,
+from .matroid import (
     NonAdjacentSet,
-    _check_classification,
-    mod1,
+    Record,
+    as_mask,
+    json_int,
+    json_list,
     nonadjacent_mask_ok,
 )
+from .necklace import GrassmannNecklace, _check_classification, mod1
 
 
 class DecoratedPermutation(Record):

@@ -11,10 +11,9 @@ from typing import Iterator
 
 from .decorated import DecoratedPermutation, necklace_to_decperm
 from .le_diagram import LeDiagram, le_from_removals
-from .matroid import Matroid, Record, k_subset_masks
+from .matroid import NonAdjacentSet, Record
 from .necklace import (
     GrassmannNecklace,
-    NonAdjacentSet,
     _check_classification,
     _interval_mask,
     necklace_from_nonadjacent,
@@ -66,14 +65,15 @@ def lucas(n: int) -> int:
 
 
 class SparsePavingPositroid(Record):
-    """All five views of one sparse paving positroid."""
+    """All five views of one sparse paving positroid; the basis view is its
+    `nonbases`, the masks of the k-subsets of [n] that are not bases."""
 
-    __slots__ = ("nonadjacent", "necklace", "perm", "diagram", "matroid")
+    __slots__ = ("nonadjacent", "necklace", "perm", "diagram", "nonbases")
     nonadjacent: NonAdjacentSet
     necklace: GrassmannNecklace
     perm: DecoratedPermutation
     diagram: LeDiagram
-    matroid: Matroid
+    nonbases: frozenset[int]
 
 
 def enumerate_sparse_paving(k: int, n: int) -> Iterator[SparsePavingPositroid]:
@@ -82,22 +82,18 @@ def enumerate_sparse_paving(k: int, n: int) -> Iterator[SparsePavingPositroid]:
 
     The basis view comes from the paper's closed form: the sparse paving
     positroid with witness A has as nonbases exactly the cyclic intervals
-    [i, i+k-1] for i in A, so its bases are all k-subsets of [n] minus those
-    |A| intervals.  No Schubert intersection runs here;
-    `necklace_to_positroid` (Oh, "Positroids and Schubert matroids", JCTA
-    118 (2011)) builds the same family from the necklace and is the census's
-    test oracle.  The family is never empty, since C(n, k) > n / 2 for
-    2 <= k <= n - 2, and holds only k-subsets, so the matroid is built with
-    Record._trusted.
+    [i, i+k-1] for i in A, so an entry carries those |A| masks and its
+    bases are every other k-subset of [n].  No Schubert intersection runs
+    here; `necklace_to_positroid` (Oh, "Positroids and Schubert matroids",
+    JCTA 118 (2011)) builds the same basis family from the necklace and is
+    the census's test oracle.
     """
     _check_classification(k, n)
-    every = frozenset(k_subset_masks(n, k))
     for a in nonadjacent_subsets(n):
         neck = necklace_from_nonadjacent(a, k, n)
-        nonbases = {_interval_mask(k, n, i) for i in a.members}
-        yield SparsePavingPositroid(a, neck, necklace_to_decperm(neck),
-                                    le_from_removals(a, k, n),
-                                    Matroid._trusted(n, k, every - nonbases))
+        yield SparsePavingPositroid(
+            a, neck, necklace_to_decperm(neck), le_from_removals(a, k, n),
+            frozenset(_interval_mask(k, n, i) for i in a.members))
 
 
 def count_sparse_paving(k: int, n: int) -> int:

@@ -2,9 +2,7 @@
 boundary-measurement matrix whose maximal minors decide the bases.
 
 Cells are addressed (row, col) with row 1 on top and col 1 at the left, the
-usual top-left-justified Young diagram picture.  Network vertices are tagged
-tuples: ("s", label) for sources, ("t", label) for sinks, ("b", row, col) for
-bullets.
+usual top-left-justified Young diagram picture.
 
 The network's boundary-measurement matrix (PlanarNetwork.matrix) is a k x n
 integer matrix of signed source-to-sink path counts.  It is the library's
@@ -16,10 +14,11 @@ networks", arXiv math/0609764; Talaska's formula for the Plucker
 coordinates).  The matrix is therefore a totally nonnegative certificate
 of the positroid.
 
-build_network makes the network and the matrix in one sweep over the cells,
-from the bottom row up and left to right within a row.  That order builds a
-bullet's left neighbour and its nearest vertex below before the bullet
-itself, so the bullet's path counts per sink are the sum of theirs.
+build_network sums the network's path counts into the matrix in one sweep
+over the cells, from the bottom row up and left to right within a row.  That
+order counts a bullet's left neighbour and its nearest vertex below before
+the bullet itself, so the bullet's path counts per sink are the sum of
+theirs.
 """
 
 from __future__ import annotations
@@ -150,7 +149,8 @@ def boundary_labels(diag: LeDiagram) -> tuple[dict, dict]:
 class PlanarNetwork:
     """Acyclic directed network over the bullets of a Le-diagram: rows carry
     traffic leftward from the row's source, columns carry it downward into
-    the column's sink.  The sources and sinks are masks of their labels.
+    the column's sink.  It keeps the sources and sinks, as masks of their
+    labels, and the path counts, not the edges.
 
     `matrix` is Postnikov's boundary-measurement matrix with unit weights:
     one row per source in label order.  A source's own column holds 1 and
@@ -159,52 +159,45 @@ class PlanarNetwork:
     sources strictly between i and j.  A source only reaches sinks with
     larger labels."""
 
-    def __init__(self, sources: int, sinks: int, edges: dict, matrix: tuple):
+    def __init__(self, sources: int, sinks: int, matrix: tuple):
         self.sources = sources
         self.sinks = sinks
-        self.edges = edges
         self.matrix = matrix
 
 
 def build_network(diag: LeDiagram) -> PlanarNetwork:
-    """Construct the path network and its matrix: each source points to the
-    rightmost bullet of its row; each bullet points to the nearest bullet
-    on its left in the row and to the nearest bullet below in its column
-    (`below`, which starts at the column's sink).  Gaps left by empty
-    cells are skipped.  The sweep runs from the bottom row up and left to
-    right within a row, so both successors of a bullet are built before
-    it, and its path counts per sink are the sum of theirs."""
+    """Construct the path network's sources, sinks and matrix.  Each source
+    points to the rightmost bullet of its row; each bullet points to the
+    nearest bullet on its left in the row and to the nearest bullet below
+    in its column (`below`, which starts at the column's sink).  Gaps left
+    by empty cells are skipped.  The sweep runs from the bottom row up and
+    left to right within a row, so both successors of a bullet are counted
+    before it, and its path counts per sink are the sum of theirs."""
     bad = le_violation(diag)
     if bad is not None:
         raise ValueError(f"Le condition fails at cell {bad}")
     n = diag.n
     row_source, col_sink = boundary_labels(diag)
     sources = mask_of(row_source.values(), n)
-    below = {c: ("t", label) for c, label in col_sink.items()}
-    edges: dict[tuple, tuple[tuple, ...]] = dict.fromkeys(below.values(), ())
-    paths = {v: {v[1]: 1} for v in below.values()}
+    below = {c: {label: 1} for c, label in col_sink.items()}
     filling = diag.filling + ((),) * (diag.k - len(diag.filling))
     rows = []
     for r in range(diag.k, 0, -1):
-        last = None
+        last = {}
         for c, bullet in enumerate(filling[r - 1], 1):
             if bullet:
-                v = ("b", r, c)
-                edges[v] = (below[c],) if last is None else (last, below[c])
-                paths[v] = count = {}
-                for w in edges[v]:
-                    for j, x in paths[w].items():
-                        count[j] = count.get(j, 0) + x
-                below[c] = last = v
+                count = dict(last)
+                for j, x in below[c].items():
+                    count[j] = count.get(j, 0) + x
+                below[c] = last = count
         i = row_source[r]
-        edges[("s", i)] = () if last is None else (last,)
         row = [0] * n
         row[i - 1] = 1
-        for j, x in paths.get(last, {}).items():
+        for j, x in last.items():
             between = (sources >> i) & ((1 << (j - i - 1)) - 1)
             row[j - 1] = -x if between.bit_count() & 1 else x
         rows.append(tuple(row))
-    return PlanarNetwork(sources, mask_of(col_sink.values(), n), edges,
+    return PlanarNetwork(sources, mask_of(col_sink.values(), n),
                          tuple(reversed(rows)))
 
 

@@ -4,7 +4,8 @@ Every subset of [n] inside the library is a bare int mask (bit i-1 holds
 element i): bases, circuits, hyperplanes, necklace entries and intervals alike,
 so membership, intersection and symmetric-difference tests stay cheap inside
 the exhaustive scans used by the oracles and the census.  Only a
-NonAdjacentSet, a MaskSet, carries its ground set with it.
+NonAdjacentSet, the witness that indexes a sparse paving positroid, carries
+its ground set with it.
 """
 
 from __future__ import annotations
@@ -140,9 +141,10 @@ class Record:
         return type(self), self._values()
 
 
-class MaskSet(Record):
-    """A subset of the ground set [n] that carries n along with its bit mask,
-    so as_mask can reject it on another ground set."""
+class NonAdjacentSet(Record):
+    """Subset of the cyclic ground set [n] in which no two distinct elements
+    are consecutive modulo n.  It carries n along with its bit mask, so
+    as_mask can reject it on another ground set."""
 
     __slots__ = ("n", "mask")
     n: int
@@ -153,9 +155,11 @@ class MaskSet(Record):
             raise ValueError("ground size must be positive")
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError("mask holds elements outside the ground set")
+        if not nonadjacent_mask_ok(self.mask, self.n):
+            raise ValueError("set contains cyclically adjacent elements")
 
     @classmethod
-    def of(cls, n: int, members: Iterable[int]) -> "MaskSet":
+    def of(cls, n: int, members: Iterable[int]) -> "NonAdjacentSet":
         return cls(n, mask_of(members, n))
 
     @property
@@ -171,11 +175,29 @@ class MaskSet(Record):
     def __contains__(self, x: int) -> bool:
         return 1 <= x <= self.n and self.mask >> (x - 1) & 1 == 1
 
+    def to_dict(self) -> dict:
+        return {"n": self.n, "members": list(self.members)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "NonAdjacentSet":
+        return cls.of(json_int(data["n"], "n"),
+                      json_list(data["members"], "members"))
+
+
+def nonadjacent_mask_ok(mask: int, n: int) -> bool:
+    """Non-adjacency for masks: no two distinct elements of the set are
+    cyclic neighbours.  On the one-element ground set the singleton counts,
+    since it has no distinct neighbour."""
+    if n == 1:
+        return True
+    rot = ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
+    return mask & rot == 0
+
 
 def as_mask(subset, n: int) -> int:
-    """Coerce a MaskSet or an iterable of elements to a mask over [n],
-    rejecting a set built on another ground set."""
-    if isinstance(subset, MaskSet):
+    """Coerce a NonAdjacentSet or an iterable of elements to a mask over
+    [n], rejecting a set built on another ground set."""
+    if isinstance(subset, NonAdjacentSet):
         if subset.n != n:
             raise ValueError(f"subset lives on [{subset.n}], expected [{n}]")
         return subset.mask

@@ -21,14 +21,15 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .matroid import (
-    MaskSet,
     Matroid,
+    NonAdjacentSet,
     Record,
     as_mask,
     json_int,
     json_list,
     k_subset_masks,
     members_of,
+    nonadjacent_mask_ok,
 )
 
 
@@ -176,36 +177,6 @@ class GrassmannNecklace(Record):
         if neck.k != json_int(data["k"], "k"):
             raise ValueError("declared k differs from the entry size")
         return neck
-
-
-class NonAdjacentSet(MaskSet):
-    """Subset of the cyclic ground set [n] in which no two distinct elements
-    are consecutive modulo n."""
-
-    __slots__ = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not nonadjacent_mask_ok(self.mask, self.n):
-            raise ValueError("set contains cyclically adjacent elements")
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "members": list(self.members)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NonAdjacentSet":
-        return cls.of(json_int(data["n"], "n"),
-                      json_list(data["members"], "members"))
-
-
-def nonadjacent_mask_ok(mask: int, n: int) -> bool:
-    """Non-adjacency for masks: no two distinct elements of the set are
-    cyclic neighbours.  On the one-element ground set the singleton counts,
-    since it has no distinct neighbour."""
-    if n == 1:
-        return True
-    rot = ((mask << 1) | (mask >> (n - 1))) & ((1 << n) - 1)
-    return mask & rot == 0
 
 
 def necklace_to_positroid(neck: GrassmannNecklace) -> Matroid:

@@ -15,15 +15,17 @@ builds the census's Le-diagram through the validating constructor, the
 reference for le_from_removals.  reference_all_necklaces is
 the recursive depth-first walk, one generator frame per entry, that
 all_necklaces replaced with a flat loop.
-Four helpers deliberately drive the package.  matroid_of builds a Matroid
-from element collections, for tests that write families out by hand.
-checked_sparse_paving pins the classical equivalence of the three sparse
-paving definitions on the package's own circuit-hyperplane and relaxation
-code.  flow_realizable_sets
-runs unit-capacity max-flow on the package's path network, an independent
-route to the bases that the library decides by the minors of its
-boundary-measurement matrix, and count_path_systems counts, by
-backtracking on the same network, the path systems those minors stand for.
+flow_realizable_sets runs unit-capacity max-flow over
+reference_network_edges, an independent route to the bases that the
+library decides by the minors of its boundary-measurement matrix, and
+count_path_systems counts, by backtracking over the same edges, the path
+systems those minors stand for.
+Three helpers deliberately drive the package.  matroid_of builds a Matroid
+from element collections, for tests that write families out by hand, and
+census_matroid builds a census entry's basis family, every k-subset but
+the entry's nonbases.  checked_sparse_paving pins the classical
+equivalence of the three sparse paving definitions on the package's own
+circuit-hyperplane and relaxation code.
 """
 
 from itertools import chain, combinations, permutations, product
@@ -33,7 +35,6 @@ from positroids import (
     LeDiagram,
     Matroid,
     boundary_labels,
-    build_network,
     circuit_hyperplanes,
     is_sparse_paving,
     k_subset_masks,
@@ -330,6 +331,13 @@ def matroid_of(n, sets):
     return Matroid(n, min(masks, default=0).bit_count(), masks)
 
 
+def census_matroid(entry):
+    """The matroid of a census entry: every k-subset of [n] that is not one
+    of the entry's nonbases, through the validating constructor."""
+    n, k = entry.necklace.n, entry.necklace.k
+    return Matroid(n, k, frozenset(k_subset_masks(n, k)) - entry.nonbases)
+
+
 def checked_sparse_paving(m):
     """is_sparse_paving(m), after asserting that the two other definitions
     agree with it on the matroid m: the missing k-sets are exactly the
@@ -397,16 +405,17 @@ def _find_augmenting(succ, start, goal):
     return None
 
 
-def max_disjoint_paths(net, starts, targets):
+def max_disjoint_paths(edges, starts, targets):
     """Maximum number of vertex-disjoint paths from the given source labels
-    to the given sink labels, by unit-capacity augmentation on the split
-    graph (each vertex becomes an in/out pair of capacity one)."""
+    to the given sink labels over an edge map, by unit-capacity augmentation
+    on the split graph (each vertex becomes an in/out pair of capacity
+    one)."""
     succ = {}
 
     def add(u, v):
         succ.setdefault(u, set()).add(v)
 
-    for v, outs in net.edges.items():
+    for v, outs in edges.items():
         add((v, 0), (v, 1))
         for w in outs:
             add((v, 1), (w, 0))
@@ -427,24 +436,28 @@ def max_disjoint_paths(net, starts, targets):
 
 def flow_realizable_sets(diag):
     """The k-subsets, as frozensets, whose left-out sources the max-flow
-    routes to their sinks by vertex-disjoint paths."""
-    net = build_network(diag)
-    sources = frozenset(members_of(net.sources))
+    routes to their sinks by vertex-disjoint paths in the reference
+    network."""
+    edges = reference_network_edges(diag)
+    sources = frozenset(boundary_labels(diag)[0].values())
     out = []
     for c in combinations(range(1, diag.n + 1), diag.k):
         subset = frozenset(c)
         to_route = sources - subset
         goals = subset - sources
-        if max_disjoint_paths(net, to_route, goals) == len(to_route):
+        if max_disjoint_paths(edges, to_route, goals) == len(to_route):
             out.append(subset)
     return frozenset(out)
 
 
 def reference_network_edges(diag):
-    """The edges of build_network's path network, read off a row and column
-    index of the bullets: each source to the rightmost bullet of its row,
-    each bullet to the next bullet left in its row and to the next bullet
-    down in its column, or to the column's sink when there is none."""
+    """The edges of build_network's path network, as a map from each vertex
+    to its successors, read off a row and column index of the bullets.  A
+    vertex is a tagged tuple: ("s", label) for a source, ("t", label) for a
+    sink, ("b", row, col) for a bullet.  Each source points to the
+    rightmost bullet of its row, each bullet to the next bullet left in its
+    row and to the next bullet down in its column, or to the column's sink
+    when there is none."""
     row_source, col_sink = boundary_labels(diag)
     rows, cols = {}, {}
     for r, row in enumerate(diag.filling, 1):
@@ -464,14 +477,14 @@ def reference_network_edges(diag):
     return edges
 
 
-def reference_matrix(net):
-    """The boundary-measurement matrix of a path network by a memoized
+def reference_matrix(diag):
+    """The boundary-measurement matrix of a Le-diagram by a memoized
     recursive count of the paths from each source to each sink over
-    net.edges, with the sign rule: a sink column j of source i's row holds
-    (-1)^s times the count, s the number of sources strictly between i and
-    j, and the sources' own columns hold the identity."""
-    n = (net.sources | net.sinks).bit_length()
-    sources = members_of(net.sources)
+    reference_network_edges, with the sign rule: a sink column j of source
+    i's row holds (-1)^s times the count, s the number of sources strictly
+    between i and j, and the sources' own columns hold the identity."""
+    edges = reference_network_edges(diag)
+    sources = sorted(boundary_labels(diag)[0].values())
     memo = {}
 
     def count(v):
@@ -480,7 +493,7 @@ def reference_matrix(net):
                 memo[v] = {v[1]: 1}
             else:
                 out = {}
-                for w in net.edges[v]:
+                for w in edges[v]:
                     for sink, c in count(w).items():
                         out[sink] = out.get(sink, 0) + c
                 memo[v] = out
@@ -488,7 +501,7 @@ def reference_matrix(net):
 
     rows = []
     for i in sources:
-        row = [0] * n
+        row = [0] * diag.n
         row[i - 1] = 1
         for j, c in count(("s", i)).items():
             between = sum(1 for s in sources if i < s < j)
@@ -497,10 +510,10 @@ def reference_matrix(net):
     return tuple(rows)
 
 
-def count_path_systems(net, starts, goals):
-    """Number of systems of pairwise vertex-disjoint paths in the package's
-    path network that take each start label to a distinct goal label, by
-    backtracking over every path of each start in turn."""
+def count_path_systems(edges, starts, goals):
+    """Number of systems of pairwise vertex-disjoint paths over an edge map
+    that take each start label to a distinct goal label, by backtracking
+    over every path of each start in turn."""
     starts = sorted(starts)
 
     def paths(v, used):
@@ -510,7 +523,7 @@ def count_path_systems(net, starts, goals):
             if v[1] in goals:
                 yield (v,)
             return
-        for w in net.edges[v]:
+        for w in edges[v]:
             for tail in paths(w, used):
                 yield (v,) + tail
 

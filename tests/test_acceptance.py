@@ -38,7 +38,7 @@ from positroids import (
 from positroids import cli
 from positroids.matroid import _exchange_masks
 
-from oracles import checked_sparse_paving
+from oracles import census_matroid, checked_sparse_paving
 from test_cli import assert_bases_order
 
 
@@ -211,7 +211,7 @@ def test_c7_relaxation_ladder(capsys):
     for n in range(4, 8):
         for k in range(2, n - 1):
             for entry in enumerate_sparse_paving(k, n):
-                ladder = entry.matroid
+                ladder = census_matroid(entry)
                 chs = sorted(circuit_hyperplanes(ladder))
                 assert len(chs) == len(entry.nonadjacent.members)
                 for c in chs:

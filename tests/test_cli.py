@@ -24,6 +24,7 @@ from oracles import (
     all_families,
     all_le_diagrams,
     brute_bases_verdict,
+    census_matroid,
     determined_rank,
 )
 
@@ -427,7 +428,7 @@ class TestCheckSp:
                 "necklace": entry.necklace.to_dict(),
                 "decperm": entry.perm.to_dict(),
                 "le": entry.diagram.to_dict(),
-                "bases": entry.matroid.to_dict(),
+                "bases": census_matroid(entry).to_dict(),
             }
             outputs = set()
             for kind, payload in payloads.items():
@@ -572,6 +573,20 @@ class TestBasesOrder:
         assert total == 2228
 
 
+def watch_matroid_builds(monkeypatch) -> list:
+    """The list that every Matroid built from now on is appended to.  A
+    Matroid comes from the validating constructor, which runs
+    __post_init__, or from the trusted one, which skips it; both are
+    watched."""
+    built = []
+    monkeypatch.setattr(Matroid, "__post_init__",
+                        lambda self: built.append(self))
+    monkeypatch.setattr(Matroid, "_trusted",
+                        classmethod(lambda cls, *fields:
+                                    built.append(fields)))
+    return built
+
+
 class TestEnumerate:
     def test_count_only(self, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", "6", "--k", "3",
@@ -674,7 +689,7 @@ class TestEnumerate:
                     "necklace": entry.necklace.to_dict(),
                     "perm": entry.perm.to_dict(),
                     "le": entry.diagram.to_dict(),
-                    "bases": entry.matroid.to_dict(),
+                    "bases": census_matroid(entry).to_dict(),
                 }
                 assert line == json.dumps(views, sort_keys=True,
                                           separators=(",", ":"))
@@ -698,6 +713,14 @@ class TestEnumerate:
                    stdin=json.dumps(necklace_from_nonadjacent(
                        {1}, 2, 4).to_dict()), monkeypatch=monkeypatch)[0] == 0
         assert len(calls) == 1
+
+    def test_census_builds_no_matroid(self, monkeypatch, capsys):
+        # Each line's bases come from cutting the entry's nonbases out of
+        # the rendered k-subsets, never from a basis family.
+        built = watch_matroid_builds(monkeypatch)
+        code, out, _ = run(capsys, ["enumerate", "--n", "9", "--k", "4"])
+        assert (code, out.count("\n")) == (0, 76)
+        assert built == []
 
     def test_byte_determinism(self, capsys):
         argv = ["enumerate", "--n", "5", "--k", "2"]
@@ -744,15 +767,7 @@ class TestOracle:
                f"discrepancies: 0\n", "")
 
     def test_clean_run_builds_no_matroid(self, monkeypatch, capsys):
-        # A Matroid comes from the validating constructor, which runs
-        # __post_init__, or from the trusted one, which skips it; both
-        # are watched.
-        built = []
-        monkeypatch.setattr(Matroid, "__post_init__",
-                            lambda self: built.append(self))
-        monkeypatch.setattr(Matroid, "_trusted",
-                            classmethod(lambda cls, *fields:
-                                        built.append(fields)))
+        built = watch_matroid_builds(monkeypatch)
         assert run(capsys, ["oracle", "--n", "6", "--k", "3"])[0] == 0
         assert built == []
 
@@ -858,7 +873,7 @@ class TestConversionClosure:
                     "necklace": entry.necklace.to_dict(),
                     "decperm": entry.perm.to_dict(),
                     "le": entry.diagram.to_dict(),
-                    "bases": entry.matroid.to_dict(),
+                    "bases": census_matroid(entry).to_dict(),
                 }
                 for src, dst in itertools.product(kinds, repeat=2):
                     path = write_json(tmp_path, "payload.json", payloads[src])

@@ -22,7 +22,7 @@ from positroids import (
     sparse_paving_witness,
 )
 
-from oracles import brute_nonadjacent, checked_sparse_paving
+from oracles import brute_nonadjacent, census_matroid, checked_sparse_paving
 
 
 class TestNonAdjacentStream:
@@ -113,8 +113,9 @@ class TestCensus:
                    for e in enumerate_sparse_paving(2, 4)}
         chosen = entries[(1, 3)]
         missing = {frozenset({1, 2}), frozenset({3, 4})}
-        got = {frozenset(members_of(b)) for b in chosen.matroid.bases}
-        assert len(chosen.matroid.bases) == 4
+        bases = census_matroid(chosen).bases
+        got = {frozenset(members_of(b)) for b in bases}
+        assert len(bases) == 4
         assert got.isdisjoint(missing)
 
     def test_rejects_extreme_ranks(self):
@@ -128,23 +129,34 @@ class TestCensus:
         for k in range(2, n - 1):
             for entry in enumerate_sparse_paving(k, n):
                 neck = entry.necklace
+                m = census_matroid(entry)
                 assert GrassmannNecklace(n, k, neck.entries) == neck
                 assert is_le(entry.diagram)
-                assert is_positroid(entry.matroid)
-                assert checked_sparse_paving(entry.matroid)
-                assert realizable_sets(entry.diagram) == entry.matroid
-                assert necklace_to_positroid(entry.necklace) == entry.matroid
+                assert is_positroid(m)
+                assert checked_sparse_paving(m)
+                assert realizable_sets(entry.diagram) == m
+                assert necklace_to_positroid(entry.necklace) == m
                 assert sparse_paving_witness(entry.necklace) == \
                     entry.nonadjacent
 
     @pytest.mark.parametrize("n", range(4, 11))
-    def test_closed_form_matches_schubert_intersection(self, n):
-        """The census builds its bases from the closed form (all k-subsets
-        minus the cyclic intervals at A); the Schubert intersection of the
-        entry's necklace is the oracle."""
+    def test_nonbases_are_the_intervals_at_a(self, n):
+        """Each entry carries the closed form's nonbases, the cyclic
+        intervals [i, i+k-1] for i in A, checked element by element."""
         for k in range(2, n - 1):
             for entry in enumerate_sparse_paving(k, n):
-                assert entry.matroid == necklace_to_positroid(entry.necklace)
+                assert entry.nonbases == {
+                    cyclic_interval(k, n, i) for i in entry.nonadjacent}
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_closed_form_matches_schubert_intersection(self, n):
+        """The census carries the closed form's nonbases (the cyclic
+        intervals at A); the Schubert intersection of the entry's necklace
+        is the oracle for the bases they leave."""
+        for k in range(2, n - 1):
+            for entry in enumerate_sparse_paving(k, n):
+                assert census_matroid(entry) == \
+                    necklace_to_positroid(entry.necklace)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_circuit_hyperplanes_are_the_intervals_at_a(self, n):
@@ -153,7 +165,7 @@ class TestCensus:
         for i in A."""
         for k in range(2, n - 1):
             for entry in enumerate_sparse_paving(k, n):
-                assert circuit_hyperplanes(entry.matroid) == {
+                assert circuit_hyperplanes(census_matroid(entry)) == {
                     cyclic_interval(k, n, i)
                     for i in entry.nonadjacent.members}, entry.nonadjacent
 
@@ -164,7 +176,7 @@ class TestCensus:
         brute = {necklace_to_positroid(neck)
                  for neck in all_necklaces(k, n)
                  if checked_sparse_paving(necklace_to_positroid(neck))}
-        census = {e.matroid for e in enumerate_sparse_paving(k, n)}
+        census = {census_matroid(e) for e in enumerate_sparse_paving(k, n)}
         assert brute == census
 
 

@@ -22,15 +22,14 @@ from positroids import (
     all_necklaces,
     enumerate_sparse_paving,
 )
-from positroids.matroid import MaskSet
 
 CENSUS = list(enumerate_sparse_paving(2, 5))
 NECKLACES = list(all_necklaces(2, 4))[:3]
 
 # class: (fields, sample args)
 SPECS = {
-    MaskSet: (["n", "mask"], [(5, 5), (5, 5), (5, 0), (6, 5)]),
-    NonAdjacentSet: (["n", "mask"], [(5, 5), (5, 10), (5, 5)]),
+    NonAdjacentSet: (["n", "mask"],
+                     [(5, 5), (5, 10), (5, 5), (5, 0), (6, 5)]),
     Matroid: (["n", "k", "bases"], [
         (3, 1, frozenset({1, 2, 4})), (3, 1, frozenset({1, 2, 4})),
         (3, 1, frozenset({1, 2})), (3, 2, frozenset({3, 5, 6}))]),
@@ -45,8 +44,8 @@ SPECS = {
         (2, 4, (2, 1), ((True, True), (True,))),
         (2, 4, (2, 1), ((True, False), (True,))), (2, 4, (), ())]),
     SparsePavingPositroid: (
-        ["nonadjacent", "necklace", "perm", "diagram", "matroid"],
-        [(e.nonadjacent, e.necklace, e.perm, e.diagram, e.matroid)
+        ["nonadjacent", "necklace", "perm", "diagram", "nonbases"],
+        [(e.nonadjacent, e.necklace, e.perm, e.diagram, e.nonbases)
          for e in CENSUS[:3] + CENSUS[:1]]),
 }
 
@@ -117,22 +116,15 @@ class TestAgainstFrozenDataclass:
             assert type(other) is cls and other == rec
 
 
-def test_subset_types_never_equal_each_other():
-    subsets = [MaskSet(5, 5), NonAdjacentSet(5, 5)]
-    for a, b in itertools.combinations(subsets, 2):
-        assert a != b and b != a
-    assert len(set(subsets)) == 2
-
-
 def test_records_never_equal_their_field_tuples():
-    assert MaskSet(5, 5) != (5, 5)
+    assert NonAdjacentSet(5, 5) != (5, 5)
     assert Matroid(3, 1, frozenset({1})) != (3, 1, frozenset({1}))
 
 
 @pytest.mark.parametrize("cls,args,message", [
     (NonAdjacentSet, (4, 0b11), "cyclically adjacent"),
-    (MaskSet, (0, 0), "ground size"),
-    (MaskSet, (3, 8), "outside the ground set"),
+    (NonAdjacentSet, (0, 0), "ground size"),
+    (NonAdjacentSet, (3, 8), "outside the ground set"),
     (Matroid, (3, 1, frozenset()), "empty"),
     (Matroid, (3, 1, frozenset({3})), "differs from the rank"),
     (DecoratedPermutation, (3, (2, 1, 3), ()), "fixed points"),

@@ -2,10 +2,9 @@
 constructor.
 
 all_necklaces, necklace_from_nonadjacent, decperm_to_necklace,
-necklace_to_positroid, necklace_to_decperm, le_from_removals,
-nonadjacent_subsets and the census's closed-form matroid build their
-records with Record._trusted, which sets the fields without running
-__post_init__.  Whatever they build must pass the validating constructor
+necklace_to_positroid, necklace_to_decperm, le_from_removals and
+nonadjacent_subsets build their records with Record._trusted, which sets
+the fields without running __post_init__.  Whatever they build must pass the validating constructor
 unchanged, type(x)(*x._values()) == x: exhaustively at small n, and on
 hypothesis draws up to n = 12.
 """
@@ -44,7 +43,6 @@ SOURCES = Path(__file__).resolve().parent.parent / "src" / "positroids"
 TRUSTED_BUILDERS = {
     ("decorated.py", "decperm_to_necklace"),
     ("decorated.py", "necklace_to_decperm"),
-    ("enumeration.py", "enumerate_sparse_paving"),
     ("enumeration.py", "nonadjacent_subsets"),
     ("le_diagram.py", "le_from_removals"),
     ("necklace.py", "all_necklaces"),
@@ -159,9 +157,12 @@ class TestNecklaceToPositroid:
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_every_census_entry(n):
-    """The census's closed-form matroid and its necklace, which
-    necklace_from_nonadjacent builds, at every middle rank."""
+    """The census's record views at every middle rank: the witness from
+    nonadjacent_subsets, the necklace from necklace_from_nonadjacent, the
+    decorated permutation from necklace_to_decperm and the Le-diagram from
+    le_from_removals."""
     for k in range(2, n - 1):
         for entry in enumerate_sparse_paving(k, n):
-            assert_revalidates(entry.matroid)
-            assert_revalidates(entry.necklace)
+            for view in (entry.nonadjacent, entry.necklace, entry.perm,
+                         entry.diagram):
+                assert_revalidates(view)
