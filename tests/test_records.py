@@ -26,54 +26,58 @@ from positroids import (
 CENSUS = list(enumerate_sparse_paving(2, 5))
 NECKLACES = list(all_necklaces(2, 4))[:3]
 
-# class: (fields, sample args)
+# case id: (class, fields, sample args). The "MaskSet" case keeps the plain
+# mask samples of the former MaskSet base class, whose slots, range check and
+# record behaviour NonAdjacentSet now carries.
 SPECS = {
-    NonAdjacentSet: (["n", "mask"],
-                     [(5, 5), (5, 10), (5, 5), (5, 0), (6, 5)]),
-    Matroid: (["n", "k", "bases"], [
+    "MaskSet": (NonAdjacentSet, ["n", "mask"],
+                [(5, 5), (5, 5), (5, 0), (6, 5)]),
+    "NonAdjacentSet": (NonAdjacentSet, ["n", "mask"],
+                       [(5, 5), (5, 10), (5, 5)]),
+    "Matroid": (Matroid, ["n", "k", "bases"], [
         (3, 1, frozenset({1, 2, 4})), (3, 1, frozenset({1, 2, 4})),
         (3, 1, frozenset({1, 2})), (3, 2, frozenset({3, 5, 6}))]),
-    GrassmannNecklace: (["n", "k", "entries"],
-                        [(neck.n, neck.k, neck.entries)
-                         for neck in NECKLACES + NECKLACES[:1]]),
-    DecoratedPermutation: (["n", "perm", "colors"], [
+    "GrassmannNecklace": (GrassmannNecklace, ["n", "k", "entries"],
+                          [(neck.n, neck.k, neck.entries)
+                           for neck in NECKLACES + NECKLACES[:1]]),
+    "DecoratedPermutation": (DecoratedPermutation, ["n", "perm", "colors"], [
         (3, (2, 3, 1), ()), (3, (3, 1, 2), ()),
         (3, (2, 1, 3), ((3, 1),)), (3, (2, 1, 3), ((3, -1),))]),
-    LeDiagram: (["k", "n", "shape", "filling"], [
+    "LeDiagram": (LeDiagram, ["k", "n", "shape", "filling"], [
         (2, 4, (2, 1), ((True, True), (True,))),
         (2, 4, (2, 1), ((True, True), (True,))),
         (2, 4, (2, 1), ((True, False), (True,))), (2, 4, (), ())]),
-    SparsePavingPositroid: (
+    "SparsePavingPositroid": (
+        SparsePavingPositroid,
         ["nonadjacent", "necklace", "perm", "diagram", "nonbases"],
         [(e.nonadjacent, e.necklace, e.perm, e.diagram, e.nonbases)
          for e in CENSUS[:3] + CENSUS[:1]]),
 }
 
 
-def twin(cls):
-    return dataclasses.make_dataclass(cls.__name__, SPECS[cls][0],
-                                      frozen=True)
+def twin(cls, names):
+    return dataclasses.make_dataclass(cls.__name__, names, frozen=True)
 
 
-@pytest.mark.parametrize("cls", SPECS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls,names,samples", list(SPECS.values()),
+                         ids=list(SPECS))
 class TestAgainstFrozenDataclass:
-    def test_fields_and_defaults(self, cls):
-        names, samples = SPECS[cls]
+    def test_fields_and_defaults(self, cls, names, samples):
         assert cls._fields == tuple(names)
-        made = twin(cls)
+        made = twin(cls, names)
         for args in samples:
             rec, ref = cls(*args), made(*args)
             assert [getattr(rec, f) for f in names] == \
                 [getattr(ref, f) for f in names]
 
-    def test_repr(self, cls):
-        made = twin(cls)
-        for args in SPECS[cls][1]:
+    def test_repr(self, cls, names, samples):
+        made = twin(cls, names)
+        for args in samples:
             assert repr(cls(*args)) == repr(made(*args))
 
-    def test_equality_and_hash(self, cls):
-        made = twin(cls)
-        for a, b in itertools.product(SPECS[cls][1], repeat=2):
+    def test_equality_and_hash(self, cls, names, samples):
+        made = twin(cls, names)
+        for a, b in itertools.product(samples, repeat=2):
             equal = cls(*a) == cls(*b)
             assert equal == (made(*a) == made(*b))
             assert (cls(*a) != cls(*b)) == (not equal)
@@ -81,27 +85,27 @@ class TestAgainstFrozenDataclass:
                 assert hash(cls(*a)) == hash(cls(*b))
         # Same hash values as the dataclass, so sets of records keep the
         # iteration order they had.
-        for args in SPECS[cls][1]:
+        for args in samples:
             assert hash(cls(*args)) == hash(made(*args))
 
-    def test_wrong_arity(self, cls):
-        rec = cls(*SPECS[cls][1][0])
+    def test_wrong_arity(self, cls, names, samples):
+        rec = cls(*samples[0])
         with pytest.raises(TypeError):
             cls()
         with pytest.raises(TypeError):
             cls(*[getattr(rec, f) for f in cls._fields], None)
 
-    def test_frozen(self, cls):
-        rec = cls(*SPECS[cls][1][0])
+    def test_frozen(self, cls, names, samples):
+        rec = cls(*samples[0])
         for name in cls._fields + ("extra",):
             with pytest.raises(AttributeError):
                 setattr(rec, name, None)
             with pytest.raises(AttributeError):
                 delattr(rec, name)
-        assert rec == cls(*SPECS[cls][1][0])
+        assert rec == cls(*samples[0])
 
-    def test_trusted_matches_init(self, cls):
-        for args in SPECS[cls][1]:
+    def test_trusted_matches_init(self, cls, names, samples):
+        for args in samples:
             rec = cls._trusted(*args)
             assert type(rec) is cls and rec == cls(*args)
             assert repr(rec) == repr(cls(*args))
@@ -109,8 +113,8 @@ class TestAgainstFrozenDataclass:
         with pytest.raises(TypeError):
             cls._trusted()
 
-    def test_copy_and_pickle(self, cls):
-        rec = cls(*SPECS[cls][1][0])
+    def test_copy_and_pickle(self, cls, names, samples):
+        rec = cls(*samples[0])
         for other in (copy.copy(rec), copy.deepcopy(rec),
                       pickle.loads(pickle.dumps(rec))):
             assert type(other) is cls and other == rec
