@@ -40,6 +40,7 @@ from .necklace import (
     SchubertKernel,
     all_necklaces,
     _check_classification,
+    _patterns,
     _round_trip,
     cyclic_interval,
     necklace_from_nonadjacent,
@@ -67,8 +68,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps with options builds a new encoder per call; share one.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -243,15 +244,17 @@ def cmd_enumerate(args) -> int:
         return 0
     # Each line is _dumps of the five views keyed "A", "necklace", "perm",
     # "le" and "bases" (Matroid.to_dict of the basis view), spelled out in
-    # sorted key order.  The basis list runs to C(n, k) subsets, of which
-    # an entry misses only its |A| nonbases.  So once the census has
-    # checked n and k, every k-subset's JSON is rendered into one text, and
-    # each line cuts the nonbases out of it.
+    # sorted key order.  Once the census has checked n and k, every
+    # k-subset's JSON is rendered into one text.  A line cuts its |A|
+    # nonbases out of it for the bases, and takes each necklace entry, one
+    # of the 2n intervals of _patterns(k, n), as a slice of it.
     n, k = args.n, args.k
-    rendered, spans = "", {}
+    rendered, spans, texts = "", {}, {}
     for entry in enumerate_sparse_paving(k, n):
         if not spans:
             rendered, spans = _rendered_subsets(n, k)
+            texts = {m: rendered[spans[m][0]:spans[m][1] - 1]
+                     for pair in _patterns(k, n) for m in pair}
         pieces = []
         pos = 0
         for start, end in sorted(spans[c] for c in entry.nonbases):
@@ -259,10 +262,11 @@ def cmd_enumerate(args) -> int:
             pos = end
         pieces.append(rendered[pos:])
         bases = "".join(pieces)[:-1]
+        neck = ",".join([texts[e] for e in entry.necklace.entries])
         print(f'{{"A":{_dumps(list(entry.nonadjacent.members))},'
               f'"bases":{{"bases":[{bases}],"k":{k},"n":{n}}},'
               f'"le":{_dumps(entry.diagram.to_dict())},'
-              f'"necklace":{_dumps(entry.necklace.to_dict())},'
+              f'"necklace":{{"entries":[{neck}],"k":{k},"n":{n}}},'
               f'"perm":{_dumps(entry.perm.to_dict())}}}')
     return 0
 

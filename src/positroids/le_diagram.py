@@ -23,7 +23,9 @@ theirs.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .matroid import (
     Matroid,
@@ -238,10 +240,11 @@ def realizable_sets(diag: LeDiagram) -> Matroid:
                    frozenset(filter(basis, k_subset_masks(diag.n, diag.k))))
 
 
-def cell_numbering(k: int, n: int) -> dict[int, tuple[int, int]]:
+@lru_cache(maxsize=None)
+def cell_numbering(k: int, n: int) -> Mapping[int, tuple[int, int]]:
     """Boundary cells of the k x (n-k) box keyed by label: 1 on the bottom
     right corner, then the top row right to left, then the left column top
-    to bottom."""
+    to bottom.  Built once per (k, n) and shared, so it is read-only."""
     if not 2 <= k <= n - 1:
         raise ValueError(f"numbering needs 2 <= k <= n-1, got k={k}, n={n}")
     cells = {1: (k, n - k)}
@@ -249,7 +252,7 @@ def cell_numbering(k: int, n: int) -> dict[int, tuple[int, int]]:
         cells[label] = (1, n - k - off)
     for off, label in enumerate(range(n - k + 1, n + 1)):
         cells[label] = (1 + off, 1)
-    return cells
+    return MappingProxyType(cells)
 
 
 def le_from_removals(removed, k: int, n: int) -> LeDiagram:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -6,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from positroids import cli, necklace
 from positroids import (
@@ -587,6 +591,57 @@ def watch_matroid_builds(monkeypatch) -> list:
     return built
 
 
+def assert_lines_are_views(out: str, k: int, n: int) -> list:
+    """Assert that the census output holds one line per entry, each the
+    sorted compact JSON of the entry's five to_dict views with the bases
+    from census_matroid, and return the entries."""
+    lines = out.splitlines()
+    entries = list(enumerate_sparse_paving(k, n))
+    assert len(lines) == len(entries)
+    for line, entry in zip(lines, entries):
+        views = {
+            "A": list(entry.nonadjacent.members),
+            "necklace": entry.necklace.to_dict(),
+            "perm": entry.perm.to_dict(),
+            "le": entry.diagram.to_dict(),
+            "bases": census_matroid(entry).to_dict(),
+        }
+        assert line == json.dumps(views, sort_keys=True,
+                                  separators=(",", ":"))
+    return entries
+
+
+class TestSharedEncoder:
+    """cli._dumps is one encoder built at import and shared by every
+    command; it must print what json.dumps with the same options prints."""
+
+    SAMPLES = [
+        {"z": {"b": [1, {"y": None, "x": True}], "a": []}, "a": [[[]], {}],
+         "m": {"2": 2, "10": 10, "1": 1.5}},
+        ["Möbius", "Plücker–Grassmann", "\u2603", "\U0001d4dd",
+         {"ü": "é", "e": "\x00\n\""}],
+        [10 ** 40, -(2 ** 100), 3 ** 600, {"n": -(10 ** 300) + 1}],
+    ]
+
+    @staticmethod
+    def expected(obj) -> str:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("obj", SAMPLES)
+    def test_matches_json_dumps(self, obj):
+        assert cli._dumps(obj) == self.expected(obj)
+
+    def test_recovers_after_a_circular_list(self):
+        loop = [1]
+        loop.append(loop)
+        with pytest.raises(ValueError):
+            cli._dumps(loop)
+        loop.pop()
+        assert cli._dumps(loop) == "[1]"
+        for obj in self.SAMPLES:
+            assert cli._dumps(obj) == self.expected(obj)
+
+
 class TestEnumerate:
     def test_count_only(self, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", "6", "--k", "3",
@@ -679,20 +734,23 @@ class TestEnumerate:
             code, out, err = run(capsys, ["enumerate", "--n", str(n),
                                           "--k", str(k)])
             assert code == 0
-            lines = out.splitlines()
-            entries = list(enumerate_sparse_paving(k, n))
-            assert len(lines) == len(entries)
+            entries = assert_lines_are_views(out, k, n)
             assert any(n - k + 1 in entry.nonadjacent for entry in entries)
-            for line, entry in zip(lines, entries):
-                views = {
-                    "A": list(entry.nonadjacent.members),
-                    "necklace": entry.necklace.to_dict(),
-                    "perm": entry.perm.to_dict(),
-                    "le": entry.diagram.to_dict(),
-                    "bases": census_matroid(entry).to_dict(),
-                }
-                assert line == json.dumps(views, sort_keys=True,
-                                          separators=(",", ":"))
+
+    @settings(max_examples=3, deadline=None)
+    @given(st.integers(11, 13).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(2, n - 2))))
+    def test_lines_equal_dumps_past_ten(self, nk):
+        """The same past n = 10, where labels take two digits in the bases
+        and in the necklace entries sliced from the same text, including
+        the lines whose A holds 1, n - k + 1 or n."""
+        n, k = nk
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["enumerate", "--n", str(n), "--k", str(k)]) == 0
+        entries = assert_lines_are_views(out.getvalue(), k, n)
+        for label in (1, n - k + 1, n):
+            assert any(label in entry.nonadjacent for entry in entries)
 
     def test_census_skips_the_schubert_intersection(self, monkeypatch,
                                                     capsys):
