@@ -48,6 +48,7 @@ from .le_diagram import (
     cell_numbering,
     is_le,
     le_from_removals,
+    le_to_decperm,
     le_violation,
     realizable_sets,
     render_le,

@@ -23,8 +23,8 @@ from .enumeration import count_sparse_paving, enumerate_sparse_paving
 from .le_diagram import (
     LeDiagram,
     le_from_removals,
+    le_to_decperm,
     le_violation,
-    realizable_sets,
     render_le,
 )
 from .matroid import (
@@ -45,7 +45,6 @@ from .necklace import (
     cyclic_interval,
     necklace_from_nonadjacent,
     necklace_to_positroid,
-    positroid_necklace,
     sparse_paving_witness,
 )
 
@@ -165,7 +164,7 @@ def _as_necklace(kind: str, obj, k: int) -> GrassmannNecklace:
         if isinstance(obj, Matroid):
             raise NegativeVerdict("not a positroid")
         return obj
-    return positroid_necklace(realizable_sets(obj))
+    return decperm_to_necklace(le_to_decperm(obj), k)
 
 
 def _from_necklace(kind: str, neck: GrassmannNecklace):
@@ -244,17 +243,16 @@ def cmd_enumerate(args) -> int:
         return 0
     # Each line is _dumps of the five views keyed "A", "necklace", "perm",
     # "le" and "bases" (Matroid.to_dict of the basis view), spelled out in
-    # sorted key order.  Once the census has checked n and k, every
+    # sorted key order.  Once _patterns has checked n and k, every
     # k-subset's JSON is rendered into one text.  A line cuts its |A|
     # nonbases out of it for the bases, and takes each necklace entry, one
     # of the 2n intervals of _patterns(k, n), as a slice of it.
     n, k = args.n, args.k
-    rendered, spans, texts = "", {}, {}
+    patterns = _patterns(k, n)
+    rendered, spans = _rendered_subsets(n, k)
+    texts = {m: rendered[spans[m][0]:spans[m][1] - 1]
+             for pair in patterns for m in pair}
     for entry in enumerate_sparse_paving(k, n):
-        if not spans:
-            rendered, spans = _rendered_subsets(n, k)
-            texts = {m: rendered[spans[m][0]:spans[m][1] - 1]
-                     for pair in _patterns(k, n) for m in pair}
         pieces = []
         pos = 0
         for start, end in sorted(spans[c] for c in entry.nonbases):

@@ -1,24 +1,23 @@
-"""Le-diagrams inside a k x (n-k) box, their planar path networks, and the
-boundary-measurement matrix whose maximal minors decide the bases.
+"""Le-diagrams inside a k x (n-k) box, the decorated permutations their
+pipes trace, and the planar path networks that certify their positroids.
 
 Cells are addressed (row, col) with row 1 on top and col 1 at the left, the
 usual top-left-justified Young diagram picture.
 
-The network's boundary-measurement matrix (PlanarNetwork.matrix) is a k x n
-integer matrix of signed source-to-sink path counts.  It is the library's
-one realizability object: its maximal minor on the columns of a k-subset I
-counts the vertex-disjoint path systems from the sources outside I to the
-sinks inside I, so every minor is nonnegative and I is a basis exactly when
-its minor is nonzero (Postnikov, "Total positivity, Grassmannians, and
-networks", arXiv math/0609764; Talaska's formula for the Plucker
-coordinates).  The matrix is therefore a totally nonnegative certificate
-of the positroid.
+The pipes are the route: le_to_decperm reads the decorated permutation off
+Postnikov's pipe dream in one sweep over the cells (Postnikov, "Total
+positivity, Grassmannians, and networks", arXiv math/0609764), and the
+necklace and the bases follow from it.  The matrix is the certificate:
+the network's boundary-measurement matrix (PlanarNetwork.matrix) is a
+k x n integer matrix of signed source-to-sink path counts whose maximal
+minor on a k-subset I counts the vertex-disjoint path systems from the
+sources outside I to the sinks inside I (Talaska's formula for the
+Plucker coordinates).  So every minor is nonnegative, and the nonzero ones
+are exactly the bases.
 
-build_network sums the network's path counts into the matrix in one sweep
-over the cells, from the bottom row up and left to right within a row.  That
-order counts a bullet's left neighbour and its nearest vertex below before
-the bullet itself, so the bullet's path counts per sink are the sum of
-theirs.
+build_network sums the path counts in one sweep over the cells, from the
+bottom row up and left to right within a row, which counts a bullet's left
+neighbour and its nearest vertex below before the bullet itself.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
+from .decorated import DecoratedPermutation, decperm_to_necklace
 from .matroid import (
     Matroid,
     Record,
@@ -34,10 +34,10 @@ from .matroid import (
     json_int,
     json_ints,
     json_list,
-    k_subset_masks,
     mask_of,
     members_of,
 )
+from .necklace import necklace_to_positroid
 
 
 class LeDiagram(Record):
@@ -203,41 +203,39 @@ def build_network(diag: LeDiagram) -> PlanarNetwork:
                          tuple(reversed(rows)))
 
 
-def _det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every division is exact, so the entries stay integers.
-    Each row swap flips the sign, and a column with no pivot gives 0.  The
-    rows of `a` are overwritten."""
-    sign = prev = 1
-    for p in range(len(a)):
-        if a[p][p] == 0:
-            swap = next((r for r in range(p + 1, len(a)) if a[r][p]), None)
-            if swap is None:
-                return 0
-            a[p], a[swap] = a[swap], a[p]
-            sign = -sign
-        for r in range(p + 1, len(a)):
-            for c in range(p + 1, len(a)):
-                a[r][c] = (a[r][c] * a[p][p] - a[r][p] * a[p][c]) // prev
-        prev = a[p][p]
-    return sign * prev
+def le_to_decperm(diag: LeDiagram) -> DecoratedPermutation:
+    """Postnikov's pipes: one enters each row's east end moving west and
+    each column's foot moving north, goes straight through an empty cell,
+    and swaps with the crossing pipe at a bullet.  Swept from the bottom row
+    up and right to left, the pipe leaving row r ends at its source label
+    and the one leaving column c at its sink label, and each pipe maps its
+    start to its end.  A fixed point is marked -1 at a source label and +1
+    at a sink label."""
+    bad = le_violation(diag)
+    if bad is not None:
+        raise ValueError(f"Le condition fails at cell {bad}")
+    row_source, col_sink = boundary_labels(diag)
+    row, col = dict(row_source), dict(col_sink)
+    for r in range(len(diag.filling), 0, -1):
+        cells = diag.filling[r - 1]
+        for c in range(len(cells), 0, -1):
+            if cells[c - 1]:
+                row[r], col[c] = col[c], row[r]
+    perm = [0] * diag.n
+    for ends, starts in ((row_source, row), (col_sink, col)):
+        for line, start in starts.items():
+            perm[start - 1] = ends[line]
+    marks = tuple((i, -1 if i in row_source.values() else 1)
+                  for i, j in enumerate(perm, 1) if i == j)
+    return DecoratedPermutation(diag.n, tuple(perm), marks)
 
 
 def realizable_sets(diag: LeDiagram) -> Matroid:
-    """Matroid on [n] whose bases are the k-subsets with a nonzero maximal
-    minor in the boundary-measurement matrix.  Expanding along the identity
-    columns of the sources a k-set keeps leaves the minor whose rows are the
-    sources it leaves out and whose columns are the sinks it keeps."""
-    net = build_network(diag)
-    rows = tuple(zip(members_of(net.sources), net.matrix))
-
-    def basis(mask: int) -> bool:
-        goals = [j - 1 for j in members_of(mask & net.sinks)]
-        return _det([[row[j] for j in goals] for i, row in rows
-                     if not mask >> (i - 1) & 1]) != 0
-
-    return Matroid(diag.n, diag.k,
-                   frozenset(filter(basis, k_subset_masks(diag.n, diag.k))))
+    """Matroid on [n] whose bases are the k-subsets the diagram realizes:
+    its decorated permutation by the pipes, then the necklace and the Gale
+    intersection of necklace_to_positroid."""
+    return necklace_to_positroid(
+        decperm_to_necklace(le_to_decperm(diag), diag.k))
 
 
 @lru_cache(maxsize=None)

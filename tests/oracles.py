@@ -16,10 +16,12 @@ reference for le_from_removals.  reference_all_necklaces is
 the recursive depth-first walk, one generator frame per entry, that
 all_necklaces replaced with a flat loop.
 flow_realizable_sets runs unit-capacity max-flow over
-reference_network_edges, an independent route to the bases that the
-library decides by the minors of its boundary-measurement matrix, and
-count_path_systems counts, by backtracking over the same edges, the path
-systems those minors stand for.
+reference_network_edges, and minor_bases keeps the k-subsets with a
+nonzero maximal minor of a boundary-measurement matrix, by the Bareiss
+elimination in bareiss_det: two routes to the bases independent of the
+pipes that the library reads them off.  brute_det, the Leibniz expansion,
+checks bareiss_det, and count_path_systems counts, by backtracking over
+the network's edges, the path systems the minors stand for.
 Three helpers deliberately drive the package.  matroid_of builds a Matroid
 from element collections, for tests that write families out by hand, and
 census_matroid builds a census entry's basis family, every k-subset but
@@ -237,6 +239,40 @@ def brute_det(a):
     return total
 
 
+def bareiss_det(a):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so the entries stay integers.
+    Each row swap flips the sign, and a column with no pivot gives 0.  The
+    rows of `a` are overwritten."""
+    sign = prev = 1
+    for p in range(len(a)):
+        if a[p][p] == 0:
+            swap = next((r for r in range(p + 1, len(a)) if a[r][p]), None)
+            if swap is None:
+                return 0
+            a[p], a[swap] = a[swap], a[p]
+            sign = -sign
+        for r in range(p + 1, len(a)):
+            for c in range(p + 1, len(a)):
+                a[r][c] = (a[r][c] * a[p][p] - a[r][p] * a[p][c]) // prev
+        prev = a[p][p]
+    return sign * prev
+
+
+def maximal_minors(matrix, n, k, det=bareiss_det):
+    """Each k-subset of [n], as a sorted tuple, mapped to the maximal minor
+    of the k x n matrix on its columns, computed by `det`."""
+    return {c: det([[row[j - 1] for j in c] for row in matrix])
+            for c in combinations(range(1, n + 1), k)}
+
+
+def minor_bases(matrix, n, k):
+    """The k-subsets, as frozensets, with a nonzero maximal minor in the
+    k x n matrix: the bases it realizes, by Bareiss elimination."""
+    return frozenset(frozenset(c) for c, v in
+                     maximal_minors(matrix, n, k).items() if v)
+
+
 def all_decorated_permutations(n):
     """Every decorated permutation of [n]: each permutation in lexicographic
     order, with each +1/-1 marking of its fixed points."""
@@ -405,24 +441,25 @@ def _find_augmenting(succ, start, goal):
     return None
 
 
-def max_disjoint_paths(edges, starts, targets):
-    """Maximum number of vertex-disjoint paths from the given source labels
-    to the given sink labels over an edge map, by unit-capacity augmentation
-    on the split graph (each vertex becomes an in/out pair of capacity
-    one)."""
+def split_graph(edges):
+    """The split graph of an edge map: each vertex v becomes an in/out pair
+    (v, 0) -> (v, 1), so it carries one unit of flow, and each edge v -> w
+    becomes (v, 1) -> (w, 0)."""
     succ = {}
-
-    def add(u, v):
-        succ.setdefault(u, set()).add(v)
-
     for v, outs in edges.items():
-        add((v, 0), (v, 1))
-        for w in outs:
-            add((v, 1), (w, 0))
-    for i in starts:
-        add("S", (("s", i), 0))
+        succ[(v, 0)] = {(v, 1)}
+        succ[(v, 1)] = {(w, 0) for w in outs}
+    return succ
+
+
+def max_disjoint_paths(split, starts, targets):
+    """Maximum number of vertex-disjoint paths from the given source labels
+    to the given sink labels, by unit-capacity augmentation on a copy of a
+    network's split graph."""
+    succ = {u: set(vs) for u, vs in split.items()}
+    succ["S"] = {(("s", i), 0) for i in starts}
     for j in targets:
-        add((("t", j), 1), "T")
+        succ[(("t", j), 1)].add("T")
     flow = 0
     while True:
         path = _find_augmenting(succ, "S", "T")
@@ -438,14 +475,14 @@ def flow_realizable_sets(diag):
     """The k-subsets, as frozensets, whose left-out sources the max-flow
     routes to their sinks by vertex-disjoint paths in the reference
     network."""
-    edges = reference_network_edges(diag)
+    split = split_graph(reference_network_edges(diag))
     sources = frozenset(boundary_labels(diag)[0].values())
     out = []
     for c in combinations(range(1, diag.n + 1), diag.k):
         subset = frozenset(c)
         to_route = sources - subset
         goals = subset - sources
-        if max_disjoint_paths(edges, to_route, goals) == len(to_route):
+        if max_disjoint_paths(split, to_route, goals) == len(to_route):
             out.append(subset)
     return frozenset(out)
 

@@ -375,6 +375,51 @@ class TestConvert:
         assert err.startswith("invalid:") and "--to le" in err
 
 
+class TestBoundedLeWork:
+    """An `le` payload reaches the necklace through its pipes, in time
+    polynomial in n, so the (40, 20) box answers at once.  Each request runs
+    in a child, so a route that walks the C(40, 20) k-subsets fails on the
+    timeout instead of hanging the suite.  The negative check-sp witness
+    and `--to bases` list k-subsets by nature and are left out."""
+
+    EMPTY = {"k": 20, "n": 40, "shape": [], "filling": []}
+    FULL = {"k": 20, "n": 40, "shape": [20] * 20,
+            "filling": [[1] * 20] * 20}
+
+    def child(self, tmp_path, payload, *argv):
+        path = write_json(tmp_path, "le.json", payload)
+        return subprocess.run(
+            [sys.executable, "-m", "positroids.cli", *argv, path],
+            capture_output=True, text=True, env=cli_env(), timeout=10)
+
+    @pytest.mark.parametrize("dst,code", [
+        ("necklace", 0), ("decperm", 0), ("le", 2), ("nonadjacent", 2)])
+    def test_empty_shape(self, tmp_path, dst, code):
+        proc = self.child(tmp_path, self.EMPTY,
+                          "convert", "--from", "le", "--to", dst)
+        assert proc.returncode == code, proc.stderr
+        if dst == "decperm":
+            # Sinks 1..20 and sources 21..40, each a marked fixed point.
+            assert json.loads(proc.stdout) == {
+                "n": 40, "perm": list(range(1, 41)),
+                "colors": {str(i): 1 if i <= 20 else -1
+                           for i in range(1, 41)}}
+
+    @pytest.mark.parametrize("dst", ["necklace", "decperm", "le",
+                                     "nonadjacent"])
+    def test_full_box(self, tmp_path, dst):
+        proc = self.child(tmp_path, self.FULL,
+                          "convert", "--from", "le", "--to", dst)
+        assert proc.returncode == 0, proc.stderr
+        if dst == "le":
+            assert json.loads(proc.stdout) == self.FULL
+
+    def test_full_box_check_sp(self, tmp_path):
+        proc = self.child(tmp_path, self.FULL, "check-sp", "--kind", "le")
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (0, "sparse-paving A={}\ncircuit-hyperplanes: []\n", "")
+
+
 class TestCheckSp:
     def test_necklace_witness(self, tmp_path, capsys):
         neck = necklace_from_nonadjacent({1}, 2, 4)
@@ -686,7 +731,8 @@ class TestEnumerate:
 
     def test_census_rejects_extreme_rank(self, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", "5", "--k", "1"])
-        assert code == 1
+        assert (code, out, err) == (1, "", "invalid: classification needs "
+                                    "2 <= k <= n-2, got k=1, n=5\n")
 
     def test_closed_stdout_exits_quietly(self):
         proc = subprocess.Popen(

@@ -12,6 +12,7 @@ from positroids import (
     enumerate_sparse_paving,
     is_le,
     is_positroid,
+    le_to_decperm,
     lucas,
     members_of,
     necklace_to_positroid,
@@ -147,6 +148,16 @@ class TestCensus:
             for entry in enumerate_sparse_paving(k, n):
                 assert entry.nonbases == {
                     cyclic_interval(k, n, i) for i in entry.nonadjacent}
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_pipes_give_the_census_permutation(self, n):
+        """Postnikov's pipes through the paper's Le-diagram
+        (le_from_removals) give the entry's decorated permutation, with no
+        necklace in between."""
+        for k in range(2, n - 1):
+            for entry in enumerate_sparse_paving(k, n):
+                assert le_to_decperm(entry.diagram) == entry.perm, \
+                    (k, n, entry.nonadjacent)
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_closed_form_matches_schubert_intersection(self, n):

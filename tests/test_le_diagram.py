@@ -13,27 +13,34 @@ from positroids import (
     cell_numbering,
     cyclic_interval,
     is_le,
-    k_subset_masks,
     le_from_removals,
+    le_to_decperm,
     le_violation,
     mask_of,
     members_of,
     necklace_from_nonadjacent,
+    necklace_to_decperm,
     necklace_to_positroid,
     nonadjacent_mask_ok,
+    positroid_necklace,
     realizable_sets,
     render_le,
     top_permutation,
     uniform,
 )
-from positroids.le_diagram import _det
 
 from oracles import (
+    all_decorated_permutations,
     all_le_diagrams,
+    bareiss_det,
     brute_det,
     checked_sparse_paving,
     count_path_systems,
+    determined_rank,
     flow_realizable_sets,
+    matroid_of,
+    maximal_minors,
+    minor_bases,
     reference_matrix,
     reference_network_edges,
 )
@@ -219,8 +226,8 @@ class TestMatrix:
             (1, 0, 0, 1, 2, 4), (0, 1, 0, -1, -2, -3), (0, 0, 1, 1, 1, 1))
 
     def test_det_sign_of_a_swap(self):
-        assert _det([[0, 1], [1, 0]]) == -1
-        assert _det([]) == 1
+        assert bareiss_det([[0, 1], [1, 0]]) == -1
+        assert bareiss_det([]) == 1
 
     @given(st.integers(0, 5).flatmap(lambda size: st.lists(
         st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]),
@@ -229,7 +236,7 @@ class TestMatrix:
     @settings(max_examples=300, deadline=None)
     def test_det_matches_leibniz(self, a):
         # mostly zeros, so zero pivots and row swaps come up often
-        assert _det([list(row) for row in a]) == brute_det(a)
+        assert bareiss_det([list(row) for row in a]) == brute_det(a)
 
 
 def bases_as_sets(m):
@@ -239,12 +246,8 @@ def bases_as_sets(m):
 def matrix_minors(d, det):
     """Each k-set's maximal minor of the diagram's boundary-measurement
     matrix, as a dict keyed by mask, computed by the given determinant."""
-    matrix = build_network(d).matrix
-    out = {}
-    for mask in k_subset_masks(d.n, d.k):
-        cols = [j - 1 for j in members_of(mask)]
-        out[mask] = det([[row[j] for j in cols] for row in matrix])
-    return out
+    minors = maximal_minors(build_network(d).matrix, d.n, d.k, det)
+    return {mask_of(c, d.n): v for c, v in minors.items()}
 
 
 def assert_matrix_certifies(d, det):
@@ -285,7 +288,8 @@ class TestAgainstFlow:
     must give the same bases on every diagram."""
 
     @pytest.mark.parametrize("n,total", [(1, 2), (2, 5), (3, 16), (4, 65),
-                                         (5, 326), (6, 1957)])
+                                         (5, 326), (6, 1957),
+                                         (7, 13700)])
     def test_every_diagram(self, n, total):
         # Le-diagrams of [n] are counted by the decorated permutations,
         # sum over k of n!/k!.
@@ -309,7 +313,7 @@ class TestAgainstFlow:
     def test_path_system_for_every_basis(self, n):
         # A maximal minor of the boundary-measurement matrix counts the
         # path systems of its k-set, so a basis is a positive minor; the
-        # minors come from the Leibniz oracle, not the library's _det.
+        # minors come from the Leibniz oracle, not Bareiss elimination.
         for k in range(n + 1):
             for d in all_le_diagrams(k, n):
                 assert_matrix_certifies(d, brute_det)
@@ -317,7 +321,65 @@ class TestAgainstFlow:
     @given(random_le_diagrams(7, 10))
     @settings(max_examples=150, deadline=None)
     def test_random_matrices(self, d):
-        assert_matrix_certifies(d, _det)
+        assert_matrix_certifies(d, bareiss_det)
+
+
+def minors_decperm(d):
+    """The decorated permutation of the positroid that the nonzero Bareiss
+    minors of build_network's matrix realize, through the library's
+    necklace extraction."""
+    bases = minor_bases(build_network(d).matrix, d.n, d.k)
+    return necklace_to_decperm(positroid_necklace(matroid_of(d.n, bases)))
+
+
+class TestPipes:
+    """le_to_decperm reads the decorated permutation off Postnikov's pipes;
+    the oracle reads it off the minors of the boundary-measurement matrix.
+    Both run on every Le-diagram with n <= 7 and on random ones up to 12."""
+
+    def test_full_box_is_the_shift(self):
+        assert le_to_decperm(full_box(2, 4)).perm == (3, 4, 1, 2)
+        assert le_to_decperm(full_box(3, 7)).perm == (4, 5, 6, 7, 1, 2, 3)
+
+    def test_empty_shape_marks_every_label(self):
+        # The columns' sinks are 1 and 2, the rows' sources 3 and 4.
+        dp = le_to_decperm(diagram(2, 4, (), []))
+        assert dp.perm == (1, 2, 3, 4)
+        assert dp.colors == ((1, 1), (2, 1), (3, -1), (4, -1))
+
+    def test_row_without_a_bullet_is_a_marked_fixed_point(self):
+        # Row 1's pipe crosses both cells of its row and leaves at its own
+        # source label 1, a coloop, though the row lies inside the shape.
+        dp = le_to_decperm(diagram(2, 4, (2, 2), [[0, 0], [1, 1]]))
+        assert dp.perm == (1, 3, 4, 2)
+        assert dp.colors == ((1, -1),)
+
+    def test_rejects_non_le(self):
+        with pytest.raises(ValueError, match=r"Le condition fails at cell"):
+            le_to_decperm(diagram(2, 4, (2, 2), [[0, 1], [1, 0]]))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_diagram(self, n):
+        for k in range(n + 1):
+            for d in all_le_diagrams(k, n):
+                assert le_to_decperm(d) == minors_decperm(d), d
+
+    @given(random_le_diagrams(8, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_random_diagrams(self, d):
+        assert le_to_decperm(d) == minors_decperm(d), d
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bijection_onto_each_rank(self, n):
+        """At each k the Le-diagrams in the k x (n-k) box map one to one
+        onto the decorated permutations of [n] of rank k."""
+        by_rank = {}
+        for dp in all_decorated_permutations(n):
+            by_rank.setdefault(determined_rank(dp), set()).add(dp)
+        for k in range(n + 1):
+            images = [le_to_decperm(d) for d in all_le_diagrams(k, n)]
+            assert len(set(images)) == len(images)
+            assert set(images) == by_rank[k]
 
 
 class TestSweepAgainstReference:
