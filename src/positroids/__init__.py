@@ -46,10 +46,8 @@ from .le_diagram import (
     boundary_labels,
     build_network,
     cell_numbering,
-    is_le,
     le_from_removals,
     le_to_decperm,
-    le_violation,
     realizable_sets,
     render_le,
 )

@@ -24,7 +24,6 @@ from .le_diagram import (
     LeDiagram,
     le_from_removals,
     le_to_decperm,
-    le_violation,
     render_le,
 )
 from .matroid import (
@@ -118,10 +117,6 @@ def _load(kind: str, data) -> object:
         raise CliError(str(exc))
     if kind == "bases":
         return _load_bases(obj)
-    if kind == "le":
-        bad = le_violation(obj)
-        if bad is not None:
-            raise CliError(f"Le condition fails at cell {bad}")
     return obj
 
 

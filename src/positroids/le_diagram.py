@@ -2,7 +2,9 @@
 pipes trace, and the planar path networks that certify their positroids.
 
 Cells are addressed (row, col) with row 1 on top and col 1 at the left, the
-usual top-left-justified Young diagram picture.
+usual top-left-justified Young diagram picture.  A LeDiagram is always a
+Le-diagram: its constructor refuses a filling that breaks the Le condition,
+so nothing downstream decides it again.
 
 The pipes are the route: le_to_decperm reads the decorated permutation off
 Postnikov's pipe dream in one sweep over the cells (Postnikov, "Total
@@ -41,11 +43,11 @@ from .necklace import necklace_to_positroid
 
 
 class LeDiagram(Record):
-    """Young-diagram shape inside a k x (n-k) box with a bullet/empty filling.
+    """Young-diagram shape inside a k x (n-k) box with a bullet/empty filling
+    that satisfies the Le condition.
 
-    Construction checks the shape and filling geometry only; whether the
-    filling satisfies the Le condition is a separate question answered by
-    is_le, so invalid fillings can be represented and diagnosed.
+    Construction checks the shape and filling geometry, then the Le
+    condition, and names the first failing cell in row-major order.
     """
 
     __slots__ = ("k", "n", "shape", "filling")
@@ -69,6 +71,7 @@ class LeDiagram(Record):
         for row, w in zip(self.filling, self.shape):
             if len(row) != w:
                 raise ValueError("filling row width differs from the shape")
+        _require_le(self.filling, self.n - self.k)
 
     @classmethod
     def make(cls, k: int, n: int, shape: Iterable[int],
@@ -102,23 +105,18 @@ def _cell(x) -> bool:
     return bool(x)
 
 
-def le_violation(diag: LeDiagram) -> tuple[int, int] | None:
-    """First cell breaking the Le condition: an empty cell with a bullet above
-    it in its column and a bullet to its left in its row."""
-    above = [False] * (diag.n - diag.k + 1)
-    for r, row in enumerate(diag.filling, 1):
+def _require_le(filling: tuple, width: int) -> None:
+    """Raise at the first cell, in row-major order, that breaks the Le
+    condition: an empty cell with a bullet above it in its column and a
+    bullet to its left in its row."""
+    above = [False] * (width + 1)
+    for r, row in enumerate(filling, 1):
         seen_left = False
         for c, bullet in enumerate(row, 1):
             if bullet:
                 seen_left = above[c] = True
             elif seen_left and above[c]:
-                return (r, c)
-    return None
-
-
-def is_le(diag: LeDiagram) -> bool:
-    """Whether the filling satisfies the Le condition at every cell."""
-    return le_violation(diag) is None
+                raise ValueError(f"Le condition fails at cell {(r, c)}")
 
 
 def boundary_labels(diag: LeDiagram) -> tuple[dict, dict]:
@@ -175,9 +173,6 @@ def build_network(diag: LeDiagram) -> PlanarNetwork:
     by empty cells are skipped.  The sweep runs from the bottom row up and
     left to right within a row, so both successors of a bullet are counted
     before it, and its path counts per sink are the sum of theirs."""
-    bad = le_violation(diag)
-    if bad is not None:
-        raise ValueError(f"Le condition fails at cell {bad}")
     n = diag.n
     row_source, col_sink = boundary_labels(diag)
     sources = mask_of(row_source.values(), n)
@@ -210,10 +205,9 @@ def le_to_decperm(diag: LeDiagram) -> DecoratedPermutation:
     up and right to left, the pipe leaving row r ends at its source label
     and the one leaving column c at its sink label, and each pipe maps its
     start to its end.  A fixed point is marked -1 at a source label and +1
-    at a sink label."""
-    bad = le_violation(diag)
-    if bad is not None:
-        raise ValueError(f"Le condition fails at cell {bad}")
+    at a sink label.  Any filling gives a permutation, and the marks cover
+    its fixed points in ascending order, so the result is built with
+    Record._trusted."""
     row_source, col_sink = boundary_labels(diag)
     row, col = dict(row_source), dict(col_sink)
     for r in range(len(diag.filling), 0, -1):
@@ -227,7 +221,7 @@ def le_to_decperm(diag: LeDiagram) -> DecoratedPermutation:
             perm[start - 1] = ends[line]
     marks = tuple((i, -1 if i in row_source.values() else 1)
                   for i, j in enumerate(perm, 1) if i == j)
-    return DecoratedPermutation(diag.n, tuple(perm), marks)
+    return DecoratedPermutation._trusted(diag.n, tuple(perm), marks)
 
 
 def realizable_sets(diag: LeDiagram) -> Matroid:

@@ -299,7 +299,8 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
     The positroid is sparse paving exactly when every entry that deviates from
     its cyclic interval is the bumped interval and no two deviating indices
     are cyclic neighbours.  Returns the deviation set, which indexes the
-    circuit-hyperplanes, or None when the test fails.
+    circuit-hyperplanes, or None when the test fails.  The set is built
+    with Record._trusted: nonadjacent_mask_ok has just passed on it.
     """
     n = neck.n
     deviating = 0
@@ -313,7 +314,7 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
         bit <<= 1
     if not nonadjacent_mask_ok(deviating, n):
         return None
-    return NonAdjacentSet(n, deviating)
+    return NonAdjacentSet._trusted(n, deviating)
 
 
 @lru_cache(maxsize=None)

@@ -390,15 +390,22 @@ def checked_sparse_paving(m):
     return verdict
 
 
-def _le_ok(filling):
-    """Le condition on plain lists: no empty cell has both a bullet to its
-    left in its row and a bullet above it in its column."""
+def first_le_failure(filling):
+    """The first cell (row, col), counted from 1 in row-major order, of a
+    filling given as plain lists that is empty with a bullet to its left in
+    its row and a bullet above it in its column; None when there is none."""
     for r, row in enumerate(filling):
         for c, cell in enumerate(row):
             if (not cell and any(row[:c])
                     and any(filling[q][c] for q in range(r))):
-                return False
-    return True
+                return (r + 1, c + 1)
+    return None
+
+
+def _le_ok(filling):
+    """Le condition on plain lists: no empty cell has both a bullet to its
+    left in its row and a bullet above it in its column."""
+    return first_le_failure(filling) is None
 
 
 def _shapes(rows, width):
@@ -411,9 +418,9 @@ def _shapes(rows, width):
                 yield [w] + rest
 
 
-def all_le_diagrams(k, n):
-    """Every Le-diagram in the k x (n-k) box: each shape, each 0/1 filling,
-    kept when the filling passes _le_ok."""
+def all_fillings(k, n):
+    """Every (shape, filling) pair in the k x (n-k) box, as plain lists: each
+    shape with each of its 0/1 fillings, Le or not."""
     for shape in _shapes(k, n - k):
         cells = sum(shape)
         for bits in range(1 << cells):
@@ -422,8 +429,15 @@ def all_le_diagrams(k, n):
             for w in shape:
                 filling.append(flat[start:start + w])
                 start += w
-            if _le_ok(filling):
-                yield LeDiagram.make(k, n, shape, filling)
+            yield shape, filling
+
+
+def all_le_diagrams(k, n):
+    """Every Le-diagram in the k x (n-k) box: each shape, each 0/1 filling,
+    kept when the filling passes _le_ok."""
+    for shape, filling in all_fillings(k, n):
+        if _le_ok(filling):
+            yield LeDiagram.make(k, n, shape, filling)
 
 
 def _find_augmenting(succ, start, goal):

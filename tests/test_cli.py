@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from positroids import cli, necklace
+from positroids import cli, le_diagram, necklace
 from positroids import (
     Matroid,
     NonAdjacentSet,
@@ -64,6 +64,16 @@ def interval_necklace_dict(k, n):
                         for i in range(1, n + 1)]}
 
 
+# The commands that read an le payload.
+LE_COMMANDS = [
+    pytest.param(["validate", "--kind", "le"], id="validate"),
+    pytest.param(["convert", "--from", "le", "--to", "decperm"],
+                 id="convert"),
+    pytest.param(["check-sp", "--kind", "le"], id="check-sp"),
+    pytest.param(["render-le"], id="render-le"),
+]
+
+
 class TestValidate:
     def test_valid_necklace(self, tmp_path, capsys):
         path = write_json(tmp_path, "neck.json", interval_necklace_dict(3, 6))
@@ -79,13 +89,33 @@ class TestValidate:
         assert code == 1
         assert "i=1" in err
 
-    def test_invalid_le_names_the_cell(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", LE_COMMANDS)
+    def test_invalid_le_names_the_cell(self, argv, tmp_path, capsys):
         payload = {"k": 2, "n": 4, "shape": [2, 2],
                    "filling": [[0, 1], [1, 0]]}
         path = write_json(tmp_path, "le.json", payload)
-        code, out, err = run(capsys, ["validate", "--kind", "le", path])
-        assert code == 1
-        assert "(2, 2)" in err
+        code, out, err = run(capsys, [*argv, path])
+        assert (code, out, err) == (
+            1, "", "invalid: Le condition fails at cell (2, 2)\n")
+
+    @pytest.mark.parametrize("argv", LE_COMMANDS)
+    def test_le_payload_is_checked_once(self, argv, tmp_path, capsys,
+                                        monkeypatch):
+        """Every command that reads an le payload decides the Le condition
+        once, in the LeDiagram constructor, and never again downstream."""
+        calls = []
+        check = le_diagram._require_le
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(le_diagram, "_require_le", counted)
+        path = write_json(tmp_path, "le.json",
+                          le_from_removals({3}, 3, 6).to_dict())
+        code, _, err = run(capsys, [*argv, path])
+        assert (code, err) == (0, "")
+        assert len(calls) == 1
 
     def test_bases_exchange_failure(self, tmp_path, capsys):
         payload = {"n": 4, "k": 2, "bases": [[1, 2], [3, 4]]}

@@ -12,10 +12,8 @@ from positroids import (
     build_network,
     cell_numbering,
     cyclic_interval,
-    is_le,
     le_from_removals,
     le_to_decperm,
-    le_violation,
     mask_of,
     members_of,
     necklace_from_nonadjacent,
@@ -30,13 +28,16 @@ from positroids import (
 )
 
 from oracles import (
+    _le_ok,
     all_decorated_permutations,
+    all_fillings,
     all_le_diagrams,
     bareiss_det,
     brute_det,
     checked_sparse_paving,
     count_path_systems,
     determined_rank,
+    first_le_failure,
     flow_realizable_sets,
     matroid_of,
     maximal_minors,
@@ -44,6 +45,7 @@ from oracles import (
     reference_matrix,
     reference_network_edges,
 )
+from test_trusted import assert_revalidates
 
 
 def diagram(k, n, shape, rows):
@@ -102,23 +104,53 @@ class TestType:
 
 class TestLeCondition:
     def test_full_rectangle(self):
-        assert is_le(full_box(3, 7))
+        assert_revalidates(full_box(3, 7))
 
     def test_violating_square(self):
         # bullets at (1,2) and (2,1) force one at (2,2)
-        d = diagram(2, 4, (2, 2), [[0, 1], [1, 0]])
-        assert le_violation(d) == (2, 2)
-        assert not is_le(d)
+        with pytest.raises(ValueError, match=r"cell \(2, 2\)"):
+            diagram(2, 4, (2, 2), [[0, 1], [1, 0]])
 
     def test_removal_diagrams_are_le(self):
-        assert is_le(FIG_LEFT)
-        assert is_le(FIG_RIGHT)
+        assert_revalidates(FIG_LEFT)
+        assert_revalidates(FIG_RIGHT)
 
     def test_every_removal_set_stays_le(self):
         for n in range(3, 8):
             for k in range(2, n):
                 for subset in subsets_of(n):
-                    assert is_le(le_from_removals(subset, k, n))
+                    assert_revalidates(le_from_removals(subset, k, n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_constructors_accept_exactly_the_le_fillings(self, n):
+        """Every shape and 0/1 filling in every k x (n-k) box: LeDiagram,
+        LeDiagram.make and LeDiagram.from_dict accept exactly the fillings
+        that oracles._le_ok accepts, and otherwise name the first failing
+        cell in row-major order."""
+        accepted = rejected = 0
+        for k in range(n + 1):
+            for shape, filling in all_fillings(k, n):
+                rows = tuple(tuple(map(bool, row)) for row in filling)
+                payload = {"k": k, "n": n, "shape": shape,
+                           "filling": filling}
+                builds = (lambda: LeDiagram(k, n, tuple(shape), rows),
+                          lambda: LeDiagram.make(k, n, shape, filling),
+                          lambda: LeDiagram.from_dict(payload))
+                bad = first_le_failure(filling)
+                for build in builds:
+                    if bad is None:
+                        assert build().filling == rows
+                    else:
+                        with pytest.raises(ValueError) as exc:
+                            build()
+                        assert str(exc.value) == \
+                            f"Le condition fails at cell {bad}"
+                accepted += bad is None
+                rejected += bad is not None
+        # Le-diagrams of [n] are counted by sum over k of n!/k!.
+        assert accepted == sum(factorial(n) // factorial(k)
+                               for k in range(n + 1))
+        assert rejected > 0 or n < 4
 
 
 class TestBoundary:
@@ -179,8 +211,10 @@ class TestNetwork:
                         assert same_row or same_col
 
     def test_rejects_non_le(self):
-        with pytest.raises(ValueError):
-            build_network(diagram(2, 4, (2, 2), [[0, 1], [1, 0]]))
+        # A non-Le filling never reaches build_network: the constructor
+        # refuses it.
+        with pytest.raises(ValueError, match=r"Le condition fails at cell"):
+            diagram(2, 4, (2, 2), [[0, 1], [1, 0]])
 
 
 class TestRealizability:
@@ -298,7 +332,7 @@ class TestAgainstFlow:
         seen = 0
         for k in range(n + 1):
             for d in all_le_diagrams(k, n):
-                assert is_le(d)
+                assert_revalidates(d)
                 assert bases_as_sets(realizable_sets(d)) == \
                     flow_realizable_sets(d)
                 seen += 1
@@ -355,8 +389,10 @@ class TestPipes:
         assert dp.colors == ((1, -1),)
 
     def test_rejects_non_le(self):
+        # A non-Le filling never reaches the pipes: the constructor refuses
+        # it.
         with pytest.raises(ValueError, match=r"Le condition fails at cell"):
-            le_to_decperm(diagram(2, 4, (2, 2), [[0, 1], [1, 0]]))
+            diagram(2, 4, (2, 2), [[0, 1], [1, 0]])
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_diagram(self, n):
@@ -549,9 +585,12 @@ class TestMonotonicity:
                         continue
                     rows = [list(row) for row in base.filling]
                     rows[r - 1][c - 1] = False
-                    trimmed = LeDiagram.make(k, n, base.shape, rows)
-                    if not is_le(trimmed):
+                    try:
+                        trimmed = LeDiagram.make(k, n, base.shape, rows)
+                    except ValueError:
+                        assert not _le_ok(rows)
                         continue
+                    assert _le_ok(rows)
                     assert realizable_sets(trimmed).bases <= base_bases
 
 

@@ -2,9 +2,10 @@
 constructor.
 
 all_necklaces, necklace_from_nonadjacent, decperm_to_necklace,
-necklace_to_positroid, necklace_to_decperm, le_from_removals and
-nonadjacent_subsets build their records with Record._trusted, which sets
-the fields without running __post_init__.  Whatever they build must pass the validating constructor
+necklace_to_positroid, necklace_to_decperm, sparse_paving_witness,
+le_from_removals, le_to_decperm and nonadjacent_subsets build their
+records with Record._trusted, which sets the fields without running
+__post_init__.  Whatever they build must pass the validating constructor
 unchanged, type(x)(*x._values()) == x: exhaustively at small n, and on
 hypothesis draws up to n = 12.
 """
@@ -19,17 +20,21 @@ from hypothesis import strategies as st
 
 from positroids import (
     all_necklaces,
+    count_sparse_paving,
     decperm_to_necklace,
     enumerate_sparse_paving,
     le_from_removals,
+    le_to_decperm,
     members_of,
     necklace_to_decperm,
     necklace_to_positroid,
     nonadjacent_subsets,
+    sparse_paving_witness,
 )
 
 from oracles import (
     all_decorated_permutations,
+    all_le_diagrams,
     determined_rank,
     reference_all_necklaces,
     reference_le_from_removals,
@@ -45,9 +50,11 @@ TRUSTED_BUILDERS = {
     ("decorated.py", "necklace_to_decperm"),
     ("enumeration.py", "nonadjacent_subsets"),
     ("le_diagram.py", "le_from_removals"),
+    ("le_diagram.py", "le_to_decperm"),
     ("necklace.py", "all_necklaces"),
     ("necklace.py", "necklace_from_nonadjacent"),
     ("necklace.py", "necklace_to_positroid"),
+    ("necklace.py", "sparse_paving_witness"),
 }
 
 
@@ -134,6 +141,29 @@ def test_every_removal_diagram(n):
             diag = le_from_removals(labels, k, n)
             assert_revalidates(diag)
             assert diag == reference_le_from_removals(labels, k, n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_every_le_diagram_pipes(n):
+    """le_to_decperm on every Le-diagram of [n]: the validating constructor
+    takes its permutation and its marks unchanged."""
+    for k in range(n + 1):
+        for diag in all_le_diagrams(k, n):
+            assert_revalidates(le_to_decperm(diag))
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_every_witness(n):
+    """sparse_paving_witness on every necklace of every type it classifies,
+    2 <= k <= n-2; the sparse paving ones number count_sparse_paving."""
+    for k in range(2, n - 1):
+        found = 0
+        for neck in all_necklaces(k, n):
+            witness = sparse_paving_witness(neck)
+            if witness is not None:
+                assert_revalidates(witness)
+                found += 1
+        assert found == count_sparse_paving(k, n)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
