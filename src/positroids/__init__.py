@@ -42,7 +42,6 @@ from .decorated import (
 )
 from .le_diagram import (
     LeDiagram,
-    PlanarNetwork,
     boundary_labels,
     build_network,
     cell_numbering,

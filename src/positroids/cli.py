@@ -113,8 +113,6 @@ def _load(kind: str, data) -> object:
         obj = _LOADERS[kind](data)
     except (KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"malformed {kind} payload: {exc}")
-    except ValueError as exc:
-        raise CliError(str(exc))
     if kind == "bases":
         return _load_bases(obj)
     return obj

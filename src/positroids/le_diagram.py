@@ -10,16 +10,12 @@ The pipes are the route: le_to_decperm reads the decorated permutation off
 Postnikov's pipe dream in one sweep over the cells (Postnikov, "Total
 positivity, Grassmannians, and networks", arXiv math/0609764), and the
 necklace and the bases follow from it.  The matrix is the certificate:
-the network's boundary-measurement matrix (PlanarNetwork.matrix) is a
-k x n integer matrix of signed source-to-sink path counts whose maximal
+the network's boundary-measurement matrix, which build_network returns, is
+a k x n integer matrix of signed source-to-sink path counts whose maximal
 minor on a k-subset I counts the vertex-disjoint path systems from the
 sources outside I to the sinks inside I (Talaska's formula for the
 Plucker coordinates).  So every minor is nonnegative, and the nonzero ones
 are exactly the bases.
-
-build_network sums the path counts in one sweep over the cells, from the
-bottom row up and left to right within a row, which counts a bullet's left
-neighbour and its nearest vertex below before the bullet itself.
 """
 
 from __future__ import annotations
@@ -146,33 +142,23 @@ def boundary_labels(diag: LeDiagram) -> tuple[dict, dict]:
     return row_source, col_sink
 
 
-class PlanarNetwork:
-    """Acyclic directed network over the bullets of a Le-diagram: rows carry
-    traffic leftward from the row's source, columns carry it downward into
-    the column's sink.  It keeps the sources and sinks, as masks of their
-    labels, and the path counts, not the edges.
+def build_network(diag: LeDiagram) -> tuple:
+    """Postnikov's boundary-measurement matrix of the diagram's path network
+    with unit weights, as a tuple of rows: one row per source in label
+    order.  A source's own column holds 1 and the other sources' columns 0;
+    a sink column j holds (-1)^s times the number of paths from the row's
+    source i to j, where s counts the sources strictly between i and j.  A
+    source only reaches sinks with larger labels.
 
-    `matrix` is Postnikov's boundary-measurement matrix with unit weights:
-    one row per source in label order.  A source's own column holds 1 and
-    the other sources' columns 0; a sink column j holds (-1)^s times the
-    number of paths from the row's source i to j, where s counts the
-    sources strictly between i and j.  A source only reaches sinks with
-    larger labels."""
-
-    def __init__(self, sources: int, sinks: int, matrix: tuple):
-        self.sources = sources
-        self.sinks = sinks
-        self.matrix = matrix
-
-
-def build_network(diag: LeDiagram) -> PlanarNetwork:
-    """Construct the path network's sources, sinks and matrix.  Each source
-    points to the rightmost bullet of its row; each bullet points to the
-    nearest bullet on its left in the row and to the nearest bullet below
-    in its column (`below`, which starts at the column's sink).  Gaps left
-    by empty cells are skipped.  The sweep runs from the bottom row up and
-    left to right within a row, so both successors of a bullet are counted
-    before it, and its path counts per sink are the sum of theirs."""
+    Rows carry traffic leftward from the row's source and columns carry it
+    downward into the column's sink: each source points to the rightmost
+    bullet of its row, and each bullet points to the nearest bullet on its
+    left in the row and to the nearest bullet below in its column (`below`,
+    which starts at the column's sink).  Gaps left by empty cells are
+    skipped.  The network's edges are never stored: the sweep runs from the
+    bottom row up and left to right within a row, so both successors of a
+    bullet are counted before it, and its path counts per sink are the sum
+    of theirs."""
     n = diag.n
     row_source, col_sink = boundary_labels(diag)
     sources = mask_of(row_source.values(), n)
@@ -194,8 +180,7 @@ def build_network(diag: LeDiagram) -> PlanarNetwork:
             between = (sources >> i) & ((1 << (j - i - 1)) - 1)
             row[j - 1] = -x if between.bit_count() & 1 else x
         rows.append(tuple(row))
-    return PlanarNetwork(sources, mask_of(col_sink.values(), n),
-                         tuple(reversed(rows)))
+    return tuple(reversed(rows))
 
 
 def le_to_decperm(diag: LeDiagram) -> DecoratedPermutation:
@@ -204,10 +189,10 @@ def le_to_decperm(diag: LeDiagram) -> DecoratedPermutation:
     and swaps with the crossing pipe at a bullet.  Swept from the bottom row
     up and right to left, the pipe leaving row r ends at its source label
     and the one leaving column c at its sink label, and each pipe maps its
-    start to its end.  A fixed point is marked -1 at a source label and +1
-    at a sink label.  Any filling gives a permutation, and the marks cover
-    its fixed points in ascending order, so the result is built with
-    Record._trusted."""
+    start to its end.  A pipe that ends where it started is a fixed point,
+    marked as its end is read: -1 at a source label, +1 at a sink label.
+    Any filling gives a permutation, and the marks cover its fixed points in
+    ascending order, so the result is built with Record._trusted."""
     row_source, col_sink = boundary_labels(diag)
     row, col = dict(row_source), dict(col_sink)
     for r in range(len(diag.filling), 0, -1):
@@ -216,11 +201,13 @@ def le_to_decperm(diag: LeDiagram) -> DecoratedPermutation:
             if cells[c - 1]:
                 row[r], col[c] = col[c], row[r]
     perm = [0] * diag.n
-    for ends, starts in ((row_source, row), (col_sink, col)):
+    mark = [0] * diag.n
+    for ends, starts, sign in ((row_source, row, -1), (col_sink, col, 1)):
         for line, start in starts.items():
-            perm[start - 1] = ends[line]
-    marks = tuple((i, -1 if i in row_source.values() else 1)
-                  for i, j in enumerate(perm, 1) if i == j)
+            end = perm[start - 1] = ends[line]
+            if end == start:
+                mark[end - 1] = sign
+    marks = tuple((i, m) for i, m in enumerate(mark, 1) if m)
     return DecoratedPermutation._trusted(diag.n, tuple(perm), marks)
 
 
@@ -277,11 +264,10 @@ def render_le(diag: LeDiagram) -> str:
     the final line."""
     row_source, col_sink = boundary_labels(diag)
     w = len(str(diag.n))
-    widths = list(diag.shape) + [0] * (diag.k - len(diag.shape))
+    filling = diag.filling + ((),) * (diag.k - len(diag.filling))
     lines = []
-    for r in range(1, diag.k + 1):
-        cells = [("*" if diag.filling[r - 1][c - 1] else ".").ljust(w)
-                 for c in range(1, widths[r - 1] + 1)]
+    for r, row in enumerate(filling, 1):
+        cells = [("*" if bullet else ".").ljust(w) for bullet in row]
         cells.append(str(row_source[r]).ljust(w))
         lines.append(" ".join(cells).rstrip())
     bottom = " ".join(str(col_sink[c]).ljust(w)

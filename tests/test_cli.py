@@ -449,6 +449,24 @@ class TestBoundedLeWork:
         assert (proc.returncode, proc.stdout, proc.stderr) == \
             (0, "sparse-paving A={}\ncircuit-hyperplanes: []\n", "")
 
+    def test_pipes_mark_in_linear_time(self):
+        # The empty (60000, 30000) shape: 60000 marked fixed points, each
+        # marked where its pipe's end is read.  Finding a fixed point's side
+        # by a search of the k source labels took 26 s on a 2-CPU host.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys\n"
+             "from positroids import LeDiagram, le_to_decperm\n"
+             "dp = le_to_decperm(LeDiagram(30000, 60000, (), ()))\n"
+             "json.dump([dp.perm, dp.colors], sys.stdout)"],
+            capture_output=True, text=True, env=cli_env(), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        perm, colors = json.loads(proc.stdout)
+        # Sinks 1..30000 and sources 30001..60000.
+        assert perm == list(range(1, 60001))
+        assert colors == [[i, 1 if i <= 30000 else -1]
+                          for i in range(1, 60001)]
+
 
 class TestCheckSp:
     def test_necklace_witness(self, tmp_path, capsys):
@@ -626,7 +644,7 @@ def bases_verdict(n, k, family):
     payload = {"n": n, "k": k, "bases": [sorted(b) for b in family]}
     try:
         cli._as_necklace("bases", cli._load("bases", payload), k)
-    except cli.CliError as exc:
+    except (cli.CliError, ValueError) as exc:
         return 1, f"invalid: {exc}"
     except cli.NegativeVerdict as verdict:
         return 2, str(verdict)

@@ -1,3 +1,4 @@
+import hashlib
 from math import factorial
 
 import pytest
@@ -246,17 +247,17 @@ class TestRealizability:
 
 class TestMatrix:
     def test_full_2x2(self):
-        assert build_network(full_box(2, 4)).matrix == \
+        assert build_network(full_box(2, 4)) == \
             ((1, 0, -1, -2), (0, 1, 1, 1))
 
     def test_staircase(self):
-        net = build_network(diagram(2, 4, (2, 1), [[1, 1], [1]]))
-        assert net.matrix == ((1, 1, 0, -1), (0, 0, 1, 1))
+        assert build_network(diagram(2, 4, (2, 1), [[1, 1], [1]])) == \
+            ((1, 1, 0, -1), (0, 0, 1, 1))
 
     def test_removal_diagram(self):
         # two sources sit between source 1 and the sinks 4..6, one between
         # source 2 and them, so only row 2's sink entries change sign
-        assert build_network(le_from_removals({3}, 3, 6)).matrix == (
+        assert build_network(le_from_removals({3}, 3, 6)) == (
             (1, 0, 0, 1, 2, 4), (0, 1, 0, -1, -2, -3), (0, 0, 1, 1, 1, 1))
 
     def test_det_sign_of_a_swap(self):
@@ -280,7 +281,7 @@ def bases_as_sets(m):
 def matrix_minors(d, det):
     """Each k-set's maximal minor of the diagram's boundary-measurement
     matrix, as a dict keyed by mask, computed by the given determinant."""
-    minors = maximal_minors(build_network(d).matrix, d.n, d.k, det)
+    minors = maximal_minors(build_network(d), d.n, d.k, det)
     return {mask_of(c, d.n): v for c, v in minors.items()}
 
 
@@ -362,7 +363,7 @@ def minors_decperm(d):
     """The decorated permutation of the positroid that the nonzero Bareiss
     minors of build_network's matrix realize, through the library's
     necklace extraction."""
-    bases = minor_bases(build_network(d).matrix, d.n, d.k)
+    bases = minor_bases(build_network(d), d.n, d.k)
     return necklace_to_decperm(positroid_necklace(matroid_of(d.n, bases)))
 
 
@@ -427,12 +428,12 @@ class TestSweepAgainstReference:
     def test_every_diagram(self, n):
         for k in range(n + 1):
             for d in all_le_diagrams(k, n):
-                assert build_network(d).matrix == reference_matrix(d), d
+                assert build_network(d) == reference_matrix(d), d
 
     @given(random_le_diagrams(7, 10))
     @settings(max_examples=150, deadline=None)
     def test_random_diagrams(self, d):
-        assert build_network(d).matrix == reference_matrix(d), d
+        assert build_network(d) == reference_matrix(d), d
 
 
 class TestPathSystemAgreement:
@@ -447,12 +448,13 @@ class TestPathSystemAgreement:
                  le_from_removals({3, 6}, 2, 6)]
         for d in cases:
             assert_matrix_certifies(d, brute_det)
-            net = build_network(d)
+            sources, sinks = (mask_of(labels.values(), d.n)
+                              for labels in boundary_labels(d))
             edges = reference_network_edges(d)
             for mask, minor in matrix_minors(d, brute_det).items():
                 assert minor == count_path_systems(
-                    edges, members_of(net.sources & ~mask),
-                    set(members_of(mask & net.sinks))), (d, mask)
+                    edges, members_of(sources & ~mask),
+                    set(members_of(mask & sinks))), (d, mask)
 
 
 class TestCellNumbering:
@@ -610,3 +612,25 @@ class TestRender:
         assert lines[0].split() == ["*", "*", "*", "*", ".", "*", "1"]
         assert lines[3].split() == [".", "*", "*", "*", "*", "5"]
         assert lines[4].split() == ["10", "9", "8", "7", "6", "4"]
+
+    def test_fewer_rows_than_k(self):
+        # Row 3 lies outside the shape: it prints its source label alone.
+        d = diagram(3, 10, (4, 2), [[0, 1, 0, 1], [1, 1]])
+        assert render_le(d) == \
+            ".  *  .  *  4\n*  *  7\n10\n9  8  6  5  3  2  1\n"
+
+    def test_no_columns_has_no_sink_line(self):
+        assert render_le(diagram(3, 3, (), [])) == "1\n2\n3\n"
+
+    def test_every_small_diagram(self):
+        # Every Le-diagram with n <= 6, 2371 of them, in the oracle's order.
+        digest = hashlib.sha256()
+        seen = 0
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for d in all_le_diagrams(k, n):
+                    digest.update(render_le(d).encode())
+                    seen += 1
+        assert seen == 2371
+        assert digest.hexdigest() == ("8d6d1d4dd5720381107ca5d05d80a144"
+                                      "9266b0c793d644060e041b14f9ec2950")
