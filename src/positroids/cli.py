@@ -33,6 +33,7 @@ from .matroid import (
     _violating_pair,
     lex_subsets,
     members_of,
+    nonadjacent_mask_ok,
 )
 from .necklace import (
     GrassmannNecklace,
@@ -268,20 +269,26 @@ def cmd_oracle(args) -> int:
         raise CliError(f"n={n} exceeds the oracle budget {args.budget}; pass "
                        f"a larger --budget to run it anyway")
     _check_classification(k, n)
-    # The matroid-level verdict comes from the Schubert intersection and
-    # the symmetric-difference definition, never from the interval pattern
-    # that sparse_paving_witness reads, so the two stay independent.
+    # The walk carries, level by level, the Schubert intersection's
+    # nonbases and the entries' deviation from the interval patterns.  The
+    # matroid-level verdict reads only the nonbases, with the
+    # symmetric-difference definition, and never the interval patterns
+    # that the deviation is read against, so the two stay independent.  A
+    # necklace record is built, and validated, only for a discrepancy.
     kernel = SchubertKernel(k, n)
+    sparse_paving = kernel.sparse_paving
     total = found = discrepancies = 0
-    for neck in all_necklaces(k, n):
-        by_matroid = kernel.sparse_paving(kernel.nonbases(neck))
-        by_necklace = sparse_paving_witness(neck) is not None
+    for entries, nonbases, deviation in all_necklaces(k, n, kernel):
+        by_matroid = sparse_paving(nonbases)
+        by_necklace = not deviation >> n and \
+            nonadjacent_mask_ok(deviation, n)
         total += 1
         if by_matroid:
             found += 1
         if by_matroid != by_necklace:
             discrepancies += 1
-            print(_dumps(neck.to_dict()), file=sys.stderr)
+            print(_dumps(GrassmannNecklace(n, k, entries).to_dict()),
+                  file=sys.stderr)
     print(f"necklaces: {total}")
     print(f"sparse paving found: {found}")
     print(f"discrepancies: {discrepancies}")

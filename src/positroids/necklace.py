@@ -200,7 +200,8 @@ class SchubertKernel:
     subset j.  For each t and each k-subset I the kernel keeps the family
     that the shifted Schubert matroid of I at t rejects, read off
     gale_bounds, so the nonbases of a necklace's positroid are the OR of
-    the n rows its entries pick (Oh, JCTA 118 (2011)).  It also keeps, for
+    the n rows its entries pick (Oh, JCTA 118 (2011)); all_necklaces
+    carries that OR down its walk, one row per level.  It also keeps, for
     each k-subset, the family of k-subsets at symmetric difference two.
     The two tables hold n * C(n, k) + C(n, k) ints.
     """
@@ -221,16 +222,6 @@ class SchubertKernel:
                 for out in members_of(mask)
                 for into in members_of(full ^ mask))
             for mask in masks)
-
-    def nonbases(self, neck: GrassmannNecklace) -> int:
-        """The k-subsets that are not bases of the necklace's positroid."""
-        if (neck.n, neck.k) != (self.n, self.k):
-            raise ValueError(f"necklace of type ({neck.k}, {neck.n}), "
-                             f"expected ({self.k}, {self.n})")
-        out = 0
-        for row, entry in zip(self._rejected, neck.entries):
-            out |= row[entry]
-        return out
 
     def sparse_paving(self, nonbases: int) -> bool:
         """Whether the given missing k-subsets are pairwise at symmetric
@@ -338,7 +329,23 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
         n, k, tuple(pair[mask >> i & 1] for i, pair in enumerate(patterns)))
 
 
-def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
+def _deviation_rows(k: int, n: int) -> tuple[dict[int, int], ...]:
+    """Per index i = 1..n, each k-subset's deviation bit as the entry I_i:
+    0 for the cyclic interval at i, bit i - 1 for the bumped interval and
+    the dead bit n for any other k-subset."""
+    dead = 1 << n
+    rows = []
+    for i in range(1, n + 1):
+        row = dict.fromkeys(k_subset_masks(n, k), dead)
+        if 0 < k < n:
+            row[_bumped_mask(k, n, i)] = 1 << (i - 1)
+        row[_interval_mask(k, n, i)] = 0
+        rows.append(row)
+    return tuple(rows)
+
+
+def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
+                  ) -> Iterator:
     """Depth-first enumeration of every necklace of the given type, in
     lexicographic order of the entry masks.
 
@@ -354,39 +361,71 @@ def all_necklaces(k: int, n: int) -> Iterator[GrassmannNecklace]:
     I_{i+1} being chosen: base[i] is I_i minus {i} and free[i] the
     replacements not yet tried, ascending; a level where i is absent from
     I_i copies the entry and keeps no choice.
+
+    Given a SchubertKernel of the same type, the walk yields
+    (entries, nonbases, deviation) instead of records.  It carries both
+    values down the levels, so each level it resumes at or descends to
+    costs one dict lookup and one OR per value:
+    - acc[i] is acc[i-1] OR the kernel's row for I_{i+1} at t = i + 1, so
+      nonbases is the OR of all n rows, the k-subsets that the necklace's
+      positroid misses (Oh, JCTA 118 (2011));
+    - dev[i] is dev[i-1] OR bit i when I_{i+1} is the bumped interval at
+      i + 1, or OR the dead bit n when it is neither that nor the cyclic
+      interval.  For 2 <= k <= n-2, sparse_paving_witness returns the
+      deviation exactly when the dead bit is clear and the rest is
+      non-adjacent.
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"no necklaces for k={k}, n={n}")
+    fused = kernel is not None
+    if fused:
+        if (kernel.n, kernel.k) != (n, k):
+            raise ValueError(f"kernel of type ({kernel.k}, {kernel.n}), "
+                             f"expected ({k}, {n})")
+        rejected, marks = kernel._rejected, _deviation_rows(k, n)
     full = (1 << n) - 1
     make = GrassmannNecklace._trusted
     entries = [0] * n
     base = [0] * n
-    free = [0] * n
+    free = [1] + [0] * (n - 1)  # free[0] stops the backtracking scan
+    acc = [0] * n
+    dev = [0] * n
     for first in k_subset_masks(n, k):
-        entries[0] = first
+        entries[0] = cur = first
+        if fused:
+            acc[0] = nonbases = rejected[0][first]
+            dev[0] = deviation = marks[0][first]
         i = 1
         while True:
             while i < n:
-                cur = entries[i - 1]
                 bit = 1 << (i - 1)
                 if cur & bit:
                     stripped = cur ^ bit
-                    choices = (first | full >> i << i) & ~stripped
-                    low = choices & -choices
-                    base[i], free[i] = stripped, choices ^ low
-                    entries[i] = stripped | low
+                    rest = (first | full >> i << i) & ~stripped
+                    low = rest & -rest
+                    base[i], free[i] = stripped, rest ^ low
+                    cur = stripped | low
                 else:
                     free[i] = 0
-                    entries[i] = cur
+                entries[i] = cur
+                if fused:
+                    acc[i] = nonbases = nonbases | rejected[i][cur]
+                    dev[i] = deviation = deviation | marks[i][cur]
                 i += 1
-            yield make(n, k, tuple(entries))
+            if fused:
+                yield tuple(entries), nonbases, deviation
+            else:
+                yield make(n, k, tuple(entries))
             i = n - 1
-            while i and not free[i]:
+            while not free[i]:
                 i -= 1
             if not i:
                 break
             rest = free[i]
             low = rest & -rest
             free[i] = rest ^ low
-            entries[i] = base[i] | low
+            entries[i] = cur = base[i] | low
+            if fused:
+                acc[i] = nonbases = acc[i - 1] | rejected[i][cur]
+                dev[i] = deviation = dev[i - 1] | marks[i][cur]
             i += 1

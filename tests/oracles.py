@@ -22,12 +22,14 @@ elimination in bareiss_det: two routes to the bases independent of the
 pipes that the library reads them off.  brute_det, the Leibniz expansion,
 checks bareiss_det, and count_path_systems counts, by backtracking over
 the network's edges, the path systems the minors stand for.
-Three helpers deliberately drive the package.  matroid_of builds a Matroid
+Four helpers deliberately drive the package.  matroid_of builds a Matroid
 from element collections, for tests that write families out by hand, and
 census_matroid builds a census entry's basis family, every k-subset but
 the entry's nonbases.  checked_sparse_paving pins the classical
 equivalence of the three sparse paving definitions on the package's own
-circuit-hyperplane and relaxation code.
+circuit-hyperplane and relaxation code.  reference_nonbases ORs the n
+SchubertKernel rows a necklace's entries pick, in one pass per necklace,
+the reference for the OR that all_necklaces carries down its walk.
 """
 
 from itertools import chain, combinations, permutations, product
@@ -372,6 +374,16 @@ def census_matroid(entry):
     of the entry's nonbases, through the validating constructor."""
     n, k = entry.necklace.n, entry.necklace.k
     return Matroid(n, k, frozenset(k_subset_masks(n, k)) - entry.nonbases)
+
+
+def reference_nonbases(kernel, neck):
+    """The k-subsets that the positroid of neck misses, as a bitset over
+    the kernel's index of k-subsets: the OR of the row each entry I_t
+    picks at t."""
+    out = 0
+    for row, entry in zip(kernel._rejected, neck.entries):
+        out |= row[entry]
+    return out
 
 
 def checked_sparse_paving(m):

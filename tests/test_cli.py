@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from positroids import cli, le_diagram, necklace
 from positroids import (
+    GrassmannNecklace,
     Matroid,
-    NonAdjacentSet,
     cyclic_interval,
     enumerate_sparse_paving,
     le_from_removals,
     members_of,
     necklace_from_nonadjacent,
+    sparse_paving_witness,
     uniform,
 )
 
@@ -927,17 +928,22 @@ class TestOracle:
                                                   tmp_path, capsys):
         """A discrepant necklace goes to stderr as one JSON line that
         check-sp reads unchanged; stdout keeps the matroid-level count."""
-        real = cli.sparse_paving_witness
+        real = cli.all_necklaces
         flipped = []
 
-        def flip_first(neck):
-            witness = real(neck)
-            if flipped:
-                return witness
+        def flip_first(k, n, *kernel):
+            # The first necklace's deviation turns dead when its witness
+            # exists, and empty when it does not, so the necklace-level
+            # verdict flips there and nowhere else.
+            items = real(k, n, *kernel)
+            entries, nonbases, _ = next(items)
+            neck = GrassmannNecklace(n, k, entries)
             flipped.append(neck)
-            return None if witness else NonAdjacentSet(neck.n, 0)
+            had_witness = sparse_paving_witness(neck) is not None
+            yield entries, nonbases, 1 << n if had_witness else 0
+            yield from items
 
-        monkeypatch.setattr(cli, "sparse_paving_witness", flip_first)
+        monkeypatch.setattr(cli, "all_necklaces", flip_first)
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])
         assert (code, out) == (2, "necklaces: 131\nsparse paving found: 11\n"
                                   "discrepancies: 1\n")
@@ -947,7 +953,7 @@ class TestOracle:
         path.write_text(err)
         code, out, _ = run(capsys, ["check-sp", "--kind", "necklace",
                                     str(path)])
-        assert code == (0 if real(flipped[0]) else 2)
+        assert code == (0 if sparse_paving_witness(flipped[0]) else 2)
 
     def test_budget_override(self, capsys):
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "3",

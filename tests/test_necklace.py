@@ -46,6 +46,7 @@ from oracles import (
     determined_rank,
     matroid_of,
     reference_gale_bounds,
+    reference_nonbases,
 )
 
 
@@ -92,19 +93,19 @@ def entry_sets(neck):
     return [frozenset(members_of(e)) for e in neck.entries]
 
 
-def assert_conversions_match_oracles(neck, kernel=None):
+def assert_conversions_match_oracles(neck, nonbases=None):
     """Both necklace <-> positroid conversions against the brute-force
-    Gale-order oracles, and, when a kernel of the necklace's type is given,
-    its nonbases against the k-sets the brute-force positroid misses."""
+    Gale-order oracles, and, when the fused walk's nonbases of the
+    necklace are given, those against the k-sets the brute-force positroid
+    misses."""
     n = neck.n
     expected = brute_positroid(n, neck.k, entry_sets(neck))
     got = necklace_to_positroid(neck)
     assert {frozenset(members_of(b)) for b in got.bases} == expected
-    if kernel is not None:
-        missing = kernel.nonbases(neck)
+    if nonbases is not None:
         assert {frozenset(members_of(mask))
                 for j, mask in enumerate(k_subset_masks(n, neck.k))
-                if missing >> j & 1} == \
+                if nonbases >> j & 1} == \
             {frozenset(c) for c in itertools.combinations(range(1, n + 1),
                                                           neck.k)} - expected
     back = positroid_necklace(matroid_of(n, expected))
@@ -295,9 +296,9 @@ class TestConversionsAgainstOracles:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_necklace(self, n):
         for k in range(0, n + 1):
-            kernel = SchubertKernel(k, n)
-            for neck in all_necklaces(k, n):
-                assert_conversions_match_oracles(neck, kernel)
+            fused = all_necklaces(k, n, SchubertKernel(k, n))
+            for neck, (_, nonbases, _) in zip(all_necklaces(k, n), fused):
+                assert_conversions_match_oracles(neck, nonbases)
 
     @given(decperm_necklaces(8, 10))
     @settings(max_examples=100, deadline=None)
@@ -463,21 +464,50 @@ class TestFromNonAdjacent:
 
 
 class TestSchubertKernel:
-    """The oracle's bitset kernel; its nonbases are checked against
-    brute_positroid in TestConversionsAgainstOracles."""
+    """The oracle's bitset kernel; the nonbases that the walk carries with
+    it are checked against brute_positroid in TestConversionsAgainstOracles
+    and against reference_nonbases in TestFusedWalk."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_verdict_every_necklace(self, n):
         for k in range(0, n + 1):
             kernel = SchubertKernel(k, n)
-            for neck in all_necklaces(k, n):
-                verdict = kernel.sparse_paving(kernel.nonbases(neck))
-                assert verdict == \
+            fused = all_necklaces(k, n, kernel)
+            for neck, (_, nonbases, _) in zip(all_necklaces(k, n), fused):
+                assert kernel.sparse_paving(nonbases) == \
                     checked_sparse_paving(necklace_to_positroid(neck)), neck
 
     def test_rejects_another_type(self):
         with pytest.raises(ValueError, match="type"):
-            SchubertKernel(2, 5).nonbases(LOOP_NECKLACE)
+            next(all_necklaces(2, 4, SchubertKernel(2, 5)))
+
+
+class TestFusedWalk:
+    """all_necklaces with a SchubertKernel against the record walk and the
+    per-necklace references, on every necklace with n <= 8."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_type(self, n):
+        for k in range(0, n + 1):
+            kernel = SchubertKernel(k, n)
+            records = list(all_necklaces(k, n))
+            fused = list(all_necklaces(k, n, kernel))
+            assert [entries for entries, _, _ in fused] == \
+                [neck.entries for neck in records], (k, n)
+            index = {mask: j for j, mask in enumerate(k_subset_masks(n, k))}
+            every = (1 << len(index)) - 1
+            for neck, (_, nonbases, deviation) in zip(records, fused):
+                assert nonbases == reference_nonbases(kernel, neck)
+                assert nonbases == every ^ sum(
+                    1 << index[b] for b in necklace_to_positroid(neck).bases)
+                if not 2 <= k <= n - 2:
+                    continue
+                witness = sparse_paving_witness(neck)
+                verdict = not deviation >> n and \
+                    nonadjacent_mask_ok(deviation, n)
+                assert verdict == (witness is not None), neck
+                if witness is not None:
+                    assert deviation == witness.mask
 
 
 class TestEnumeration:
