@@ -19,7 +19,11 @@ from .decorated import (
     decperm_to_necklace,
     necklace_to_decperm,
 )
-from .enumeration import count_sparse_paving, enumerate_sparse_paving
+from .enumeration import (
+    count_sparse_paving,
+    enumerate_sparse_paving,
+    nonadjacent_subsets,
+)
 from .le_diagram import (
     LeDiagram,
     le_from_removals,
@@ -33,7 +37,6 @@ from .matroid import (
     _violating_pair,
     lex_subsets,
     members_of,
-    nonadjacent_mask_ok,
 )
 from .necklace import (
     GrassmannNecklace,
@@ -270,18 +273,19 @@ def cmd_oracle(args) -> int:
                        f"a larger --budget to run it anyway")
     _check_classification(k, n)
     # The walk carries, level by level, the Schubert intersection's
-    # nonbases and the entries' deviation from the interval patterns.  The
-    # matroid-level verdict reads only the nonbases, with the
-    # symmetric-difference definition, and never the interval patterns
-    # that the deviation is read against, so the two stay independent.  A
+    # nonbases; the matroid-level verdict reads only them, with the
+    # symmetric-difference definition.  The necklace-level verdict is the
+    # paper's classification: membership in the census, the necklaces
+    # necklace_from_nonadjacent builds for the non-adjacent sets.  A
     # necklace record is built, and validated, only for a discrepancy.
+    census = {necklace_from_nonadjacent(a, k, n).entries
+              for a in nonadjacent_subsets(n)}
     kernel = SchubertKernel(k, n)
     sparse_paving = kernel.sparse_paving
     total = found = discrepancies = 0
-    for entries, nonbases, deviation in all_necklaces(k, n, kernel):
+    for entries, nonbases in all_necklaces(k, n, kernel):
         by_matroid = sparse_paving(nonbases)
-        by_necklace = not deviation >> n and \
-            nonadjacent_mask_ok(deviation, n)
+        by_necklace = entries in census
         total += 1
         if by_matroid:
             found += 1

@@ -201,7 +201,8 @@ class SchubertKernel:
     that the shifted Schubert matroid of I at t rejects, read off
     gale_bounds, so the nonbases of a necklace's positroid are the OR of
     the n rows its entries pick (Oh, JCTA 118 (2011)); all_necklaces
-    carries that OR down its walk, one row per level.  It also keeps, for
+    carries that OR down its walk, one row per level, and the oracle's
+    matroid-level verdict reads nothing else.  It also keeps, for
     each k-subset, the family of k-subsets at symmetric difference two.
     The two tables hold n * C(n, k) + C(n, k) ints.
     """
@@ -329,21 +330,6 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
         n, k, tuple(pair[mask >> i & 1] for i, pair in enumerate(patterns)))
 
 
-def _deviation_rows(k: int, n: int) -> tuple[dict[int, int], ...]:
-    """Per index i = 1..n, each k-subset's deviation bit as the entry I_i:
-    0 for the cyclic interval at i, bit i - 1 for the bumped interval and
-    the dead bit n for any other k-subset."""
-    dead = 1 << n
-    rows = []
-    for i in range(1, n + 1):
-        row = dict.fromkeys(k_subset_masks(n, k), dead)
-        if 0 < k < n:
-            row[_bumped_mask(k, n, i)] = 1 << (i - 1)
-        row[_interval_mask(k, n, i)] = 0
-        rows.append(row)
-    return tuple(rows)
-
-
 def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
                   ) -> Iterator:
     """Depth-first enumeration of every necklace of the given type, in
@@ -363,17 +349,11 @@ def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
     I_i copies the entry and keeps no choice.
 
     Given a SchubertKernel of the same type, the walk yields
-    (entries, nonbases, deviation) instead of records.  It carries both
-    values down the levels, so each level it resumes at or descends to
-    costs one dict lookup and one OR per value:
-    - acc[i] is acc[i-1] OR the kernel's row for I_{i+1} at t = i + 1, so
-      nonbases is the OR of all n rows, the k-subsets that the necklace's
-      positroid misses (Oh, JCTA 118 (2011));
-    - dev[i] is dev[i-1] OR bit i when I_{i+1} is the bumped interval at
-      i + 1, or OR the dead bit n when it is neither that nor the cyclic
-      interval.  For 2 <= k <= n-2, sparse_paving_witness returns the
-      deviation exactly when the dead bit is clear and the rest is
-      non-adjacent.
+    (entries, nonbases) instead of records.  acc[i] is acc[i-1] OR the
+    kernel's row for I_{i+1} at t = i + 1, so each level it resumes at or
+    descends to costs one dict lookup and one OR, and nonbases is the OR
+    of all n rows, the k-subsets that the necklace's positroid misses
+    (Oh, JCTA 118 (2011)).
     """
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"no necklaces for k={k}, n={n}")
@@ -382,19 +362,17 @@ def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
         if (kernel.n, kernel.k) != (n, k):
             raise ValueError(f"kernel of type ({kernel.k}, {kernel.n}), "
                              f"expected ({k}, {n})")
-        rejected, marks = kernel._rejected, _deviation_rows(k, n)
+        rejected = kernel._rejected
     full = (1 << n) - 1
     make = GrassmannNecklace._trusted
     entries = [0] * n
     base = [0] * n
     free = [1] + [0] * (n - 1)  # free[0] stops the backtracking scan
     acc = [0] * n
-    dev = [0] * n
     for first in k_subset_masks(n, k):
         entries[0] = cur = first
         if fused:
             acc[0] = nonbases = rejected[0][first]
-            dev[0] = deviation = marks[0][first]
         i = 1
         while True:
             while i < n:
@@ -410,10 +388,9 @@ def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
                 entries[i] = cur
                 if fused:
                     acc[i] = nonbases = nonbases | rejected[i][cur]
-                    dev[i] = deviation = deviation | marks[i][cur]
                 i += 1
             if fused:
-                yield tuple(entries), nonbases, deviation
+                yield tuple(entries), nonbases
             else:
                 yield make(n, k, tuple(entries))
             i = n - 1
@@ -427,5 +404,4 @@ def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
             entries[i] = cur = base[i] | low
             if fused:
                 acc[i] = nonbases = acc[i - 1] | rejected[i][cur]
-                dev[i] = deviation = dev[i - 1] | marks[i][cur]
             i += 1

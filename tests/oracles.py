@@ -29,7 +29,10 @@ the entry's nonbases.  checked_sparse_paving pins the classical
 equivalence of the three sparse paving definitions on the package's own
 circuit-hyperplane and relaxation code.  reference_nonbases ORs the n
 SchubertKernel rows a necklace's entries pick, in one pass per necklace,
-the reference for the OR that all_necklaces carries down its walk.
+the reference for the OR that all_necklaces carries down its walk.  That
+OR is all the walk carries: the oracle's necklace-level verdict is
+membership in the census, which tests/test_necklace.py pins against
+sparse_paving_witness.
 """
 
 from itertools import chain, combinations, permutations, product

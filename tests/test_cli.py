@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from positroids import cli, le_diagram, necklace
 from positroids import (
-    GrassmannNecklace,
     Matroid,
     cyclic_interval,
     enumerate_sparse_paving,
@@ -928,22 +927,19 @@ class TestOracle:
                                                   tmp_path, capsys):
         """A discrepant necklace goes to stderr as one JSON line that
         check-sp reads unchanged; stdout keeps the matroid-level count."""
-        real = cli.all_necklaces
+        real = cli.nonadjacent_subsets
         flipped = []
 
-        def flip_first(k, n, *kernel):
-            # The first necklace's deviation turns dead when its witness
-            # exists, and empty when it does not, so the necklace-level
-            # verdict flips there and nowhere else.
-            items = real(k, n, *kernel)
-            entries, nonbases, _ = next(items)
-            neck = GrassmannNecklace(n, k, entries)
-            flipped.append(neck)
-            had_witness = sparse_paving_witness(neck) is not None
-            yield entries, nonbases, 1 << n if had_witness else 0
-            yield from items
+        def drop_empty(n):
+            # Without A = {} the uniform necklace leaves the census, so
+            # the necklace-level verdict flips there and nowhere else.
+            sets = real(n)
+            empty = next(sets)
+            assert empty.mask == 0
+            flipped.append(necklace_from_nonadjacent(empty, 2, n))
+            yield from sets
 
-        monkeypatch.setattr(cli, "all_necklaces", flip_first)
+        monkeypatch.setattr(cli, "nonadjacent_subsets", drop_empty)
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])
         assert (code, out) == (2, "necklaces: 131\nsparse paving found: 11\n"
                                   "discrepancies: 1\n")
@@ -953,7 +949,8 @@ class TestOracle:
         path.write_text(err)
         code, out, _ = run(capsys, ["check-sp", "--kind", "necklace",
                                     str(path)])
-        assert code == (0 if sparse_paving_witness(flipped[0]) else 2)
+        assert code == (0 if sparse_paving_witness(flipped[0]) is not None
+                        else 2)
 
     def test_budget_override(self, capsys):
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "3",

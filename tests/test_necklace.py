@@ -13,6 +13,7 @@ from positroids import (
     all_necklaces,
     bumped_interval,
     circuits,
+    count_nonadjacent,
     cyclic_interval,
     decperm_to_necklace,
     hyperplanes,
@@ -24,6 +25,7 @@ from positroids import (
     necklace_from_nonadjacent,
     necklace_to_positroid,
     nonadjacent_mask_ok,
+    nonadjacent_subsets,
     positroid_necklace,
     sparse_paving_witness,
     uniform,
@@ -297,7 +299,7 @@ class TestConversionsAgainstOracles:
     def test_every_necklace(self, n):
         for k in range(0, n + 1):
             fused = all_necklaces(k, n, SchubertKernel(k, n))
-            for neck, (_, nonbases, _) in zip(all_necklaces(k, n), fused):
+            for neck, (_, nonbases) in zip(all_necklaces(k, n), fused):
                 assert_conversions_match_oracles(neck, nonbases)
 
     @given(decperm_necklaces(8, 10))
@@ -473,7 +475,7 @@ class TestSchubertKernel:
         for k in range(0, n + 1):
             kernel = SchubertKernel(k, n)
             fused = all_necklaces(k, n, kernel)
-            for neck, (_, nonbases, _) in zip(all_necklaces(k, n), fused):
+            for neck, (_, nonbases) in zip(all_necklaces(k, n), fused):
                 assert kernel.sparse_paving(nonbases) == \
                     checked_sparse_paving(necklace_to_positroid(neck)), neck
 
@@ -484,7 +486,8 @@ class TestSchubertKernel:
 
 class TestFusedWalk:
     """all_necklaces with a SchubertKernel against the record walk and the
-    per-necklace references, on every necklace with n <= 8."""
+    per-necklace references, and the census against sparse_paving_witness,
+    on every necklace with n <= 8."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_type(self, n):
@@ -492,22 +495,25 @@ class TestFusedWalk:
             kernel = SchubertKernel(k, n)
             records = list(all_necklaces(k, n))
             fused = list(all_necklaces(k, n, kernel))
-            assert [entries for entries, _, _ in fused] == \
+            assert [entries for entries, _ in fused] == \
                 [neck.entries for neck in records], (k, n)
             index = {mask: j for j, mask in enumerate(k_subset_masks(n, k))}
             every = (1 << len(index)) - 1
-            for neck, (_, nonbases, deviation) in zip(records, fused):
+            for neck, (_, nonbases) in zip(records, fused):
                 assert nonbases == reference_nonbases(kernel, neck)
                 assert nonbases == every ^ sum(
                     1 << index[b] for b in necklace_to_positroid(neck).bases)
-                if not 2 <= k <= n - 2:
-                    continue
-                witness = sparse_paving_witness(neck)
-                verdict = not deviation >> n and \
-                    nonadjacent_mask_ok(deviation, n)
-                assert verdict == (witness is not None), neck
-                if witness is not None:
-                    assert deviation == witness.mask
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_census_is_the_witness_verdict(self, n):
+        # The oracle's necklace-level verdict is membership in this set.
+        for k in range(2, n - 1):
+            census = {necklace_from_nonadjacent(a, k, n).entries
+                      for a in nonadjacent_subsets(n)}
+            assert len(census) == count_nonadjacent(n), (k, n)
+            for neck in all_necklaces(k, n):
+                assert (neck.entries in census) == \
+                    (sparse_paving_witness(neck) is not None), neck
 
 
 class TestEnumeration:
