@@ -35,7 +35,6 @@ from .matroid import (
     NonAdjacentSet,
     _exchange_masks,
     _violating_pair,
-    lex_subsets,
     members_of,
 )
 from .necklace import (
@@ -43,7 +42,6 @@ from .necklace import (
     SchubertKernel,
     all_necklaces,
     _check_classification,
-    _patterns,
     _round_trip,
     cyclic_interval,
     necklace_from_nonadjacent,
@@ -217,20 +215,6 @@ def cmd_check_sp(args) -> int:
     return 2
 
 
-def _rendered_subsets(n: int, k: int) -> tuple[str, dict]:
-    """Every k-subset's compact JSON followed by a comma, in lexicographic
-    order, as one text, and each subset's (start, end) offsets in it."""
-    parts = []
-    spans = {}
-    pos = 0
-    for mask, members in lex_subsets(n, k):
-        part = _dumps(list(members)) + ","
-        spans[mask] = (pos, pos + len(part))
-        pos += len(part)
-        parts.append(part)
-    return "".join(parts), spans
-
-
 def cmd_enumerate(args) -> int:
     if args.count_only:
         if args.n > _COUNT_BUDGET:
@@ -238,31 +222,12 @@ def cmd_enumerate(args) -> int:
                            f"{_COUNT_BUDGET}")
         print(count_sparse_paving(args.k, args.n))
         return 0
-    # Each line is _dumps of the five views keyed "A", "necklace", "perm",
-    # "le" and "bases" (Matroid.to_dict of the basis view), spelled out in
-    # sorted key order.  Once _patterns has checked n and k, every
-    # k-subset's JSON is rendered into one text.  A line cuts its |A|
-    # nonbases out of it for the bases, and takes each necklace entry, one
-    # of the 2n intervals of _patterns(k, n), as a slice of it.
+    # Imported here, so that no other command loads or compiles it.
+    from .census_text import census_lines
     n, k = args.n, args.k
-    patterns = _patterns(k, n)
-    rendered, spans = _rendered_subsets(n, k)
-    texts = {m: rendered[spans[m][0]:spans[m][1] - 1]
-             for pair in patterns for m in pair}
-    for entry in enumerate_sparse_paving(k, n):
-        pieces = []
-        pos = 0
-        for start, end in sorted(spans[c] for c in entry.nonbases):
-            pieces.append(rendered[pos:start])
-            pos = end
-        pieces.append(rendered[pos:])
-        bases = "".join(pieces)[:-1]
-        neck = ",".join([texts[e] for e in entry.necklace.entries])
-        print(f'{{"A":{_dumps(list(entry.nonadjacent.members))},'
-              f'"bases":{{"bases":[{bases}],"k":{k},"n":{n}}},'
-              f'"le":{_dumps(entry.diagram.to_dict())},'
-              f'"necklace":{{"entries":[{neck}],"k":{k},"n":{n}}},'
-              f'"perm":{_dumps(entry.perm.to_dict())}}}')
+    write = sys.stdout.write
+    for line in census_lines(k, n, enumerate_sparse_paving(k, n), _dumps):
+        write(line)
     return 0
 
 

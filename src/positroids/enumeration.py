@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .decorated import DecoratedPermutation, necklace_to_decperm
+from .decorated import (
+    DecoratedPermutation,
+    apply_adjacent_swaps,
+    top_permutation,
+)
 from .le_diagram import LeDiagram, le_from_removals
 from .matroid import NonAdjacentSet, Record
 from .necklace import (
@@ -65,35 +69,67 @@ def lucas(n: int) -> int:
 
 
 class SparsePavingPositroid(Record):
-    """All five views of one sparse paving positroid; the basis view is its
-    `nonbases`, the masks of the k-subsets of [n] that are not bases."""
+    """The sparse paving positroid of rank k on [n] with non-adjacent
+    witness A.  Its other four views are the paper's closed forms, each
+    local in A, and are built from A on access: the necklace (the bumped
+    interval at each i in A, the cyclic one elsewhere), the decorated
+    permutation, the Le-diagram (the full box with the boundary cells
+    labelled by A emptied) and `nonbases`, the masks of the k-subsets of
+    [n] that are not bases."""
 
-    __slots__ = ("nonadjacent", "necklace", "perm", "diagram", "nonbases")
+    __slots__ = ("k", "n", "nonadjacent")
+    k: int
+    n: int
     nonadjacent: NonAdjacentSet
-    necklace: GrassmannNecklace
-    perm: DecoratedPermutation
-    diagram: LeDiagram
-    nonbases: frozenset[int]
+
+    def __post_init__(self):
+        _check_classification(self.k, self.n)
+        a = self.nonadjacent
+        if not isinstance(a, NonAdjacentSet) or a.n != self.n:
+            raise ValueError(f"witness must be a non-adjacent set on "
+                             f"[{self.n}], got {a!r}")
+
+    @property
+    def necklace(self) -> GrassmannNecklace:
+        return necklace_from_nonadjacent(self.nonadjacent, self.k, self.n)
+
+    @property
+    def perm(self) -> DecoratedPermutation:
+        """The shift-by-k permutation with the adjacent swaps at A, so
+        i maps to i + k + [i+1 in A] - [i in A]; necklace_to_decperm reads
+        the same permutation off the necklace."""
+        return apply_adjacent_swaps(self.nonadjacent,
+                                    top_permutation(self.k, self.n))
+
+    @property
+    def diagram(self) -> LeDiagram:
+        return le_from_removals(self.nonadjacent, self.k, self.n)
+
+    @property
+    def nonbases(self) -> frozenset[int]:
+        """The cyclic intervals [i, i+k-1] for i in A."""
+        k, n = self.k, self.n
+        return frozenset(_interval_mask(k, n, i)
+                         for i in self.nonadjacent.members)
 
 
 def enumerate_sparse_paving(k: int, n: int) -> Iterator[SparsePavingPositroid]:
-    """Census stream: one entry per non-adjacent subset, in mask order, with
-    the necklace, decorated permutation, Le-diagram and basis views.
+    """Census stream: one entry per non-adjacent subset, in mask order.
 
-    The basis view comes from the paper's closed form: the sparse paving
-    positroid with witness A has as nonbases exactly the cyclic intervals
-    [i, i+k-1] for i in A, so an entry carries those |A| masks and its
-    bases are every other k-subset of [n].  No Schubert intersection runs
-    here; `necklace_to_positroid` (Oh, "Positroids and Schubert matroids",
-    JCTA 118 (2011)) builds the same basis family from the necklace and is
-    the census's test oracle.
+    An entry holds only its type and witness; its views are derived on
+    access.  The basis view comes from the paper's closed form: the sparse
+    paving positroid with witness A has as nonbases exactly the cyclic
+    intervals [i, i+k-1] for i in A, so its bases are every other k-subset
+    of [n].  No Schubert intersection runs here; `necklace_to_positroid`
+    (Oh, "Positroids and Schubert matroids", JCTA 118 (2011)) builds the
+    same basis family from the necklace and is the census's test oracle.
+    The type is checked once, and every witness from nonadjacent_subsets
+    lives on [n], so the entries are built with Record._trusted.
     """
     _check_classification(k, n)
+    make = SparsePavingPositroid._trusted
     for a in nonadjacent_subsets(n):
-        neck = necklace_from_nonadjacent(a, k, n)
-        yield SparsePavingPositroid(
-            a, neck, necklace_to_decperm(neck), le_from_removals(a, k, n),
-            frozenset(_interval_mask(k, n, i) for i in a.members))
+        yield make(k, n, a)
 
 
 def count_sparse_paving(k: int, n: int) -> int:

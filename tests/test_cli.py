@@ -8,10 +8,10 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from positroids import cli, le_diagram, necklace
+from positroids import cli, decorated, le_diagram, necklace
 from positroids import (
     Matroid,
     cyclic_interval,
@@ -834,10 +834,15 @@ class TestEnumerate:
     @settings(max_examples=3, deadline=None)
     @given(st.integers(11, 13).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(2, n - 2))))
+    @example((12, 2))
+    @example((13, 2))
+    @example((13, 3))
     def test_lines_equal_dumps_past_ten(self, nk):
-        """The same past n = 10, where labels take two digits in the bases
-        and in the necklace entries sliced from the same text, including
-        the lines whose A holds 1, n - k + 1 or n."""
+        """The same past n = 10, where labels take two digits in the bases,
+        the necklace and the permutation, including the lines whose A holds
+        1, n - k + 1 or n.  The fixed examples have Le-diagram rows of
+        two-digit width, 10 at (12,2) and (13,3) and 11 at (13,2); when A
+        holds 1 the last row is trimmed to 9, one digit fewer, or to 10."""
         n, k = nk
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
@@ -845,6 +850,34 @@ class TestEnumerate:
         entries = assert_lines_are_views(out.getvalue(), k, n)
         for label in (1, n - k + 1, n):
             assert any(label in entry.nonadjacent for entry in entries)
+
+    def test_census_builds_views_once_per_type(self, monkeypatch, capsys):
+        """The views are built for the empty witness and the n singletons
+        only, never per line: at (9,4), 76 lines, each builder and the
+        encoder run at most n + 1 = 10 times, wherever a positroids module
+        holds them."""
+        real = {
+            "necklace_from_nonadjacent": necklace.necklace_from_nonadjacent,
+            "necklace_to_decperm": decorated.necklace_to_decperm,
+            "le_from_removals": le_diagram.le_from_removals,
+            "_dumps": cli._dumps,
+        }
+        calls = dict.fromkeys(real, 0)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "positroids":
+                continue
+            for label, fn in real.items():
+                if getattr(module, label, None) is fn:
+                    def counting(*args, _fn=fn, _label=label):
+                        calls[_label] += 1
+                        return _fn(*args)
+
+                    monkeypatch.setattr(module, label, counting)
+        code, out, _ = run(capsys, ["enumerate", "--n", "9", "--k", "4"])
+        assert (code, out.count("\n")) == (0, 76)
+        assert all(count <= 10 for count in calls.values()), calls
+        assert calls["necklace_from_nonadjacent"] and \
+            calls["le_from_removals"] and calls["_dumps"], calls
 
     def test_census_skips_the_schubert_intersection(self, monkeypatch,
                                                     capsys):
@@ -867,8 +900,8 @@ class TestEnumerate:
         assert len(calls) == 1
 
     def test_census_builds_no_matroid(self, monkeypatch, capsys):
-        # Each line's bases come from cutting the entry's nonbases out of
-        # the rendered k-subsets, never from a basis family.
+        # Each line's bases come from cutting the intervals at A out of the
+        # rendered k-subsets, never from a basis family.
         built = watch_matroid_builds(monkeypatch)
         code, out, _ = run(capsys, ["enumerate", "--n", "9", "--k", "4"])
         assert (code, out.count("\n")) == (0, 76)

@@ -14,6 +14,7 @@ from positroids import (
     le_to_decperm,
     lucas,
     members_of,
+    necklace_to_decperm,
     necklace_to_positroid,
     nonadjacent_mask_ok,
     nonadjacent_subsets,
@@ -137,6 +138,7 @@ class TestCensus:
                 assert checked_sparse_paving(m)
                 assert realizable_sets(entry.diagram) == m
                 assert necklace_to_positroid(entry.necklace) == m
+                assert necklace_to_decperm(neck) == entry.perm
                 assert sparse_paving_witness(entry.necklace) == \
                     entry.nonadjacent
 

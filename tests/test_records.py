@@ -48,10 +48,8 @@ SPECS = {
         (2, 4, (2, 1), ((True, True), (True,))),
         (2, 4, (2, 1), ((True, False), (True,))), (2, 4, (), ())]),
     "SparsePavingPositroid": (
-        SparsePavingPositroid,
-        ["nonadjacent", "necklace", "perm", "diagram", "nonbases"],
-        [(e.nonadjacent, e.necklace, e.perm, e.diagram, e.nonbases)
-         for e in CENSUS[:3] + CENSUS[:1]]),
+        SparsePavingPositroid, ["k", "n", "nonadjacent"],
+        [(e.k, e.n, e.nonadjacent) for e in CENSUS[:3] + CENSUS[:1]]),
 }
 
 
@@ -133,6 +131,13 @@ def test_records_never_equal_their_field_tuples():
     (Matroid, (3, 1, frozenset({3})), "differs from the rank"),
     (DecoratedPermutation, (3, (2, 1, 3), ()), "fixed points"),
     (LeDiagram, (2, 4, (1, 2), ((True,), (True, True))), "decreasing"),
+    (SparsePavingPositroid, (1, 5, NonAdjacentSet(5, 0)),
+     "classification needs 2 <= k <= n-2"),
+    (SparsePavingPositroid, (4, 5, NonAdjacentSet(5, 0)),
+     "classification needs 2 <= k <= n-2"),
+    (SparsePavingPositroid, (2, 5, NonAdjacentSet(6, 0)),
+     "non-adjacent set on \\[5\\]"),
+    (SparsePavingPositroid, (2, 5, 0), "non-adjacent set on \\[5\\]"),
 ])
 def test_post_init_still_validates(cls, args, message):
     with pytest.raises(ValueError, match=message):

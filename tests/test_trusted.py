@@ -3,11 +3,11 @@ constructor.
 
 all_necklaces, necklace_from_nonadjacent, decperm_to_necklace,
 necklace_to_positroid, necklace_to_decperm, sparse_paving_witness,
-le_from_removals, le_to_decperm and nonadjacent_subsets build their
-records with Record._trusted, which sets the fields without running
-__post_init__.  Whatever they build must pass the validating constructor
-unchanged, type(x)(*x._values()) == x: exhaustively at small n, and on
-hypothesis draws up to n = 12.
+le_from_removals, le_to_decperm, nonadjacent_subsets and
+enumerate_sparse_paving build their records with Record._trusted, which
+sets the fields without running __post_init__.  Whatever they build must
+pass the validating constructor unchanged, type(x)(*x._values()) == x:
+exhaustively at small n, and on hypothesis draws up to n = 12.
 """
 
 import ast
@@ -48,6 +48,7 @@ SOURCES = Path(__file__).resolve().parent.parent / "src" / "positroids"
 TRUSTED_BUILDERS = {
     ("decorated.py", "decperm_to_necklace"),
     ("decorated.py", "necklace_to_decperm"),
+    ("enumeration.py", "enumerate_sparse_paving"),
     ("enumeration.py", "nonadjacent_subsets"),
     ("le_diagram.py", "le_from_removals"),
     ("le_diagram.py", "le_to_decperm"),
@@ -187,12 +188,12 @@ class TestNecklaceToPositroid:
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_every_census_entry(n):
-    """The census's record views at every middle rank: the witness from
-    nonadjacent_subsets, the necklace from necklace_from_nonadjacent, the
-    decorated permutation from necklace_to_decperm and the Le-diagram from
-    le_from_removals."""
+    """The census entries at every middle rank and their record views: the
+    witness from nonadjacent_subsets, the necklace from
+    necklace_from_nonadjacent, the decorated permutation from the adjacent
+    swaps and the Le-diagram from le_from_removals."""
     for k in range(2, n - 1):
         for entry in enumerate_sparse_paving(k, n):
-            for view in (entry.nonadjacent, entry.necklace, entry.perm,
-                         entry.diagram):
+            for view in (entry, entry.nonadjacent, entry.necklace,
+                         entry.perm, entry.diagram):
                 assert_revalidates(view)
