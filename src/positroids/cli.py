@@ -100,39 +100,60 @@ def _read_json(path: str | None):
         raise CliError("parse error: arrays or objects nested too deeply")
 
 
-_LOADERS = {
-    "necklace": GrassmannNecklace.from_dict,
-    "decperm": DecoratedPermutation.from_dict,
-    "le": LeDiagram.from_dict,
-    "bases": Matroid.from_dict,
-    "nonadjacent": NonAdjacentSet.from_dict,
-}
-KINDS = tuple(_LOADERS)
-
-
-def _load(kind: str, data) -> object:
-    try:
-        obj = _LOADERS[kind](data)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise CliError(f"malformed {kind} payload: {exc}")
-    if kind == "bases":
-        return _load_bases(obj)
-    return obj
-
-
-def _load_bases(m: Matroid) -> GrassmannNecklace | Matroid:
+def _bases(data) -> GrassmannNecklace | Matroid:
     """A positroid's necklace, or the matroid itself when it is not one.
 
     The necklace round trip runs first: a family it recovers is a positroid
     and so satisfies the exchange axiom.  The quadratic exchange check runs
     only on the families that fail the round trip.
     """
+    m = Matroid.from_dict(data)
     neck = _round_trip(m)
     if neck is not None:
         return neck
     if not _exchange_masks(m.bases):
         raise CliError("bases do not satisfy the exchange axiom")
     return m
+
+
+def _necklace(obj, k: int) -> GrassmannNecklace:
+    if isinstance(obj, Matroid):
+        raise NegativeVerdict("not a positroid")
+    return obj
+
+
+def _witness(neck: GrassmannNecklace) -> NonAdjacentSet:
+    witness = sparse_paving_witness(neck)
+    if witness is None:
+        raise NegativeVerdict("not sparse paving")
+    return witness
+
+
+# One row per payload kind: loader, route to the necklace given k, route
+# from a necklace.  Library functions are module globals read at call
+# time, so a profiler can rebind them.
+_ROWS = {
+    "necklace": (lambda d: GrassmannNecklace.from_dict(d), _necklace,
+                 lambda neck: neck),
+    "decperm": (lambda d: DecoratedPermutation.from_dict(d),
+                lambda perm, k: decperm_to_necklace(perm, k),
+                lambda neck: necklace_to_decperm(neck)),
+    "le": (lambda d: LeDiagram.from_dict(d),
+           lambda diag, k: decperm_to_necklace(le_to_decperm(diag), k),
+           lambda neck: le_from_removals(_witness(neck), neck.k, neck.n)),
+    "bases": (_bases, _necklace, lambda neck: necklace_to_positroid(neck)),
+    "nonadjacent": (lambda d: NonAdjacentSet.from_dict(d),
+                    lambda a, k: necklace_from_nonadjacent(a, k, a.n),
+                    _witness),
+}
+KINDS = tuple(_ROWS)
+
+
+def _load(kind: str, data) -> object:
+    try:
+        return _ROWS[kind][0](data)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"malformed {kind} payload: {exc}")
 
 
 def _dims(kind: str, obj, flag_k: int | None) -> tuple[int, int]:
@@ -148,33 +169,11 @@ def _dims(kind: str, obj, flag_k: int | None) -> tuple[int, int]:
     return n, k
 
 
-def _as_necklace(kind: str, obj, k: int) -> GrassmannNecklace:
-    if kind == "necklace":
-        return obj
-    if kind == "decperm":
-        return decperm_to_necklace(obj, k)
-    if kind == "nonadjacent":
-        return necklace_from_nonadjacent(obj, k, obj.n)
-    if kind == "bases":
-        if isinstance(obj, Matroid):
-            raise NegativeVerdict("not a positroid")
-        return obj
-    return decperm_to_necklace(le_to_decperm(obj), k)
-
-
-def _from_necklace(kind: str, neck: GrassmannNecklace):
-    if kind == "necklace":
-        return neck
-    if kind == "decperm":
-        return necklace_to_decperm(neck)
-    if kind == "bases":
-        return necklace_to_positroid(neck)
-    witness = sparse_paving_witness(neck)
-    if witness is None:
-        raise NegativeVerdict("not sparse paving")
-    if kind == "nonadjacent":
-        return witness
-    return le_from_removals(witness, neck.k, neck.n)
+def _print(out, fmt: str) -> None:
+    if fmt == "ascii":
+        print(render_le(out), end="")
+    else:
+        print(_dumps(out.to_dict()))
 
 
 def cmd_validate(args) -> int:
@@ -188,12 +187,7 @@ def cmd_convert(args) -> int:
         raise CliError("--format ascii needs --to le")
     obj = _load(args.src, _read_json(args.input))
     _, k = _dims(args.src, obj, args.k)
-    neck = _as_necklace(args.src, obj, k)
-    out = _from_necklace(args.dst, neck)
-    if args.format == "ascii":
-        print(render_le(out), end="")
-    else:
-        print(_dumps(out.to_dict()))
+    _print(_ROWS[args.dst][2](_ROWS[args.src][1](obj, k)), args.format)
     return 0
 
 
@@ -201,7 +195,7 @@ def cmd_check_sp(args) -> int:
     obj = _load(args.kind, _read_json(args.input))
     n, k = _dims(args.kind, obj, args.k)
     _check_classification(k, n)
-    neck = _as_necklace(args.kind, obj, k)
+    neck = _ROWS[args.kind][1](obj, k)
     witness = sparse_paving_witness(neck)
     if witness is not None:
         inner = ",".join(map(str, witness.members))
@@ -265,11 +259,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_render_le(args) -> int:
-    diag = _load("le", _read_json(args.input))
-    if args.format == "json":
-        print(_dumps(diag.to_dict()))
-    else:
-        print(render_le(diag), end="")
+    _print(_load("le", _read_json(args.input)), args.format)
     return 0
 
 

@@ -20,9 +20,7 @@ are exactly the bases.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .decorated import DecoratedPermutation, decperm_to_necklace
 from .matroid import (
@@ -219,11 +217,10 @@ def realizable_sets(diag: LeDiagram) -> Matroid:
         decperm_to_necklace(le_to_decperm(diag), diag.k))
 
 
-@lru_cache(maxsize=None)
-def cell_numbering(k: int, n: int) -> Mapping[int, tuple[int, int]]:
+def cell_numbering(k: int, n: int) -> dict[int, tuple[int, int]]:
     """Boundary cells of the k x (n-k) box keyed by label: 1 on the bottom
     right corner, then the top row right to left, then the left column top
-    to bottom.  Built once per (k, n) and shared, so it is read-only."""
+    to bottom."""
     if not 2 <= k <= n - 1:
         raise ValueError(f"numbering needs 2 <= k <= n-1, got k={k}, n={n}")
     cells = {1: (k, n - k)}
@@ -231,7 +228,7 @@ def cell_numbering(k: int, n: int) -> Mapping[int, tuple[int, int]]:
         cells[label] = (1, n - k - off)
     for off, label in enumerate(range(n - k + 1, n + 1)):
         cells[label] = (1 + off, 1)
-    return MappingProxyType(cells)
+    return cells
 
 
 def le_from_removals(removed, k: int, n: int) -> LeDiagram:

@@ -17,7 +17,6 @@ the library; only a NonAdjacentSet carries its ground set.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .matroid import (
@@ -291,43 +290,35 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
     The positroid is sparse paving exactly when every entry that deviates from
     its cyclic interval is the bumped interval and no two deviating indices
     are cyclic neighbours.  Returns the deviation set, which indexes the
-    circuit-hyperplanes, or None when the test fails.  The set is built
-    with Record._trusted: nonadjacent_mask_ok has just passed on it.
+    circuit-hyperplanes, or None when the test fails.  Each entry is
+    compared with its two intervals as the scan reaches it, and the scan
+    stops at the first entry that matches neither.  The set is built with
+    Record._trusted: nonadjacent_mask_ok has just passed on it.
     """
-    n = neck.n
+    n, k = neck.n, neck.k
+    _check_classification(k, n)
     deviating = 0
-    bit = 1
-    for entry, (interval, bumped) in zip(neck.entries,
-                                         _patterns(neck.k, n)):
-        if entry != interval:
-            if entry != bumped:
+    for i, entry in enumerate(neck.entries, 1):
+        if entry != _interval_mask(k, n, i):
+            if entry != _bumped_mask(k, n, i):
                 return None
-            deviating |= bit
-        bit <<= 1
+            deviating |= 1 << (i - 1)
     if not nonadjacent_mask_ok(deviating, n):
         return None
     return NonAdjacentSet._trusted(n, deviating)
-
-
-@lru_cache(maxsize=None)
-def _patterns(k: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The (cyclic interval, bumped interval) masks at each index 1..n of a
-    type that the classification covers."""
-    _check_classification(k, n)
-    return tuple((_interval_mask(k, n, i), _bumped_mask(k, n, i))
-                 for i in range(1, n + 1))
 
 
 def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
     """Necklace of the sparse paving positroid indexed by a non-adjacent set:
     bumped intervals at the chosen indices, cyclic intervals elsewhere.
     A NonAdjacentSet on [n] is taken as it is; any other set is checked."""
-    patterns = _patterns(k, n)
+    _check_classification(k, n)
     mask = as_mask(a, n)
     if not isinstance(a, NonAdjacentSet):
         NonAdjacentSet(n, mask)
-    return GrassmannNecklace._trusted(
-        n, k, tuple(pair[mask >> i & 1] for i, pair in enumerate(patterns)))
+    return GrassmannNecklace._trusted(n, k, tuple(
+        _bumped_mask(k, n, i) if mask >> (i - 1) & 1
+        else _interval_mask(k, n, i) for i in range(1, n + 1)))
 
 
 def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None

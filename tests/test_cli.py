@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -344,6 +345,26 @@ class TestMalformedNecklace:
         assert (code, out, err) == (1, "", f"invalid: {message}\n")
 
 
+class TestMalformedPayload:
+    """A payload of the wrong JSON type, or one missing its fields, exits 1
+    with a message that names the kind and the loader's complaint: for an
+    object, the first field it reads."""
+
+    @pytest.mark.parametrize("kind,text,detail", [
+        *((kind, "[]", "list indices must be integers or slices, not str")
+          for kind in cli.KINDS),
+        ("necklace", "{}", "'n'"),
+        ("decperm", "{}", "'perm'"),
+        ("le", "{}", "'filling'"),
+        ("bases", "{}", "'n'"),
+        ("nonadjacent", "{}", "'n'"),
+    ])
+    def test_message(self, kind, text, detail, capsys, monkeypatch):
+        assert run(capsys, ["validate", "--kind", kind], text,
+                   monkeypatch) == (
+            1, "", f"invalid: malformed {kind} payload: {detail}\n")
+
+
 class TestConvert:
     def test_necklace_to_decperm(self, tmp_path, capsys):
         path = write_json(tmp_path, "neck.json", interval_necklace_dict(3, 6))
@@ -640,10 +661,11 @@ class TestBasesBytes:
 
 def bases_verdict(n, k, family):
     """Exit code and stderr line of a `bases` payload through the loader and
-    the necklace dispatch, worded as `cli.main` reports them."""
+    the `bases` row's route to the necklace, worded as `cli.main` reports
+    them."""
     payload = {"n": n, "k": k, "bases": [sorted(b) for b in family]}
     try:
-        cli._as_necklace("bases", cli._load("bases", payload), k)
+        cli._ROWS["bases"][1](cli._load("bases", payload), k)
     except (cli.CliError, ValueError) as exc:
         return 1, f"invalid: {exc}"
     except cli.NegativeVerdict as verdict:
@@ -1041,6 +1063,16 @@ class TestUsage:
     def test_unknown_kind(self, capsys):
         code, out, err = run(capsys, ["validate", "--kind", "bogus"])
         assert code == 1
+
+    def test_unknown_kind_names_the_kinds_in_order(self, capsys):
+        code, out, err = run(capsys, ["convert", "--from", "xyz", "--to",
+                                      "le"])
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid: ")
+        named = [word for word in re.findall(r"[a-z]+", err)
+                 if word in cli.KINDS]
+        assert named == ["necklace", "decperm", "le", "bases", "nonadjacent"]
+        assert cli.KINDS == tuple(named)
 
     def test_missing_subcommand(self, capsys):
         code, out, err = run(capsys, [])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -405,6 +406,19 @@ class TestWitness:
         neck = interval_necklace(1, 4)
         with pytest.raises(ValueError):
             sparse_paving_witness(neck)
+
+    def test_first_call_holds_no_table_of_masks(self):
+        # Each entry is compared with its two intervals as the scan reaches
+        # it, so the peak is a few n-bit masks, not all 2n (4 MB here).
+        neck = interval_necklace(2000, 4000)
+        tracemalloc.start()
+        try:
+            witness = sparse_paving_witness(neck)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert witness == NonAdjacentSet.of(4000, ())
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3)])
     def test_agrees_with_matroid_classifier(self, n, k):
