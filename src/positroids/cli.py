@@ -242,7 +242,7 @@ def cmd_oracle(args) -> int:
     kernel = SchubertKernel(k, n)
     sparse_paving = kernel.sparse_paving
     total = found = discrepancies = 0
-    for entries, nonbases in all_necklaces(k, n, kernel):
+    for entries, nonbases in all_necklaces(kernel):
         by_matroid = sparse_paving(nonbases)
         by_necklace = entries in census
         total += 1

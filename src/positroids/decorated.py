@@ -120,22 +120,12 @@ def decperm_to_necklace(dp: DecoratedPermutation, k: int) -> GrassmannNecklace:
     return GrassmannNecklace._trusted(dp.n, k, tuple(entries))
 
 
-def top_permutation(k: int, n: int,
-                    fixed_color: int | None = None) -> DecoratedPermutation:
+def top_permutation(k: int, n: int) -> DecoratedPermutation:
     """The shift-by-k permutation i -> i+k mod n, which belongs to the uniform
-    matroid.  Only the degenerate shifts k = 0 and k = n have fixed points;
-    those need an explicit mark supplied by the caller."""
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"shift needs 0 <= k <= n, got k={k}, n={n}")
-    line = [mod1(i + k, n) for i in range(1, n + 1)]
-    if k % n == 0:
-        if fixed_color not in (-1, 1):
-            raise ValueError("identity shift needs an explicit fixed point "
-                             "mark (+1 or -1)")
-        colors = {i: fixed_color for i in range(1, n + 1)}
-    else:
-        colors = {}
-    return DecoratedPermutation.make(line, colors)
+    matroid.  It has no fixed points for 0 < k < n, the ranks it takes."""
+    if not 0 < k < n:
+        raise ValueError(f"shift needs 0 < k < n, got k={k}, n={n}")
+    return DecoratedPermutation.make([mod1(i + k, n) for i in range(1, n + 1)])
 
 
 def apply_adjacent_swaps(positions,

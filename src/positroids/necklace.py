@@ -137,8 +137,8 @@ def _axiom_problem(entries: Sequence[int]) -> str | None:
 class GrassmannNecklace(Record):
     """Cyclic sequence (I_1, ..., I_n) of k-subsets of [n], as masks, obeying
     the necklace condition.  Public construction validates it; the library
-    builders whose necklaces are valid by construction (all_necklaces,
-    necklace_from_nonadjacent, decperm_to_necklace) use Record._trusted."""
+    builders whose necklaces are valid by construction
+    (necklace_from_nonadjacent, decperm_to_necklace) use Record._trusted."""
 
     __slots__ = ("n", "k", "entries")
     n: int
@@ -321,49 +321,38 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
         else _interval_mask(k, n, i) for i in range(1, n + 1)))
 
 
-def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
-                  ) -> Iterator:
-    """Depth-first enumeration of every necklace of the given type, in
-    lexicographic order of the entry masks.
+def all_necklaces(kernel: SchubertKernel
+                  ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Depth-first enumeration of every necklace of the kernel's type
+    (k, n), in lexicographic order of the entry masks, each yielded as
+    (entries, nonbases): its entry masks and the k-subsets that its
+    positroid misses, as a bitset over the kernel's index.
 
     Every necklace has I_1 containing I_{i+1} minus {i+1, ..., n}: the
     steps i+1, ..., n that lead back to I_1 only remove those elements.  So
     when i is in I_i, the element that replaces it is drawn from I_1 and
     {i+1, ..., n} only, and there is always one to draw: I_i minus {i}
     has k - 1 elements, all in that set of at least k.  Every prefix built
-    this way closes into a necklace, so no branch dies, the last step needs
-    no check, and each necklace is built with Record._trusted.
+    this way closes into a necklace, so no branch dies and the last step
+    needs no check.
 
     The walk is one loop over the levels i = 1, ..., n-1 of the entry
     I_{i+1} being chosen: base[i] is I_i minus {i} and free[i] the
     replacements not yet tried, ascending; a level where i is absent from
-    I_i copies the entry and keeps no choice.
-
-    Given a SchubertKernel of the same type, the walk yields
-    (entries, nonbases) instead of records.  acc[i] is acc[i-1] OR the
+    I_i copies the entry and keeps no choice.  acc[i] is acc[i-1] OR the
     kernel's row for I_{i+1} at t = i + 1, so each level it resumes at or
     descends to costs one dict lookup and one OR, and nonbases is the OR
-    of all n rows, the k-subsets that the necklace's positroid misses
-    (Oh, JCTA 118 (2011)).
+    of all n rows (Oh, JCTA 118 (2011)).
     """
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"no necklaces for k={k}, n={n}")
-    fused = kernel is not None
-    if fused:
-        if (kernel.n, kernel.k) != (n, k):
-            raise ValueError(f"kernel of type ({kernel.k}, {kernel.n}), "
-                             f"expected ({k}, {n})")
-        rejected = kernel._rejected
+    n, k, rejected = kernel.n, kernel.k, kernel._rejected
     full = (1 << n) - 1
-    make = GrassmannNecklace._trusted
     entries = [0] * n
     base = [0] * n
     free = [1] + [0] * (n - 1)  # free[0] stops the backtracking scan
     acc = [0] * n
     for first in k_subset_masks(n, k):
         entries[0] = cur = first
-        if fused:
-            acc[0] = nonbases = rejected[0][first]
+        acc[0] = nonbases = rejected[0][first]
         i = 1
         while True:
             while i < n:
@@ -377,13 +366,9 @@ def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
                 else:
                     free[i] = 0
                 entries[i] = cur
-                if fused:
-                    acc[i] = nonbases = nonbases | rejected[i][cur]
+                acc[i] = nonbases = nonbases | rejected[i][cur]
                 i += 1
-            if fused:
-                yield tuple(entries), nonbases
-            else:
-                yield make(n, k, tuple(entries))
+            yield tuple(entries), nonbases
             i = n - 1
             while not free[i]:
                 i -= 1
@@ -393,6 +378,5 @@ def all_necklaces(k: int, n: int, kernel: SchubertKernel | None = None
             low = rest & -rest
             free[i] = rest ^ low
             entries[i] = cur = base[i] | low
-            if fused:
-                acc[i] = nonbases = acc[i - 1] | rejected[i][cur]
+            acc[i] = nonbases = acc[i - 1] | rejected[i][cur]
             i += 1

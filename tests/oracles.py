@@ -22,23 +22,26 @@ elimination in bareiss_det: two routes to the bases independent of the
 pipes that the library reads them off.  brute_det, the Leibniz expansion,
 checks bareiss_det, and count_path_systems counts, by backtracking over
 the network's edges, the path systems the minors stand for.
-Four helpers deliberately drive the package.  matroid_of builds a Matroid
-from element collections, for tests that write families out by hand, and
-census_matroid builds a census entry's basis family, every k-subset but
-the entry's nonbases.  checked_sparse_paving pins the classical
-equivalence of the three sparse paving definitions on the package's own
-circuit-hyperplane and relaxation code.  reference_nonbases ORs the n
-SchubertKernel rows a necklace's entries pick, in one pass per necklace,
-the reference for the OR that all_necklaces carries down its walk.  That
-OR is all the walk carries: the oracle's necklace-level verdict is
-membership in the census, which tests/test_necklace.py pins against
-sparse_paving_witness.
+Five helpers deliberately drive the package.  reference_necklaces builds
+each necklace of reference_all_necklaces with the validating
+GrassmannNecklace constructor, for tests that read necklaces without
+testing the walk.  matroid_of builds a Matroid from element collections,
+for tests that write families out by hand, and census_matroid builds a
+census entry's basis family, every k-subset but the entry's nonbases.
+checked_sparse_paving pins the classical equivalence of the three sparse
+paving definitions on the package's own circuit-hyperplane and relaxation
+code.  reference_nonbases ORs the n SchubertKernel rows a necklace's
+entries pick, in one pass per necklace, the reference for the OR that
+all_necklaces carries down its walk.  That OR is all the walk carries:
+the oracle's necklace-level verdict is membership in the census, which
+tests/test_necklace.py pins against sparse_paving_witness.
 """
 
 from itertools import chain, combinations, permutations, product
 
 from positroids import (
     DecoratedPermutation,
+    GrassmannNecklace,
     LeDiagram,
     Matroid,
     boundary_labels,
@@ -228,6 +231,13 @@ def reference_all_necklaces(k, n):
 
     for first in k_subset_masks(n, k):
         yield from extend([first])
+
+
+def reference_necklaces(k, n):
+    """Every necklace of type (k, n), in the order of
+    reference_all_necklaces, each built with the validating constructor."""
+    for entries in reference_all_necklaces(k, n):
+        yield GrassmannNecklace(n, k, entries)
 
 
 def brute_det(a):

@@ -570,6 +570,12 @@ def bases_without(n, k, missing):
 SP_OUT = ("sparse-paving A={1,4}\n"
           "circuit-hyperplanes: [[1,2,3],[4,5,6]]\n")
 NOT_SP_OUT = "not sparse-paving\nwitness: [1,2,3] [2,3,4]\n"
+SP_NECKLACE = {"n": 6, "k": 3,
+               "entries": [[1, 2, 4], [2, 3, 4], [3, 4, 5], [1, 4, 5],
+                           [1, 5, 6], [1, 2, 6]]}
+NOT_SP_NECKLACE = {"n": 6, "k": 3,
+                   "entries": [[1, 2, 4], [2, 4, 5], [3, 4, 5], [4, 5, 6],
+                               [1, 5, 6], [1, 2, 6]]}
 
 
 class TestCheckSpKinds:
@@ -579,14 +585,8 @@ class TestCheckSpKinds:
     before the dispatch was shared."""
 
     @pytest.mark.parametrize("kind,payload,code,out,err", [
-        ("necklace", {"n": 6, "k": 3,
-                      "entries": [[1, 2, 4], [2, 3, 4], [3, 4, 5],
-                                  [1, 4, 5], [1, 5, 6], [1, 2, 6]]},
-         0, SP_OUT, ""),
-        ("necklace", {"n": 6, "k": 3,
-                      "entries": [[1, 2, 4], [2, 4, 5], [3, 4, 5],
-                                  [4, 5, 6], [1, 5, 6], [1, 2, 6]]},
-         2, NOT_SP_OUT, ""),
+        ("necklace", SP_NECKLACE, 0, SP_OUT, ""),
+        ("necklace", NOT_SP_NECKLACE, 2, NOT_SP_OUT, ""),
         ("decperm", {"n": 6, "perm": [3, 5, 1, 6, 2, 4], "colors": {}},
          0, SP_OUT, ""),
         ("decperm", {"n": 6, "perm": [5, 3, 6, 1, 2, 4], "colors": {}},
@@ -657,6 +657,43 @@ class TestBasesBytes:
     def test_bytes(self, argv, payload, expected, tmp_path, capsys):
         path = write_json(tmp_path, "bases.json", payload)
         assert run(capsys, argv + [path]) == expected
+
+
+def scrambled(kind, payload):
+    """The payload with the members of every basis or entry reversed and,
+    for bases, the family reversed with its last basis repeated."""
+    key = "bases" if kind == "bases" else "entries"
+    rows = [row[::-1] for row in payload[key]]
+    if kind == "bases":
+        rows = rows[::-1] + rows[:1]
+    return dict(payload, **{key: rows})
+
+
+class TestMemberOrder:
+    """The bases and necklace loaders take members in any order and count a
+    repeated basis once: a scrambled payload gives the stdout and exit code
+    of its sorted form on convert and check-sp."""
+
+    @pytest.mark.parametrize("kind,payload", [
+        ("bases", bases_without(6, 3, {(1, 2, 3), (4, 5, 6)})),
+        ("bases", bases_without(6, 3, {(1, 2, 3), (2, 3, 4), (2, 3, 5),
+                                       (2, 3, 6)})),
+        ("necklace", SP_NECKLACE),
+        ("necklace", NOT_SP_NECKLACE),
+    ])
+    @pytest.mark.parametrize("command", ["convert", "check-sp"])
+    def test_same_bytes(self, kind, payload, command, tmp_path, capsys):
+        if command == "convert":
+            target = "necklace" if kind == "bases" else "bases"
+            argv = ["convert", "--from", kind, "--to", target]
+        else:
+            argv = ["check-sp", "--kind", kind]
+        sorted_path = write_json(tmp_path, "sorted.json", payload)
+        other = scrambled(kind, payload)
+        assert other != payload
+        other_path = write_json(tmp_path, "scrambled.json", other)
+        assert run(capsys, argv + [other_path]) == \
+            run(capsys, argv + [sorted_path])
 
 
 def bases_verdict(n, k, family):

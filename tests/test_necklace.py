@@ -49,8 +49,14 @@ from oracles import (
     determined_rank,
     matroid_of,
     reference_gale_bounds,
+    reference_necklaces,
     reference_nonbases,
 )
+
+
+def walk(k, n):
+    """The (entries, nonbases) pairs of all_necklaces at type (k, n)."""
+    return all_necklaces(SchubertKernel(k, n))
 
 
 def ks(n, members):
@@ -98,9 +104,8 @@ def entry_sets(neck):
 
 def assert_conversions_match_oracles(neck, nonbases=None):
     """Both necklace <-> positroid conversions against the brute-force
-    Gale-order oracles, and, when the fused walk's nonbases of the
-    necklace are given, those against the k-sets the brute-force positroid
-    misses."""
+    Gale-order oracles, and, when the walk's nonbases of the necklace are
+    given, those against the k-sets the brute-force positroid misses."""
     n = neck.n
     expected = brute_positroid(n, neck.k, entry_sets(neck))
     got = necklace_to_positroid(neck)
@@ -299,8 +304,9 @@ class TestConversionsAgainstOracles:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_necklace(self, n):
         for k in range(0, n + 1):
-            fused = all_necklaces(k, n, SchubertKernel(k, n))
-            for neck, (_, nonbases) in zip(all_necklaces(k, n), fused):
+            for neck, (entries, nonbases) in zip(reference_necklaces(k, n),
+                                                 walk(k, n), strict=True):
+                assert entries == neck.entries
                 assert_conversions_match_oracles(neck, nonbases)
 
     @given(decperm_necklaces(8, 10))
@@ -360,12 +366,12 @@ class TestRoundTrips:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_necklace_positroid_necklace(self, n):
         for k in range(0, n + 1):
-            for neck in all_necklaces(k, n):
+            for neck in reference_necklaces(k, n):
                 assert positroid_necklace(necklace_to_positroid(neck)) == neck
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3)])
     def test_positroid_bases_pass_exchange(self, n, k):
-        for neck in all_necklaces(k, n):
+        for neck in reference_necklaces(k, n):
             m = necklace_to_positroid(neck)
             assert _exchange_masks(m.bases)
 
@@ -422,7 +428,7 @@ class TestWitness:
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3)])
     def test_agrees_with_matroid_classifier(self, n, k):
-        for neck in all_necklaces(k, n):
+        for neck in reference_necklaces(k, n):
             m = necklace_to_positroid(neck)
             assert (sparse_paving_witness(neck) is not None) == \
                 checked_sparse_paving(m)
@@ -488,32 +494,36 @@ class TestSchubertKernel:
     def test_verdict_every_necklace(self, n):
         for k in range(0, n + 1):
             kernel = SchubertKernel(k, n)
-            fused = all_necklaces(k, n, kernel)
-            for neck, (_, nonbases) in zip(all_necklaces(k, n), fused):
+            pairs = zip(reference_necklaces(k, n), all_necklaces(kernel),
+                        strict=True)
+            for neck, (_, nonbases) in pairs:
                 assert kernel.sparse_paving(nonbases) == \
                     checked_sparse_paving(necklace_to_positroid(neck)), neck
 
-    def test_rejects_another_type(self):
-        with pytest.raises(ValueError, match="type"):
-            next(all_necklaces(2, 4, SchubertKernel(2, 5)))
+    @pytest.mark.parametrize("k,n", [(0, 0), (1, 0), (-1, 3), (4, 3)])
+    def test_rejects_a_type_without_necklaces(self, k, n):
+        # The only check on the walk's type: all_necklaces reads it off
+        # the kernel.
+        with pytest.raises(ValueError):
+            SchubertKernel(k, n)
 
 
 class TestFusedWalk:
-    """all_necklaces with a SchubertKernel against the record walk and the
-    per-necklace references, and the census against sparse_paving_witness,
-    on every necklace with n <= 8."""
+    """all_necklaces against the recursive walk and the per-necklace
+    references, and the census against sparse_paving_witness, on every
+    necklace with n <= 8."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_type(self, n):
         for k in range(0, n + 1):
             kernel = SchubertKernel(k, n)
-            records = list(all_necklaces(k, n))
-            fused = list(all_necklaces(k, n, kernel))
-            assert [entries for entries, _ in fused] == \
+            records = list(reference_necklaces(k, n))
+            walked = list(all_necklaces(kernel))
+            assert [entries for entries, _ in walked] == \
                 [neck.entries for neck in records], (k, n)
             index = {mask: j for j, mask in enumerate(k_subset_masks(n, k))}
             every = (1 << len(index)) - 1
-            for neck, (_, nonbases) in zip(records, fused):
+            for neck, (_, nonbases) in zip(records, walked):
                 assert nonbases == reference_nonbases(kernel, neck)
                 assert nonbases == every ^ sum(
                     1 << index[b] for b in necklace_to_positroid(neck).bases)
@@ -525,7 +535,7 @@ class TestFusedWalk:
             census = {necklace_from_nonadjacent(a, k, n).entries
                       for a in nonadjacent_subsets(n)}
             assert len(census) == count_nonadjacent(n), (k, n)
-            for neck in all_necklaces(k, n):
+            for neck in reference_necklaces(k, n):
                 assert (neck.entries in census) == \
                     (sparse_paving_witness(neck) is not None), neck
 
@@ -537,32 +547,31 @@ class TestEnumeration:
         for k in range(n + 1):
             expected = sorted(tuple(mask_of(e, n) for e in seq)
                               for seq in brute_necklaces(n, k))
-            assert [neck.entries for neck in all_necklaces(k, n)] == \
-                expected, k
+            assert [entries for entries, _ in walk(k, n)] == expected, k
 
     def test_counts_match_census(self):
-        assert sum(1 for _ in all_necklaces(2, 4)) == 33
-        sp = [n for n in all_necklaces(2, 4)
-              if sparse_paving_witness(n) is not None]
+        assert sum(1 for _ in walk(2, 4)) == 33
+        sp = [entries for entries, _ in walk(2, 4) if sparse_paving_witness(
+            GrassmannNecklace(4, 2, entries)) is not None]
         assert len(sp) == 7
 
     def test_degenerate_ranks(self):
-        assert sum(1 for _ in all_necklaces(0, 3)) == 1
-        assert sum(1 for _ in all_necklaces(3, 3)) == 1
+        assert sum(1 for _ in walk(0, 3)) == 1
+        assert sum(1 for _ in walk(3, 3)) == 1
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_counts_match_williams_closed_form(self, n):
         """Williams' count of the positroid cells of type (k, n)
         ("Enumeration of totally positive Grassmann cells", Adv. Math. 190
         (2005)), one per necklace; the count is 1 at k = 0."""
-        assert sum(1 for _ in all_necklaces(0, n)) == 1
+        assert sum(1 for _ in walk(0, n)) == 1
         for k in range(1, n + 1):
             expected = sum(
                 (-1) ** i * comb(n, i)
                 * ((k - i) ** i * (k - i + 1) ** (n - i)
                    - (k - i - 1) ** i * (k - i) ** (n - i))
                 for i in range(k))
-            assert sum(1 for _ in all_necklaces(k, n)) == expected, (k, n)
+            assert sum(1 for _ in walk(k, n)) == expected, (k, n)
 
 
 class TestMaskRepresentation:
@@ -576,8 +585,8 @@ class TestMaskRepresentation:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_enumerated_entries(self, n):
         for k in range(0, n + 1):
-            self.assert_masks(e for neck in all_necklaces(k, n)
-                              for e in neck.entries)
+            self.assert_masks(e for entries, _ in walk(k, n)
+                              for e in entries)
 
     def test_converted_entries(self):
         neck = necklace_from_nonadjacent({1, 3}, 2, 5)

@@ -65,7 +65,8 @@ def test_cli_draws_items_from_the_stamped_generators(monkeypatch, capsys):
     assert capsys.readouterr().out.count("\n") == 18
     assert cli.main(["oracle", "--n", "5", "--k", "2"]) == 0
     out = capsys.readouterr().out
-    every = sum(1 for _ in necklace.all_necklaces(2, 5))
+    every = sum(1 for _ in necklace.all_necklaces(
+        necklace.SchubertKernel(2, 5)))
     assert f"necklaces: {every}\n" in out
     assert handed == {"enumerate_sparse_paving": 18, "all_necklaces": every}
 

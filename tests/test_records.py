@@ -19,12 +19,13 @@ from positroids import (
     Matroid,
     NonAdjacentSet,
     SparsePavingPositroid,
-    all_necklaces,
     enumerate_sparse_paving,
 )
 
+from oracles import reference_necklaces
+
 CENSUS = list(enumerate_sparse_paving(2, 5))
-NECKLACES = list(all_necklaces(2, 4))[:3]
+NECKLACES = list(reference_necklaces(2, 4))[:3]
 
 # case id: (class, fields, sample args). The "MaskSet" case keeps the plain
 # mask samples of the former MaskSet base class, whose slots, range check and

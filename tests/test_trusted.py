@@ -1,17 +1,19 @@
 """The library builders that skip record validation, against the validating
 constructor.
 
-all_necklaces, necklace_from_nonadjacent, decperm_to_necklace,
-necklace_to_positroid, necklace_to_decperm, sparse_paving_witness,
-le_from_removals, le_to_decperm, nonadjacent_subsets and
-enumerate_sparse_paving build their records with Record._trusted, which
-sets the fields without running __post_init__.  Whatever they build must
-pass the validating constructor unchanged, type(x)(*x._values()) == x:
-exhaustively at small n, and on hypothesis draws up to n = 12.
+necklace_from_nonadjacent, decperm_to_necklace, necklace_to_positroid,
+necklace_to_decperm, sparse_paving_witness, le_from_removals,
+le_to_decperm, nonadjacent_subsets and enumerate_sparse_paving build their
+records with Record._trusted, which sets the fields without running
+__post_init__.  Whatever they build must pass the validating constructor
+unchanged, type(x)(*x._values()) == x: exhaustively at small n, and on
+hypothesis draws up to n = 12.  The entry tuples that all_necklaces
+yields must pass the validating GrassmannNecklace constructor too.
 """
 
 import ast
 import itertools
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from positroids import (
+    GrassmannNecklace,
     all_necklaces,
     count_sparse_paving,
     decperm_to_necklace,
@@ -31,6 +34,7 @@ from positroids import (
     nonadjacent_subsets,
     sparse_paving_witness,
 )
+from positroids.necklace import SchubertKernel
 
 from oracles import (
     all_decorated_permutations,
@@ -38,6 +42,7 @@ from oracles import (
     determined_rank,
     reference_all_necklaces,
     reference_le_from_removals,
+    reference_necklaces,
 )
 from test_necklace import decperm_necklaces
 
@@ -52,7 +57,6 @@ TRUSTED_BUILDERS = {
     ("enumeration.py", "nonadjacent_subsets"),
     ("le_diagram.py", "le_from_removals"),
     ("le_diagram.py", "le_to_decperm"),
-    ("necklace.py", "all_necklaces"),
     ("necklace.py", "necklace_from_nonadjacent"),
     ("necklace.py", "necklace_to_positroid"),
     ("necklace.py", "sparse_paving_witness"),
@@ -77,17 +81,26 @@ def test_only_the_listed_builders_trust():
     assert named == TRUSTED_BUILDERS | {("matroid.py", "Record")}
 
 
+@lru_cache(maxsize=None)
+def kernel(k, n):
+    return SchubertKernel(k, n)
+
+
+def walk_entries(k, n):
+    return (entries for entries, _ in all_necklaces(kernel(k, n)))
+
+
 class TestAllNecklaces:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_necklace_revalidates(self, n):
         for k in range(n + 1):
-            for neck in all_necklaces(k, n):
-                assert_revalidates(neck)
+            for entries in walk_entries(k, n):
+                GrassmannNecklace(n, k, entries)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_same_sequence_as_recursive_walk(self, n):
         for k in range(n + 1):
-            assert [neck.entries for neck in all_necklaces(k, n)] == \
+            assert list(walk_entries(k, n)) == \
                 list(reference_all_necklaces(k, n)), k
 
     @settings(max_examples=40, deadline=None)
@@ -96,9 +109,9 @@ class TestAllNecklaces:
                             st.integers(0, 3000))))
     def test_drawn_runs_revalidate(self, args):
         n, k, start = args
-        for neck in itertools.islice(all_necklaces(k, n), start,
-                                     start + 40):
-            assert_revalidates(neck)
+        for entries in itertools.islice(walk_entries(k, n), start,
+                                        start + 40):
+            GrassmannNecklace(n, k, entries)
 
 
 class TestDecpermToNecklace:
@@ -119,7 +132,7 @@ class TestNecklaceToDecperm:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_necklace(self, n):
         for k in range(n + 1):
-            for neck in all_necklaces(k, n):
+            for neck in reference_necklaces(k, n):
                 dp = necklace_to_decperm(neck)
                 assert_revalidates(dp)
                 assert decperm_to_necklace(dp, k) == neck
@@ -159,7 +172,7 @@ def test_every_witness(n):
     2 <= k <= n-2; the sparse paving ones number count_sparse_paving."""
     for k in range(2, n - 1):
         found = 0
-        for neck in all_necklaces(k, n):
+        for neck in reference_necklaces(k, n):
             witness = sparse_paving_witness(neck)
             if witness is not None:
                 assert_revalidates(witness)
@@ -177,7 +190,7 @@ class TestNecklaceToPositroid:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_necklace(self, n):
         for k in range(n + 1):
-            for neck in all_necklaces(k, n):
+            for neck in reference_necklaces(k, n):
                 assert_revalidates(necklace_to_positroid(neck))
 
     @settings(max_examples=40, deadline=None)
