@@ -18,15 +18,12 @@ from .matroid import (
     members_of,
     nonadjacent_mask_ok,
     relax,
-    uniform,
 )
 from .necklace import (
     GrassmannNecklace,
     all_necklaces,
-    bumped_interval,
     cyclic_interval,
     is_positroid,
-    mod1,
     necklace_from_nonadjacent,
     necklace_to_positroid,
     positroid_necklace,
@@ -34,11 +31,8 @@ from .necklace import (
 )
 from .decorated import (
     DecoratedPermutation,
-    apply_adjacent_swaps,
     decperm_to_necklace,
     necklace_to_decperm,
-    perm_sparse_paving_witness,
-    top_permutation,
 )
 from .le_diagram import (
     LeDiagram,
@@ -57,7 +51,6 @@ from .enumeration import (
     enumerate_sparse_paving,
     lucas,
     nonadjacent_subsets,
-    recurrence_case,
 )
 
 import types as _types

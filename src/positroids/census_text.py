@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Iterable, Iterator
 
+from .decorated import necklace_to_decperm
 from .enumeration import SparsePavingPositroid
 from .matroid import NonAdjacentSet, lex_subsets
 from .necklace import _check_classification
@@ -110,8 +111,9 @@ def _tail(witnesses: list, dumps: Callable[[object], str]
     followed by the text up to the next unit.
     """
     n = len(witnesses) - 1
-    views = [{"le": e.diagram.to_dict(), "necklace": e.necklace.to_dict(),
-              "perm": e.perm.to_dict()} for e in witnesses]
+    views = [{"le": e.diagram.to_dict(), "necklace": neck.to_dict(),
+              "perm": necklace_to_decperm(neck).to_dict()}
+             for e in witnesses for neck in [e.necklace]]
     windows: list = []
     _mark_local(views, windows)
     texts = [re.split(_MARKED, dumps(view) + "\n") for view in views]

@@ -4,15 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .matroid import (
-    NonAdjacentSet,
-    Record,
-    as_mask,
-    json_int,
-    json_list,
-    nonadjacent_mask_ok,
-)
-from .necklace import GrassmannNecklace, _check_classification, mod1
+from .matroid import Record, json_int, json_list
+from .necklace import GrassmannNecklace
 
 
 class DecoratedPermutation(Record):
@@ -119,56 +112,3 @@ def decperm_to_necklace(dp: DecoratedPermutation, k: int) -> GrassmannNecklace:
         entries.append(cur)
     return GrassmannNecklace._trusted(dp.n, k, tuple(entries))
 
-
-def top_permutation(k: int, n: int) -> DecoratedPermutation:
-    """The shift-by-k permutation i -> i+k mod n, which belongs to the uniform
-    matroid.  It has no fixed points for 0 < k < n, the ranks it takes."""
-    if not 0 < k < n:
-        raise ValueError(f"shift needs 0 < k < n, got k={k}, n={n}")
-    return DecoratedPermutation.make([mod1(i + k, n) for i in range(1, n + 1)])
-
-
-def apply_adjacent_swaps(positions,
-                         dp: DecoratedPermutation) -> DecoratedPermutation:
-    """Swap the one-line entries at positions i-1 and i for every listed i,
-    cyclically, so position 1 trades with position n.  A non-adjacent
-    position set makes the swaps commute; adjacent positions are rejected."""
-    n = dp.n
-    ns = NonAdjacentSet(n, as_mask(positions, n))
-    line = list(dp.perm)
-    touched = set()
-    for i in ns.members:
-        left = i - 1 if i > 1 else n
-        line[i - 1], line[left - 1] = line[left - 1], line[i - 1]
-        touched.add(i)
-        touched.add(left)
-    old = dict(dp.colors)
-    colors = {}
-    for i in range(1, n + 1):
-        if line[i - 1] == i:
-            if i in touched:
-                raise ValueError(
-                    f"swap creates an unmarked fixed point at {i}")
-            colors[i] = old[i]
-    return DecoratedPermutation.make(line, colors)
-
-
-def perm_sparse_paving_witness(dp: DecoratedPermutation,
-                               k: int) -> NonAdjacentSet | None:
-    """Non-adjacent swap set turning the shift-by-k permutation into dp, if
-    one exists; sparse paving positroids are exactly the witnessed ones and
-    their permutations have no fixed points."""
-    n = dp.n
-    _check_classification(k, n)
-    top = top_permutation(k, n)
-    swapped = 0
-    for i in range(1, n + 1):
-        left = i - 1 if i > 1 else n
-        if (dp.perm[i - 1] != top.perm[i - 1]
-                and dp.perm[i - 1] == top.perm[left - 1]
-                and dp.perm[left - 1] == top.perm[i - 1]):
-            swapped |= 1 << (i - 1)
-    if not nonadjacent_mask_ok(swapped, n):
-        return None
-    ns = NonAdjacentSet(n, swapped)
-    return ns if apply_adjacent_swaps(ns, top) == dp else None

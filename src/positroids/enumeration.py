@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .decorated import (
-    DecoratedPermutation,
-    apply_adjacent_swaps,
-    top_permutation,
-)
+from .decorated import DecoratedPermutation, necklace_to_decperm
 from .le_diagram import LeDiagram, le_from_removals
 from .matroid import NonAdjacentSet, Record
 from .necklace import (
@@ -73,9 +69,9 @@ class SparsePavingPositroid(Record):
     witness A.  Its other four views are the paper's closed forms, each
     local in A, and are built from A on access: the necklace (the bumped
     interval at each i in A, the cyclic one elsewhere), the decorated
-    permutation, the Le-diagram (the full box with the boundary cells
-    labelled by A emptied) and `nonbases`, the masks of the k-subsets of
-    [n] that are not bases."""
+    permutation (read off that necklace), the Le-diagram (the full box
+    with the boundary cells labelled by A emptied) and `nonbases`, the
+    masks of the k-subsets of [n] that are not bases."""
 
     __slots__ = ("k", "n", "nonadjacent")
     k: int
@@ -95,11 +91,9 @@ class SparsePavingPositroid(Record):
 
     @property
     def perm(self) -> DecoratedPermutation:
-        """The shift-by-k permutation with the adjacent swaps at A, so
-        i maps to i + k + [i+1 in A] - [i in A]; necklace_to_decperm reads
-        the same permutation off the necklace."""
-        return apply_adjacent_swaps(self.nonadjacent,
-                                    top_permutation(self.k, self.n))
+        """necklace_to_decperm of the necklace: the shift by k with adjacent
+        swaps at A, i -> i + k + [i+1 in A] - [i in A] (mod n), unmarked."""
+        return necklace_to_decperm(self.necklace)
 
     @property
     def diagram(self) -> LeDiagram:
@@ -141,17 +135,3 @@ def count_sparse_paving(k: int, n: int) -> int:
         return n + 1
     return count_nonadjacent(n)
 
-
-def recurrence_case(a: NonAdjacentSet) -> int:
-    """Case split behind the two-step recurrence, for n >= 4: case 1 omits n
-    with at most one of {1, n-1} present, case 2 keeps both 1 and n-1, case 3
-    keeps n.  Cases 2 and 3 together are counted by the n-2 value, case 1 by
-    the n-1 value."""
-    n = a.n
-    if n < 4:
-        raise ValueError("the case split needs n >= 4")
-    if n in a:
-        return 3
-    if 1 in a and (n - 1) in a:
-        return 2
-    return 1

@@ -346,9 +346,3 @@ def is_sparse_paving(m: Matroid) -> bool:
     """
     return _violating_pair(m) is None
 
-
-def uniform(k: int, n: int) -> Matroid:
-    """Matroid whose bases are all k-subsets of [n]."""
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
-    return Matroid(n, k, frozenset(k_subset_masks(n, k)))

@@ -32,11 +32,6 @@ from .matroid import (
 )
 
 
-def mod1(i: int, n: int) -> int:
-    """Reduce i modulo n into the representative range 1..n."""
-    return (i - 1) % n + 1
-
-
 def gale_bounds(n: int, t: int, mask: int) -> tuple[tuple[int, int], ...]:
     """The (prefix mask, bound) pairs that decide I <=_t J for the subset I
     given by mask: J of the same size dominates I exactly when
@@ -99,16 +94,9 @@ def _interval_mask(k: int, n: int, i: int) -> int:
 
 
 def _bumped_mask(k: int, n: int, i: int) -> int:
-    """Mask of bumped_interval(k, n, i), with no argument checks: the
+    """Mask of the bumped interval at i, with no argument checks: the
     elements i, ..., i + k - 2 and then i + k, skipping i + k - 1."""
     return _interval_mask(k - 1, n, i) | (1 << ((i + k - 1) % n))
-
-
-def bumped_interval(k: int, n: int, i: int) -> int:
-    """Mask of the cyclic interval at i with its last element pushed one step
-    further; the second-smallest k-subset for the rotation starting at i."""
-    _check_interval(k, n, i)
-    return _bumped_mask(k, n, i)
 
 
 def _step_ok(bit: int, cur: int, nxt: int) -> bool:

@@ -4,7 +4,12 @@ Everything here works with plain frozensets and itertools, deliberately
 avoiding the package's bit mask machinery so the two routes stay separate.
 Some are the only implementation of a rule the library no longer needs:
 brute_rank, brute_dual and brute_paving keep the rank, duality and paving
-identities under test.  reference_gale_bounds walks all n positions of a
+identities under test, and reference_sparse_paving_perm,
+reference_perm_witness and reference_recurrence_case keep the paper's
+closed forms for the census permutation (the shift by k with adjacent
+swaps at A), the witness read back off a permutation, and the case split
+behind the Lucas recurrence; uniform and mod1 are the plain helpers they
+and the tests share.  reference_gale_bounds walks all n positions of a
 rotation, the reference for gale_bounds, which walks only the members.
 reference_network_edges and reference_matrix rebuild a Le-diagram's
 network from a row and column index and count its paths by recursion over
@@ -165,12 +170,14 @@ def brute_gale_le(t, i, j, n):
 
 def brute_positroid(n, k, entries):
     """Bases of the positroid of a necklace, given as n member collections:
-    the k-subsets above the t-th entry in the Gale order at t, for every t."""
-    entries = [frozenset(e) for e in entries]
+    the k-subsets above the t-th entry in the Gale order at t, for every t,
+    compared componentwise as in brute_gale_le.  Each entry's rotated
+    positions are counted out once, not once per candidate."""
+    lows = [rotated_positions(e, t, n) for t, e in enumerate(entries, 1)]
     return frozenset(
         frozenset(c) for c in combinations(range(1, n + 1), k)
-        if all(brute_gale_le(t, entries[t - 1], c, n)
-               for t in range(1, n + 1)))
+        if all(all(a <= b for a, b in zip(low, rotated_positions(c, t, n)))
+               for t, low in enumerate(lows, 1)))
 
 
 def reference_gale_bounds(n, t, mask):
@@ -322,6 +329,51 @@ def reference_decperm_necklace(dp, k):
         raise ValueError(
             f"permutation determines rank {len(entries[0])}, not {k}")
     return entries
+
+
+def mod1(i, n):
+    """i reduced modulo n into the representatives 1, ..., n."""
+    return (i - 1) % n + 1
+
+
+def uniform(k, n):
+    """The uniform matroid of rank k on [n]: every k-subset is a basis."""
+    return matroid_of(n, combinations(range(1, n + 1), k))
+
+
+def reference_sparse_paving_perm(members, k, n):
+    """The paper's permutation of the sparse paving positroid with
+    non-adjacent witness A, given by its members: the shift by k with the
+    adjacent swaps at A, i -> i + k + [i+1 in A] - [i in A] (mod n), with
+    no fixed points and so no marks."""
+    a = set(members)
+    return DecoratedPermutation.make(
+        [mod1(i + k + (mod1(i + 1, n) in a) - (i in a), n)
+         for i in range(1, n + 1)])
+
+
+def reference_perm_witness(dp, k):
+    """The witness the paper's permutation criterion reads off a decorated
+    permutation of rank k: A = {i : perm(i) = i + k - 1 (mod n)}, as a
+    frozenset, when A is non-adjacent and dp is the closed-form
+    permutation of A; None otherwise."""
+    n = dp.n
+    a = frozenset(i for i in range(1, n + 1)
+                  if dp.perm[i - 1] == mod1(i + k - 1, n))
+    if any(mod1(i + 1, n) in a for i in a):
+        return None
+    return a if reference_sparse_paving_perm(a, k, n) == dp else None
+
+
+def reference_recurrence_case(n, members):
+    """The case of a non-adjacent subset of [n], n >= 4, in the split behind
+    the two-step recurrence: 3 when it holds n, else 2 when it holds both 1
+    and n - 1, else 1.  Case 1 is counted by the (n-1) value, cases 2 and 3
+    together by the (n-2) value."""
+    a = set(members)
+    if n in a:
+        return 3
+    return 2 if {1, n - 1} <= a else 1
 
 
 def reference_le_from_removals(labels, k, n):

@@ -12,7 +12,6 @@ import pytest
 
 from positroids import (
     Matroid,
-    apply_adjacent_swaps,
     cell_numbering,
     circuit_hyperplanes,
     count_nonadjacent,
@@ -29,16 +28,20 @@ from positroids import (
     nonadjacent_subsets,
     positroid_necklace,
     realizable_sets,
-    recurrence_case,
     relax,
     sparse_paving_witness,
-    top_permutation,
-    uniform,
 )
 from positroids import cli
 from positroids.matroid import _exchange_masks
 
-from oracles import census_matroid, checked_sparse_paving
+from oracles import (
+    census_matroid,
+    checked_sparse_paving,
+    reference_perm_witness,
+    reference_recurrence_case,
+    reference_sparse_paving_perm,
+    uniform,
+)
 from test_cli import assert_bases_order
 
 
@@ -131,14 +134,14 @@ def test_c4_cross_representation_consistency(capsys):
     start = time.monotonic()
     for n in range(4, 9):
         for k in range(2, n - 1):
-            top = top_permutation(k, n)
             for a in nonadjacent_subsets(n):
                 neck = necklace_from_nonadjacent(a, k, n)
                 from_necklace = necklace_to_positroid(neck)
                 from_diagram = realizable_sets(le_from_removals(a, k, n))
                 assert from_necklace == from_diagram
                 perm = necklace_to_decperm(neck)
-                assert perm == apply_adjacent_swaps(a, top)
+                assert perm == reference_sparse_paving_perm(a, k, n)
+                assert reference_perm_witness(perm, k) == frozenset(a)
                 assert decperm_to_necklace(perm, k) == neck
                 assert positroid_necklace(from_necklace) == neck
                 assert sparse_paving_witness(neck) == a
@@ -149,10 +152,14 @@ def test_c4_cross_representation_consistency(capsys):
 
 
 def test_c5_worked_example_reproduction(capsys):
-    ok = top_permutation(3, 6).perm == (4, 5, 6, 1, 2, 3)
+    top = necklace_to_decperm(necklace_from_nonadjacent((), 3, 6))
+    ok = top.perm == (4, 5, 6, 1, 2, 3)
+    ok = ok and top == reference_sparse_paving_perm((), 3, 6)
 
     neck = necklace_from_nonadjacent({3}, 3, 6)
     ok = ok and necklace_to_decperm(neck).perm == (4, 6, 5, 1, 2, 3)
+    ok = ok and reference_sparse_paving_perm({3}, 3, 6).perm == \
+        (4, 6, 5, 1, 2, 3)
     ok = ok and members_of(neck.entries[2]) == (3, 4, 6)
 
     left = le_from_removals({1, 3, 10}, 4, 10)
@@ -230,7 +237,7 @@ def test_c8_recurrence_case_partition(capsys):
     for n in range(4, 13):
         sizes = {1: 0, 2: 0, 3: 0}
         for a in nonadjacent_subsets(n):
-            sizes[recurrence_case(a)] += 1
+            sizes[reference_recurrence_case(n, a)] += 1
         ok = ok and sizes[1] == count_nonadjacent(n - 1)
         ok = ok and sizes[2] + sizes[3] == count_nonadjacent(n - 2)
         ok = ok and sum(sizes.values()) == count_nonadjacent(n)

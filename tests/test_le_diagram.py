@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from positroids import (
     LeDiagram,
     NonAdjacentSet,
-    apply_adjacent_swaps,
     boundary_labels,
     build_network,
     cell_numbering,
@@ -24,8 +23,6 @@ from positroids import (
     positroid_necklace,
     realizable_sets,
     render_le,
-    top_permutation,
-    uniform,
 )
 
 from oracles import (
@@ -45,6 +42,7 @@ from oracles import (
     minor_bases,
     reference_matrix,
     reference_network_edges,
+    uniform,
 )
 from test_trusted import assert_revalidates
 
@@ -518,9 +516,7 @@ class TestRemovalDiagrams:
 @pytest.mark.parametrize("build", [
     lambda a: le_from_removals(a, 2, 8),
     lambda a: necklace_from_nonadjacent(a, 2, 8),
-    lambda a: apply_adjacent_swaps(a, top_permutation(2, 8)),
-], ids=["le_from_removals", "necklace_from_nonadjacent",
-        "apply_adjacent_swaps"])
+], ids=["le_from_removals", "necklace_from_nonadjacent"])
 def test_rejects_a_set_on_another_ground_set(build):
     # {5} is a valid set on [5] and its one label fits in [8] too, so only
     # the ground-set check stands between it and an n = 8 answer

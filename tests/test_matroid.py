@@ -15,7 +15,6 @@ from positroids import (
     members_of,
     necklace_to_positroid,
     relax,
-    uniform,
 )
 from positroids.matroid import _exchange_masks, _violating_pair
 
@@ -31,6 +30,7 @@ from oracles import (
     checked_sparse_paving,
     matroid_of,
     reference_necklaces,
+    uniform,
 )
 
 
@@ -312,19 +312,6 @@ class TestViolatingPair:
             expected = brute_violating_pair(
                 n, k, [members_of(b) for b in m.bases])
             assert _violating_pair(m) == expected, neck
-
-
-class TestUniform:
-    def test_sizes(self):
-        assert len(uniform(2, 4).bases) == 6
-        assert uniform(0, 3).bases == frozenset({0})
-        assert uniform(3, 3).bases == frozenset({0b111})
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            uniform(4, 3)
-        with pytest.raises(ValueError):
-            uniform(-1, 3)
 
 
 def assert_dual_identities(m):

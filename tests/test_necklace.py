@@ -12,7 +12,6 @@ from positroids import (
     Matroid,
     NonAdjacentSet,
     all_necklaces,
-    bumped_interval,
     circuits,
     count_nonadjacent,
     cyclic_interval,
@@ -22,18 +21,17 @@ from positroids import (
     k_subset_masks,
     mask_of,
     members_of,
-    mod1,
     necklace_from_nonadjacent,
     necklace_to_positroid,
     nonadjacent_mask_ok,
     nonadjacent_subsets,
     positroid_necklace,
     sparse_paving_witness,
-    uniform,
 )
 from positroids.matroid import _exchange_masks
 from positroids.necklace import (
     SchubertKernel,
+    _bumped_mask,
     _dominating,
     gale_bounds,
 )
@@ -48,9 +46,11 @@ from oracles import (
     checked_sparse_paving,
     determined_rank,
     matroid_of,
+    mod1,
     reference_gale_bounds,
     reference_necklaces,
     reference_nonbases,
+    uniform,
 )
 
 
@@ -148,7 +148,7 @@ class TestGaleOrder:
                     assert gale_bounds(
                         n, t, cyclic_interval(k, n, t)) == ()
                     assert len(gale_bounds(
-                        n, t, bumped_interval(k, n, t))) == 1
+                        n, t, _bumped_mask(k, n, t))) == 1
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=150, deadline=None)
@@ -199,7 +199,7 @@ class TestCyclicInterval:
                     assert cyclic_interval(k, n, i) == ks(n, members)
                     last = mod1(i + k - 1, n)
                     bumped = members - {last} | {mod1(last + 1, n)}
-                    assert bumped_interval(k, n, i) == ks(n, bumped)
+                    assert _bumped_mask(k, n, i) == ks(n, bumped)
 
     def test_is_gale_minimum(self):
         for n in range(2, 7):
@@ -601,4 +601,4 @@ class TestMaskRepresentation:
         m = matroid_of(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
         self.assert_masks(circuits(m))
         self.assert_masks(hyperplanes(m))
-        self.assert_masks([cyclic_interval(2, 4, 1), bumped_interval(2, 4, 1)])
+        self.assert_masks([cyclic_interval(2, 4, 1), _bumped_mask(2, 4, 1)])

@@ -50,12 +50,6 @@ def test_cli_start_up_skips_dataclasses_and_inspect():
     assert loaded.stdout.split() == []
 
 
-# Public names that nothing in the package calls but that stay on purpose:
-# the paper's named statements.
-KEPT_UNCALLED = ("bumped_interval", "perm_sparse_paving_witness",
-                 "recurrence_case", "uniform")
-
-
 def public_definitions(tree):
     """(qualified name, node) for each public module-level function or class
     and each public method of a public class."""
@@ -83,11 +77,10 @@ def test_every_public_definition_is_used():
     """Each public module-level function or class is referenced by name, and
     each public method of a public class by an attribute of the same name,
     somewhere in the package outside its own definition and __init__.py,
-    unless the benchmark traces it by name or it is kept on purpose above."""
+    unless the benchmark traces it by name."""
     from test_perfbench_hooks import load_tracer
-    exempt = set(KEPT_UNCALLED)
-    for _, _, attr, *_ in load_tracer().LAYERS:
-        exempt.update({attr, attr.partition(".")[0]})
+    exempt = {name for _, _, attr, *_ in load_tracer().LAYERS
+              for name in (attr, attr.partition(".")[0])}
     used, defined = set(), []
     for path in SOURCES:
         if path.name == "__init__.py":
