@@ -13,7 +13,7 @@ from .matroid import (
     circuits,
     hyperplanes,
     is_sparse_paving,
-    k_subset_masks,
+    lex_subsets,
     mask_of,
     members_of,
     nonadjacent_mask_ok,

@@ -42,8 +42,8 @@ from .necklace import (
     SchubertKernel,
     all_necklaces,
     _check_classification,
-    _round_trip,
     cyclic_interval,
+    is_positroid,
     necklace_from_nonadjacent,
     necklace_to_positroid,
     sparse_paving_witness,
@@ -108,7 +108,7 @@ def _bases(data) -> GrassmannNecklace | Matroid:
     only on the families that fail the round trip.
     """
     m = Matroid.from_dict(data)
-    neck = _round_trip(m)
+    neck = is_positroid(m)
     if neck is not None:
         return neck
     if not _exchange_masks(m.bases):

@@ -42,18 +42,13 @@ def members_of(mask: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def lex_subsets(n: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Every k-subset of [n] as a (mask, sorted members) pair, in
-    lexicographic order of the member tuples.  Whatever lists subsets in
-    sorted order walks this table, so it alone defines that order."""
+    lexicographic order of the member tuples: the library's one table of
+    k-subsets, so bases are printed and SchubertKernel numbers them in
+    this order."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError(f"no {k}-subsets on ground set [{n}]")
     return tuple((sum(1 << (x - 1) for x in combo), combo)
                  for combo in itertools.combinations(range(1, n + 1), k))
-
-
-@lru_cache(maxsize=None)
-def k_subset_masks(n: int, k: int) -> tuple[int, ...]:
-    """Masks of every k-element subset of [n], in ascending mask order."""
-    return tuple(sorted(mask for mask, _ in lex_subsets(n, k)))
 
 
 def json_int(value, what: str) -> int:
@@ -248,10 +243,14 @@ class Matroid(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "Matroid":
-        n = json_int(data["n"], "n")
-        return cls(n, json_int(data["k"], "k"),
-                   frozenset(mask_of(json_list(b, "basis"), n)
-                             for b in json_list(data["bases"], "bases")))
+        n, k = json_int(data["n"], "n"), json_int(data["k"], "k")
+        bases = set()
+        for b in json_list(data["bases"], "bases"):
+            mask = mask_of(json_list(b, "basis"), n)
+            if mask in bases:
+                raise ValueError(f"repeated basis {list(members_of(mask))}")
+            bases.add(mask)
+        return cls(n, k, frozenset(bases))
 
 
 def _exchange_masks(masks: frozenset[int]) -> bool:
@@ -289,7 +288,7 @@ def circuits(m: Matroid) -> frozenset[int]:
     Circuits never exceed k+1 elements."""
     found: list[int] = []
     for size in range(1, min(m.k + 1, m.n) + 1):
-        found += [mask for mask in k_subset_masks(m.n, size)
+        found += [mask for mask, _ in lex_subsets(m.n, size)
                   if not _independent(mask, m.bases)
                   and all(c & ~mask for c in found)]
     return frozenset(found)
@@ -304,7 +303,7 @@ def hyperplanes(m: Matroid) -> frozenset[int]:
     return frozenset(
         i | sum(e for e in singles
                 if not i & e and not _independent(i | e, m.bases))
-        for i in k_subset_masks(m.n, m.k - 1) if _independent(i, m.bases))
+        for i, _ in lex_subsets(m.n, m.k - 1) if _independent(i, m.bases))
 
 
 def circuit_hyperplanes(m: Matroid) -> frozenset[int]:

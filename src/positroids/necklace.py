@@ -26,7 +26,7 @@ from .matroid import (
     as_mask,
     json_int,
     json_list,
-    k_subset_masks,
+    lex_subsets,
     members_of,
     nonadjacent_mask_ok,
 )
@@ -175,27 +175,28 @@ def necklace_to_positroid(neck: GrassmannNecklace) -> Matroid:
     n, k = neck.n, neck.k
     bounds = {pair for t in range(1, n + 1)
               for pair in gale_bounds(n, t, neck.entries[t - 1])}
-    return Matroid._trusted(n, k, frozenset(_dominating(k_subset_masks(n, k),
-                                                        bounds)))
+    masks = [mask for mask, _ in lex_subsets(n, k)]
+    return Matroid._trusted(n, k, frozenset(_dominating(masks, bounds)))
 
 
 class SchubertKernel:
     """The positroids of every necklace of one type (k, n), as index bitsets.
 
     The k-subsets of [n] are numbered by their position in
-    k_subset_masks(n, k), and a family of them is an int with bit j set for
-    subset j.  For each t and each k-subset I the kernel keeps the family
-    that the shifted Schubert matroid of I at t rejects, read off
-    gale_bounds, so the nonbases of a necklace's positroid are the OR of
-    the n rows its entries pick (Oh, JCTA 118 (2011)); all_necklaces
-    carries that OR down its walk, one row per level, and the oracle's
-    matroid-level verdict reads nothing else.  It also keeps, for
-    each k-subset, the family of k-subsets at symmetric difference two.
-    The two tables hold n * C(n, k) + C(n, k) ints.
+    lex_subsets(n, k), the order in which `convert --to bases` prints them,
+    and a family of them is an int with bit j set for subset j.  For each t
+    and each k-subset I the kernel keeps the family that the shifted
+    Schubert matroid of I at t rejects, read off gale_bounds, so the
+    nonbases of a necklace's positroid are the OR of the n rows its entries
+    pick (Oh, JCTA 118 (2011)); all_necklaces carries that OR down its
+    walk, one row per level, and the oracle's matroid-level verdict reads
+    nothing else.  It also keeps, for each k-subset, the family of
+    k-subsets at symmetric difference two.  The two tables hold
+    n * C(n, k) + C(n, k) ints.
     """
 
     def __init__(self, k: int, n: int):
-        masks = k_subset_masks(n, k)
+        masks = [mask for mask, _ in lex_subsets(n, k)]
         index = {mask: j for j, mask in enumerate(masks)}
         every = (1 << len(masks)) - 1
         self.n, self.k = n, k
@@ -249,7 +250,7 @@ def positroid_necklace(m: Matroid) -> GrassmannNecklace:
     return GrassmannNecklace(n, m.k, tuple(entries))
 
 
-def _round_trip(m: Matroid) -> GrassmannNecklace | None:
+def is_positroid(m: Matroid) -> GrassmannNecklace | None:
     """The necklace of m when m is the positroid of that necklace, else None.
 
     The rotationwise least bases of a family that is not a matroid need not
@@ -265,11 +266,6 @@ def _round_trip(m: Matroid) -> GrassmannNecklace | None:
     if necklace_to_positroid(neck).bases != m.bases:
         return None
     return neck
-
-
-def is_positroid(m: Matroid) -> bool:
-    """Whether the basis family is recovered from its own necklace."""
-    return _round_trip(m) is not None
 
 
 def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
@@ -312,9 +308,9 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
 def all_necklaces(kernel: SchubertKernel
                   ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Depth-first enumeration of every necklace of the kernel's type
-    (k, n), in lexicographic order of the entry masks, each yielded as
-    (entries, nonbases): its entry masks and the k-subsets that its
-    positroid misses, as a bitset over the kernel's index.
+    (k, n), in lexicographic order of the entries ranked by lex_subsets,
+    each yielded as (entries, nonbases): its entry masks and the k-subsets
+    that its positroid misses, as a bitset over the kernel's index.
 
     Every necklace has I_1 containing I_{i+1} minus {i+1, ..., n}: the
     steps i+1, ..., n that lead back to I_1 only remove those elements.  So
@@ -326,11 +322,12 @@ def all_necklaces(kernel: SchubertKernel
 
     The walk is one loop over the levels i = 1, ..., n-1 of the entry
     I_{i+1} being chosen: base[i] is I_i minus {i} and free[i] the
-    replacements not yet tried, ascending; a level where i is absent from
-    I_i copies the entry and keeps no choice.  acc[i] is acc[i-1] OR the
-    kernel's row for I_{i+1} at t = i + 1, so each level it resumes at or
-    descends to costs one dict lookup and one OR, and nonbases is the OR
-    of all n rows (Oh, JCTA 118 (2011)).
+    replacements not yet tried, ascending, which is also the lex_subsets
+    order of base[i] plus each; a level where i is absent from I_i copies
+    the entry and keeps no choice.  acc[i] is acc[i-1] OR the kernel's row
+    for I_{i+1} at t = i + 1, so each level it resumes at or descends to
+    costs one dict lookup and one OR, and nonbases is the OR of all n rows
+    (Oh, JCTA 118 (2011)).
     """
     n, k, rejected = kernel.n, kernel.k, kernel._rejected
     full = (1 << n) - 1
@@ -338,7 +335,7 @@ def all_necklaces(kernel: SchubertKernel
     base = [0] * n
     free = [1] + [0] * (n - 1)  # free[0] stops the backtracking scan
     acc = [0] * n
-    for first in k_subset_masks(n, k):
+    for first, _ in lex_subsets(n, k):
         entries[0] = cur = first
         acc[0] = nonbases = rejected[0][first]
         i = 1

@@ -52,7 +52,7 @@ from positroids import (
     boundary_labels,
     circuit_hyperplanes,
     is_sparse_paving,
-    k_subset_masks,
+    lex_subsets,
     mask_of,
     members_of,
     relax,
@@ -216,7 +216,8 @@ def brute_necklaces(n, k):
 def reference_all_necklaces(k, n):
     """The entry mask tuples of every necklace of type (k, n), by the
     recursive walk: each prefix grows through a nested generator, and when
-    i is in I_i its replacement is drawn from I_1 and {i+1, ..., n}."""
+    i is in I_i its replacement is drawn from I_1 and {i+1, ..., n}.  The
+    first entries come in lex_subsets order, as in all_necklaces."""
     full = (1 << n) - 1
 
     def extend(prefix):
@@ -236,7 +237,7 @@ def reference_all_necklaces(k, n):
             yield from extend(prefix + [stripped | jb])
             free ^= jb
 
-    for first in k_subset_masks(n, k):
+    for first, _ in lex_subsets(n, k):
         yield from extend([first])
 
 
@@ -438,7 +439,8 @@ def census_matroid(entry):
     """The matroid of a census entry: every k-subset of [n] that is not one
     of the entry's nonbases, through the validating constructor."""
     n, k = entry.necklace.n, entry.necklace.k
-    return Matroid(n, k, frozenset(k_subset_masks(n, k)) - entry.nonbases)
+    everything = frozenset(mask for mask, _ in lex_subsets(n, k))
+    return Matroid(n, k, everything - entry.nonbases)
 
 
 def reference_nonbases(kernel, neck):
@@ -456,7 +458,7 @@ def checked_sparse_paving(m):
     agree with it on the matroid m: the missing k-sets are exactly the
     circuit-hyperplanes, and relaxing every circuit-hyperplane in turn
     reaches the uniform matroid."""
-    everything = frozenset(k_subset_masks(m.n, m.k))
+    everything = frozenset(mask for mask, _ in lex_subsets(m.n, m.k))
     chs = circuit_hyperplanes(m) if m.k else frozenset()
     ladder = m
     for c in sorted(chs):

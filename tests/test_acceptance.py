@@ -18,7 +18,7 @@ from positroids import (
     cyclic_interval,
     decperm_to_necklace,
     enumerate_sparse_paving,
-    k_subset_masks,
+    lex_subsets,
     le_from_removals,
     lucas,
     members_of,
@@ -97,7 +97,7 @@ def test_c3_oracle_equivalence(capsys):
         ok = ok and code == 0 and lines[2] == "discrepancies: 0"
         ok = ok and lines[1] == f"sparse paving found: {count_nonadjacent(n)}"
     for (n, k) in [(4, 2), (5, 2)]:
-        candidates = k_subset_masks(n, k)
+        candidates = [mask for mask, _ in lex_subsets(n, k)]
         for bits in range(1, 1 << len(candidates)):
             fam = frozenset(candidates[i] for i in range(len(candidates))
                             if bits >> i & 1)
@@ -114,7 +114,7 @@ def test_c3_oracle_equivalence(capsys):
                     reason="opt-in: set POSITROIDS_FULL_SCAN=1")
 def test_c3_optional_full_scan_6_3(capsys):
     start = time.monotonic()
-    candidates = k_subset_masks(6, 3)
+    candidates = [mask for mask, _ in lex_subsets(6, 3)]
     matroids = 0
     for bits in range(1, 1 << 20):
         fam = frozenset(candidates[i] for i in range(20) if bits >> i & 1)

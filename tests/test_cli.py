@@ -175,6 +175,14 @@ class TestStrictPayloads:
                      {"n": 6, "perm": "456123"}, id="string-perm"),
         pytest.param(["validate", "--kind", "nonadjacent"],
                      {"n": 6, "members": [3, 3]}, id="repeated-member"),
+        pytest.param(["validate", "--kind", "bases"],
+                     {"n": 4, "k": 2, "bases": [[1, 2], [1, 2], [3, 4], [1, 3],
+                                                [1, 4], [2, 3], [2, 4]]},
+                     id="repeated-basis"),
+        pytest.param(["convert", "--from", "bases", "--to", "necklace"],
+                     {"n": 4, "k": 2, "bases": [[1, 2], [2, 1], [3, 4], [1, 3],
+                                                [1, 4], [2, 3], [2, 4]]},
+                     id="repeated-basis-reordered"),
         pytest.param(["validate", "--kind", "nonadjacent"],
                      {"n": 6, "members": ["3"]}, id="string-member"),
         pytest.param(["validate", "--kind", "necklace"],
@@ -661,18 +669,19 @@ class TestBasesBytes:
 
 def scrambled(kind, payload):
     """The payload with the members of every basis or entry reversed and,
-    for bases, the family reversed with its last basis repeated."""
+    for bases, the family reversed."""
     key = "bases" if kind == "bases" else "entries"
     rows = [row[::-1] for row in payload[key]]
     if kind == "bases":
-        rows = rows[::-1] + rows[:1]
+        rows = rows[::-1]
     return dict(payload, **{key: rows})
 
 
 class TestMemberOrder:
-    """The bases and necklace loaders take members in any order and count a
-    repeated basis once: a scrambled payload gives the stdout and exit code
-    of its sorted form on convert and check-sp."""
+    """The bases and necklace loaders take members, and the bases loader
+    takes bases, in any order: a scrambled payload gives the stdout and exit
+    code of its sorted form on convert and check-sp.  A repeated basis is
+    refused (TestStrictPayloads)."""
 
     @pytest.mark.parametrize("kind,payload", [
         ("bases", bases_without(6, 3, {(1, 2, 3), (4, 5, 6)})),

@@ -315,10 +315,14 @@ def random_le_diagrams(draw, low, high):
 
 
 class TestAgainstFlow:
-    """The library decides realizability by the maximal minors of the
-    boundary-measurement matrix; the unit-capacity max-flow in
-    tests/oracles.py decides it independently on the same network.  They
-    must give the same bases on every diagram."""
+    """The library reads the realizable bases off the pipes:
+    realizable_sets takes the decorated permutation from le_to_decperm,
+    then the necklace and the Gale intersection of necklace_to_positroid.
+    The unit-capacity max-flow in tests/oracles.py decides realizability
+    independently on the boundary-measurement network.  They must give the
+    same bases on every diagram.  The network's maximal minors are the
+    certificate, checked below and in TestPipes: no minor is negative, and
+    the bases are exactly the k-sets with a nonzero one."""
 
     @pytest.mark.parametrize("n,total", [(1, 2), (2, 5), (3, 16), (4, 65),
                                          (5, 326), (6, 1957),

@@ -10,7 +10,7 @@ from positroids import (
     circuits,
     hyperplanes,
     is_sparse_paving,
-    k_subset_masks,
+    lex_subsets,
     mask_of,
     members_of,
     necklace_to_positroid,
@@ -80,9 +80,9 @@ class TestMasks:
         with pytest.raises(ValueError):
             mask_of([True, 2], 4)
 
-    def test_k_subset_masks_counts(self):
-        assert len(k_subset_masks(6, 3)) == 20
-        assert k_subset_masks(3, 0) == (0,)
+    def test_lex_subsets_counts(self):
+        assert len(lex_subsets(6, 3)) == 20
+        assert lex_subsets(3, 0) == ((0, ()),)
 
 
 class TestEncoding:
@@ -90,8 +90,8 @@ class TestEncoding:
     @settings(max_examples=150, deadline=None)
     def test_bases_listed_in_sorted_order(self, n, data):
         k = data.draw(st.integers(0, n))
-        family = data.draw(st.sets(st.sampled_from(k_subset_masks(n, k)),
-                                   min_size=1))
+        masks = [mask for mask, _ in lex_subsets(n, k)]
+        family = data.draw(st.sets(st.sampled_from(masks), min_size=1))
         m = Matroid(n, k, frozenset(family))
         expected = sorted(list(members_of(b)) for b in family)
         assert m.to_dict()["bases"] == expected
@@ -128,6 +128,15 @@ class TestValidation:
     def test_payload_of_wrong_size(self):
         with pytest.raises(ValueError, match="differs from the rank"):
             Matroid.from_dict({"n": 4, "k": 2, "bases": [[1, 2], [1, 2, 3]]})
+
+    @pytest.mark.parametrize("bases", [
+        [[1, 2], [3, 4], [1, 2]],
+        [[1, 2], [3, 4], [2, 1]],
+    ])
+    def test_payload_with_a_repeated_basis(self, bases):
+        # A payload lists each basis once; a copy is refused, not dropped.
+        with pytest.raises(ValueError, match=r"repeated basis \[1, 2\]"):
+            Matroid.from_dict({"n": 4, "k": 2, "bases": bases})
 
 
 class TestExchangeAxiom:
@@ -374,7 +383,7 @@ class TestThreeDefinitionsAgree:
 
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (5, 3)])
     def test_power_set_scan(self, n, k):
-        candidates = k_subset_masks(n, k)
+        candidates = [mask for mask, _ in lex_subsets(n, k)]
         seen = 0
         for bits in range(1, 1 << len(candidates)):
             fam = frozenset(candidates[i] for i in range(len(candidates))

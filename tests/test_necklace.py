@@ -18,7 +18,7 @@ from positroids import (
     decperm_to_necklace,
     hyperplanes,
     is_positroid,
-    k_subset_masks,
+    lex_subsets,
     mask_of,
     members_of,
     necklace_from_nonadjacent,
@@ -76,7 +76,8 @@ def gale_le(t, i_mask, j_mask, n):
 def schubert_bases(i_mask, t, n):
     """Member tuples of the shifted Schubert matroid of i_mask at t."""
     return {members_of(m) for m in _dominating(
-        k_subset_masks(n, i_mask.bit_count()), gale_bounds(n, t, i_mask))}
+        (m for m, _ in lex_subsets(n, i_mask.bit_count())),
+        gale_bounds(n, t, i_mask))}
 
 
 def interval_necklace(k, n):
@@ -111,8 +112,8 @@ def assert_conversions_match_oracles(neck, nonbases=None):
     got = necklace_to_positroid(neck)
     assert {frozenset(members_of(b)) for b in got.bases} == expected
     if nonbases is not None:
-        assert {frozenset(members_of(mask))
-                for j, mask in enumerate(k_subset_masks(n, neck.k))
+        assert {frozenset(members)
+                for j, (_, members) in enumerate(lex_subsets(n, neck.k))
                 if nonbases >> j & 1} == \
             {frozenset(c) for c in itertools.combinations(range(1, n + 1),
                                                           neck.k)} - expected
@@ -206,7 +207,7 @@ class TestCyclicInterval:
             for k in range(1, n + 1):
                 for i in range(1, n + 1):
                     c = cyclic_interval(k, n, i)
-                    for m in k_subset_masks(n, k):
+                    for m, _ in lex_subsets(n, k):
                         assert gale_le(i, c, m, n)
 
     def test_symmetric_differences(self):
@@ -237,7 +238,7 @@ class TestSchubert:
             for k in range(1, n):
                 for t in range(1, n + 1):
                     got = schubert_bases(cyclic_interval(k, n, t), t, n)
-                    assert len(got) == len(k_subset_masks(n, k))
+                    assert len(got) == len(lex_subsets(n, k))
 
     def test_minimum_at_rotation_start(self):
         got = schubert_bases(ks(4, {3, 4}), 3, 4)
@@ -344,22 +345,27 @@ class TestPositroidNecklace:
 
 
 class TestIsPositroid:
+    """is_positroid returns the family's necklace, or None when the family
+    is not the positroid of a necklace."""
+
     def test_uniform(self):
-        assert is_positroid(uniform(2, 4))
-        assert is_positroid(uniform(1, 5))
+        assert is_positroid(uniform(2, 4)) == interval_necklace(2, 4)
+        assert is_positroid(uniform(1, 5)) == interval_necklace(1, 5)
 
     def test_cyclic_interval_removal(self):
         m = matroid_of(4, [{1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
-        assert is_positroid(m)
+        assert is_positroid(m) == necklace(
+            4, [{1, 3}, {2, 3}, {3, 4}, {1, 4}])
 
     def test_non_interval_removal_is_not(self):
         m = matroid_of(4, [{1, 2}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
-        assert not is_positroid(m)
+        assert is_positroid(m) is None
 
     def test_family_without_a_necklace_is_not(self):
         # the greedy entries {1,2}, {3,4}, {3,4}, {1,2} break the necklace
-        # axiom at i=2; the predicate answers False instead of raising
-        assert not is_positroid(Matroid(4, 2, frozenset({0b0011, 0b1100})))
+        # axiom at i=2; the predicate answers None instead of raising
+        assert is_positroid(Matroid(4, 2, frozenset({0b0011, 0b1100}))) \
+            is None
 
 
 class TestRoundTrips:
@@ -463,7 +469,7 @@ class TestFromNonAdjacent:
     def test_missing_bases_are_exactly_the_intervals(self):
         for n in range(4, 9):
             for k in range(2, n - 1):
-                total = len(k_subset_masks(n, k))
+                total = len(lex_subsets(n, k))
                 for members in map(frozenset, brute_nonadjacent(n)):
                     neck = necklace_from_nonadjacent(members, k, n)
                     m = necklace_to_positroid(neck)
@@ -521,7 +527,7 @@ class TestFusedWalk:
             walked = list(all_necklaces(kernel))
             assert [entries for entries, _ in walked] == \
                 [neck.entries for neck in records], (k, n)
-            index = {mask: j for j, mask in enumerate(k_subset_masks(n, k))}
+            index = {mask: j for j, (mask, _) in enumerate(lex_subsets(n, k))}
             every = (1 << len(index)) - 1
             for neck, (_, nonbases) in zip(records, walked):
                 assert nonbases == reference_nonbases(kernel, neck)
@@ -543,10 +549,11 @@ class TestFusedWalk:
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_same_necklaces_in_order_as_brute_filter(self, n):
-        # the depth-first walk yields the entry mask tuples in sorted order
+        # the depth-first walk yields the necklaces in the brute-force
+        # filter's order, a product over the k-subsets in lex_subsets order
         for k in range(n + 1):
-            expected = sorted(tuple(mask_of(e, n) for e in seq)
-                              for seq in brute_necklaces(n, k))
+            expected = [tuple(mask_of(e, n) for e in seq)
+                        for seq in brute_necklaces(n, k)]
             assert [entries for entries, _ in walk(k, n)] == expected, k
 
     def test_counts_match_census(self):

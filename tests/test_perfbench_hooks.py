@@ -131,13 +131,15 @@ def test_cli_reaches_the_exchange_check_through_rebindable_names(
 # the necklace, and its route from a necklace.
 ROUTED = ("matroid.Matroid.from_dict", "decorated.decperm_to_necklace",
           "decorated.necklace_to_decperm", "necklace.necklace_to_positroid",
-          "le_diagram.le_from_removals", "necklace.sparse_paving_witness")
+          "le_diagram.le_from_removals", "necklace.sparse_paving_witness",
+          "necklace.is_positroid")
 TO_NECKLACE = {
     "necklace": {},
     "decperm": {"decorated.decperm_to_necklace": 1},
     "le": {"decorated.decperm_to_necklace": 1},
-    # The loader's round trip builds the positroid of the found necklace.
-    "bases": {"matroid.Matroid.from_dict": 1,
+    # The loader's round trip, is_positroid, builds the positroid of the
+    # found necklace.
+    "bases": {"matroid.Matroid.from_dict": 1, "necklace.is_positroid": 1,
               "necklace.necklace_to_positroid": 1},
     "nonadjacent": {},
 }
