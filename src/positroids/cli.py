@@ -232,18 +232,16 @@ def cmd_oracle(args) -> int:
                        f"a larger --budget to run it anyway")
     _check_classification(k, n)
     # The walk carries, level by level, the Schubert intersection's
-    # nonbases; the matroid-level verdict reads only them, with the
-    # symmetric-difference definition.  The necklace-level verdict is the
-    # paper's classification: membership in the census, the necklaces
+    # nonbases and the matroid-level verdict on them, the
+    # symmetric-difference definition, tested on each nonbasis at the
+    # level that adds it.  The necklace-level verdict is the paper's
+    # classification: membership in the census, the necklaces
     # necklace_from_nonadjacent builds for the non-adjacent sets.  A
     # necklace record is built, and validated, only for a discrepancy.
     census = {necklace_from_nonadjacent(a, k, n).entries
               for a in nonadjacent_subsets(n)}
-    kernel = SchubertKernel(k, n)
-    sparse_paving = kernel.sparse_paving
     total = found = discrepancies = 0
-    for entries, nonbases in all_necklaces(kernel):
-        by_matroid = sparse_paving(nonbases)
+    for entries, _, by_matroid in all_necklaces(SchubertKernel(k, n)):
         by_necklace = entries in census
         total += 1
         if by_matroid:

@@ -188,10 +188,11 @@ class SchubertKernel:
     and each k-subset I the kernel keeps the family that the shifted
     Schubert matroid of I at t rejects, read off gale_bounds, so the
     nonbases of a necklace's positroid are the OR of the n rows its entries
-    pick (Oh, JCTA 118 (2011)); all_necklaces carries that OR down its
-    walk, one row per level, and the oracle's matroid-level verdict reads
-    nothing else.  It also keeps, for each k-subset, the family of
-    k-subsets at symmetric difference two.  The two tables hold
+    pick (Oh, JCTA 118 (2011)).  It also keeps, for each k-subset, the
+    family of k-subsets at symmetric difference two.  all_necklaces
+    carries the OR down its walk, one row per level, and tests each
+    nonbasis a row adds against that level's OR through the second table:
+    the oracle's matroid-level verdict.  The two tables hold
     n * C(n, k) + C(n, k) ints.
     """
 
@@ -211,20 +212,6 @@ class SchubertKernel:
                 for out in members_of(mask)
                 for into in members_of(full ^ mask))
             for mask in masks)
-
-    def sparse_paving(self, nonbases: int) -> bool:
-        """Whether the given missing k-subsets are pairwise at symmetric
-        difference >= 4, the sparse paving condition of is_sparse_paving:
-        no missing k-subset has a missing one among its neighbours at
-        symmetric difference two."""
-        near = self._near
-        rest = nonbases
-        while rest:
-            low = rest & -rest
-            if near[low.bit_length() - 1] & nonbases:
-                return False
-            rest ^= low
-        return True
 
 
 def positroid_necklace(m: Matroid) -> GrassmannNecklace:
@@ -306,11 +293,13 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
 
 
 def all_necklaces(kernel: SchubertKernel
-                  ) -> Iterator[tuple[tuple[int, ...], int]]:
+                  ) -> Iterator[tuple[tuple[int, ...], int, bool]]:
     """Depth-first enumeration of every necklace of the kernel's type
     (k, n), in lexicographic order of the entries ranked by lex_subsets,
-    each yielded as (entries, nonbases): its entry masks and the k-subsets
-    that its positroid misses, as a bitset over the kernel's index.
+    each yielded as (entries, nonbases, sparse_paving): its entry masks,
+    the k-subsets that its positroid misses, as a bitset over the kernel's
+    index, and whether those are pairwise at symmetric difference >= 4,
+    the sparse paving condition of is_sparse_paving.
 
     Every necklace has I_1 containing I_{i+1} minus {i+1, ..., n}: the
     steps i+1, ..., n that lead back to I_1 only remove those elements.  So
@@ -320,27 +309,47 @@ def all_necklaces(kernel: SchubertKernel
     this way closes into a necklace, so no branch dies and the last step
     needs no check.
 
-    The walk is one loop over the levels i = 1, ..., n-1 of the entry
-    I_{i+1} being chosen: base[i] is I_i minus {i} and free[i] the
-    replacements not yet tried, ascending, which is also the lex_subsets
-    order of base[i] plus each; a level where i is absent from I_i copies
-    the entry and keeps no choice.  acc[i] is acc[i-1] OR the kernel's row
-    for I_{i+1} at t = i + 1, so each level it resumes at or descends to
-    costs one dict lookup and one OR, and nonbases is the OR of all n rows
-    (Oh, JCTA 118 (2011)).
+    The walk is one loop over the levels i = 0, ..., n-1 of the entry
+    I_{i+1}: base[i] is I_i minus {i} and free[i] the replacements not yet
+    tried, ascending, which is also the lex_subsets order of base[i] plus
+    each; a level where i is absent from I_i copies the entry and keeps no
+    choice.  acc[i] is acc[i-1] OR the kernel's row for I_{i+1} at
+    t = i + 1, so nonbases is the OR of all n rows (Oh, JCTA 118 (2011)).
+    The OR only grows, so once two nonbases are at symmetric difference
+    two no completion is sparse paving: sparse[i] says that acc[i] holds
+    no such pair, and a level tests only the nonbases its row adds, each
+    against acc[i] through the kernel's near table.  A level that adds
+    none, or whose parent's flag is already down, inherits the flag, and a
+    level the walk resumes at starts again from its parent's acc and flag.
     """
-    n, k, rejected = kernel.n, kernel.k, kernel._rejected
+    n, k, rejected, near = kernel.n, kernel.k, kernel._rejected, kernel._near
     full = (1 << n) - 1
     entries = [0] * n
     base = [0] * n
     free = [1] + [0] * (n - 1)  # free[0] stops the backtracking scan
     acc = [0] * n
+    sparse = [True] * n
     for first, _ in lex_subsets(n, k):
-        entries[0] = cur = first
-        acc[0] = nonbases = rejected[0][first]
-        i = 1
+        cur, i, nonbases, ok = first, 0, 0, True
         while True:
-            while i < n:
+            while True:
+                entries[i] = cur
+                row = rejected[i][cur]
+                if ok:
+                    new = row & ~nonbases
+                    nonbases |= row
+                    while new:
+                        low = new & -new
+                        if near[low.bit_length() - 1] & nonbases:
+                            ok = False
+                            break
+                        new ^= low
+                else:
+                    nonbases |= row
+                acc[i], sparse[i] = nonbases, ok
+                i += 1
+                if i == n:
+                    break
                 bit = 1 << (i - 1)
                 if cur & bit:
                     stripped = cur ^ bit
@@ -350,10 +359,7 @@ def all_necklaces(kernel: SchubertKernel
                     cur = stripped | low
                 else:
                     free[i] = 0
-                entries[i] = cur
-                acc[i] = nonbases = nonbases | rejected[i][cur]
-                i += 1
-            yield tuple(entries), nonbases
+            yield tuple(entries), nonbases, ok
             i = n - 1
             while not free[i]:
                 i -= 1
@@ -362,6 +368,5 @@ def all_necklaces(kernel: SchubertKernel
             rest = free[i]
             low = rest & -rest
             free[i] = rest ^ low
-            entries[i] = cur = base[i] | low
-            acc[i] = nonbases = acc[i - 1] | rejected[i][cur]
-            i += 1
+            cur = base[i] | low
+            nonbases, ok = acc[i - 1], sparse[i - 1]

@@ -37,8 +37,11 @@ checked_sparse_paving pins the classical equivalence of the three sparse
 paving definitions on the package's own circuit-hyperplane and relaxation
 code.  reference_nonbases ORs the n SchubertKernel rows a necklace's
 entries pick, in one pass per necklace, the reference for the OR that
-all_necklaces carries down its walk.  That OR is all the walk carries:
-the oracle's necklace-level verdict is membership in the census, which
+all_necklaces carries down its walk, and reference_kernel_verdict scans a
+whole nonbasis bitset through the kernel's near table, the reference for
+the sparse paving flag that the walk carries beside the OR, testing only
+the nonbases each level adds.  Those two are all the walk carries: the
+oracle's necklace-level verdict is membership in the census, which
 tests/test_necklace.py pins against sparse_paving_witness.
 """
 
@@ -451,6 +454,21 @@ def reference_nonbases(kernel, neck):
     for row, entry in zip(kernel._rejected, neck.entries):
         out |= row[entry]
     return out
+
+
+def reference_kernel_verdict(kernel, nonbases):
+    """Whether the k-subsets in the bitset nonbases, over the kernel's
+    index, are pairwise at symmetric difference >= 4, the sparse paving
+    condition of is_sparse_paving: no one of them has another among its
+    neighbours at symmetric difference two, read off the kernel's near
+    table for each in turn."""
+    rest = nonbases
+    while rest:
+        low = rest & -rest
+        if kernel._near[low.bit_length() - 1] & nonbases:
+            return False
+        rest ^= low
+    return True
 
 
 def checked_sparse_paving(m):

@@ -1053,6 +1053,30 @@ class TestOracle:
         assert code == (0 if sparse_paving_witness(flipped[0]) is not None
                         else 2)
 
+    def test_matroid_side_discrepancies_replay_through_check_sp(
+            self, monkeypatch, tmp_path, capsys):
+        """With the kernel's near table emptied, no two nonbases are ever
+        neighbours, so every necklace passes the matroid side and each one
+        outside the census is a discrepancy: a stderr line that check-sp
+        reads unchanged and calls not sparse paving."""
+        class NoNeighbours(necklace.SchubertKernel):
+            def __init__(self, k, n):
+                super().__init__(k, n)
+                self._near = (0,) * len(self._near)
+
+        monkeypatch.setattr(cli, "SchubertKernel", NoNeighbours)
+        code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])
+        assert (code, out) == (2, "necklaces: 131\n"
+                                  "sparse paving found: 131\n"
+                                  "discrepancies: 120\n")
+        lines = err.splitlines()
+        assert len(set(lines)) == len(lines) == 120
+        path = tmp_path / "discrepancy.json"
+        for line in lines:
+            path.write_text(line + "\n")
+            assert run(capsys, ["check-sp", "--kind", "necklace",
+                                str(path)])[0] == 2, line
+
     def test_budget_override(self, capsys):
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "3",
                                       "--budget", "5"])

@@ -18,6 +18,7 @@ from positroids import (
     decperm_to_necklace,
     hyperplanes,
     is_positroid,
+    is_sparse_paving,
     lex_subsets,
     mask_of,
     members_of,
@@ -48,6 +49,7 @@ from oracles import (
     matroid_of,
     mod1,
     reference_gale_bounds,
+    reference_kernel_verdict,
     reference_necklaces,
     reference_nonbases,
     uniform,
@@ -55,7 +57,8 @@ from oracles import (
 
 
 def walk(k, n):
-    """The (entries, nonbases) pairs of all_necklaces at type (k, n)."""
+    """The (entries, nonbases, sparse_paving) items of all_necklaces at type
+    (k, n)."""
     return all_necklaces(SchubertKernel(k, n))
 
 
@@ -305,8 +308,8 @@ class TestConversionsAgainstOracles:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_necklace(self, n):
         for k in range(0, n + 1):
-            for neck, (entries, nonbases) in zip(reference_necklaces(k, n),
-                                                 walk(k, n), strict=True):
+            for neck, (entries, nonbases, _) in zip(
+                    reference_necklaces(k, n), walk(k, n), strict=True):
                 assert entries == neck.entries
                 assert_conversions_match_oracles(neck, nonbases)
 
@@ -492,9 +495,10 @@ class TestFromNonAdjacent:
 
 
 class TestSchubertKernel:
-    """The oracle's bitset kernel; the nonbases that the walk carries with
-    it are checked against brute_positroid in TestConversionsAgainstOracles
-    and against reference_nonbases in TestFusedWalk."""
+    """The oracle's bitset kernel, through the sparse paving verdict that
+    the walk carries with it; the nonbases that the walk carries are
+    checked against brute_positroid in TestConversionsAgainstOracles and
+    against reference_nonbases in TestFusedWalk."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_verdict_every_necklace(self, n):
@@ -502,8 +506,8 @@ class TestSchubertKernel:
             kernel = SchubertKernel(k, n)
             pairs = zip(reference_necklaces(k, n), all_necklaces(kernel),
                         strict=True)
-            for neck, (_, nonbases) in pairs:
-                assert kernel.sparse_paving(nonbases) == \
+            for neck, (_, _, sparse_paving) in pairs:
+                assert sparse_paving == \
                     checked_sparse_paving(necklace_to_positroid(neck)), neck
 
     @pytest.mark.parametrize("k,n", [(0, 0), (1, 0), (-1, 3), (4, 3)])
@@ -517,7 +521,10 @@ class TestSchubertKernel:
 class TestFusedWalk:
     """all_necklaces against the recursive walk and the per-necklace
     references, and the census against sparse_paving_witness, on every
-    necklace with n <= 8."""
+    necklace with n <= 8.  Here the carried verdict is checked against
+    the kernel's full scan and is_sparse_paving; TestSchubertKernel checks
+    it against all three definitions of checked_sparse_paving up to n = 7,
+    since at n = 8 their circuit-hyperplane scans would add about 90 s."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_type(self, n):
@@ -525,14 +532,16 @@ class TestFusedWalk:
             kernel = SchubertKernel(k, n)
             records = list(reference_necklaces(k, n))
             walked = list(all_necklaces(kernel))
-            assert [entries for entries, _ in walked] == \
+            assert [entries for entries, _, _ in walked] == \
                 [neck.entries for neck in records], (k, n)
             index = {mask: j for j, (mask, _) in enumerate(lex_subsets(n, k))}
             every = (1 << len(index)) - 1
-            for neck, (_, nonbases) in zip(records, walked):
+            for neck, (_, nonbases, sparse_paving) in zip(records, walked):
                 assert nonbases == reference_nonbases(kernel, neck)
-                assert nonbases == every ^ sum(
-                    1 << index[b] for b in necklace_to_positroid(neck).bases)
+                m = necklace_to_positroid(neck)
+                assert nonbases == every ^ sum(1 << index[b] for b in m.bases)
+                assert sparse_paving == reference_kernel_verdict(
+                    kernel, nonbases) == is_sparse_paving(m), neck
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_census_is_the_witness_verdict(self, n):
@@ -554,11 +563,11 @@ class TestEnumeration:
         for k in range(n + 1):
             expected = [tuple(mask_of(e, n) for e in seq)
                         for seq in brute_necklaces(n, k)]
-            assert [entries for entries, _ in walk(k, n)] == expected, k
+            assert [entries for entries, _, _ in walk(k, n)] == expected, k
 
     def test_counts_match_census(self):
         assert sum(1 for _ in walk(2, 4)) == 33
-        sp = [entries for entries, _ in walk(2, 4) if sparse_paving_witness(
+        sp = [entries for entries, _, _ in walk(2, 4) if sparse_paving_witness(
             GrassmannNecklace(4, 2, entries)) is not None]
         assert len(sp) == 7
 
@@ -592,7 +601,7 @@ class TestMaskRepresentation:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_enumerated_entries(self, n):
         for k in range(0, n + 1):
-            self.assert_masks(e for entries, _ in walk(k, n)
+            self.assert_masks(e for entries, _, _ in walk(k, n)
                               for e in entries)
 
     def test_converted_entries(self):

@@ -87,7 +87,7 @@ def kernel(k, n):
 
 
 def walk_entries(k, n):
-    return (entries for entries, _ in all_necklaces(kernel(k, n)))
+    return (entries for entries, _, _ in all_necklaces(kernel(k, n)))
 
 
 class TestAllNecklaces:
