@@ -278,32 +278,38 @@ def _exchange_masks(masks: frozenset[int]) -> bool:
     return True
 
 
-def _independent(mask: int, bases: frozenset[int]) -> bool:
-    return any(mask & ~b == 0 for b in bases)
-
-
 def circuits(m: Matroid) -> frozenset[int]:
-    """All minimal dependent subsets, found by increasing size: a dependent
-    set is a circuit exactly when no circuit found earlier lies inside it.
-    Circuits never exceed k+1 elements."""
-    found: list[int] = []
-    for size in range(1, min(m.k + 1, m.n) + 1):
-        found += [mask for mask, _ in lex_subsets(m.n, size)
-                  if not _independent(mask, m.bases)
-                  and all(c & ~mask for c in found)]
-    return frozenset(found)
+    """All minimal dependent subsets: the dependent sets of at most k+1
+    elements, which circuits never exceed, whose every one-element deletion
+    is independent.  The independent sets are built once, level by level
+    down from the bases, each set one element short of one above it."""
+    singles = [1 << j for j in range(m.n)]
+    independent = set(m.bases)
+    level = independent
+    while level:
+        level = {s ^ e for s in level for e in singles if s & e}
+        independent |= level
+    return frozenset(
+        mask for size in range(1, min(m.k + 1, m.n) + 1)
+        for mask, members in lex_subsets(m.n, size)
+        if mask not in independent
+        and all(mask ^ 1 << (x - 1) in independent for x in members))
 
 
 def hyperplanes(m: Matroid) -> frozenset[int]:
     """Flats of rank k-1, each the closure of an independent (k-1)-set I:
-    I together with every element e for which I+e is dependent."""
+    I together with every element e for which I+e is dependent, that is,
+    every element outside each basis that holds I."""
     if m.k < 1:
         raise ValueError("a rank-0 matroid has no hyperplanes")
-    singles = [1 << j for j in range(m.n)]
-    return frozenset(
-        i | sum(e for e in singles
-                if not i & e and not _independent(i | e, m.bases))
-        for i, _ in lex_subsets(m.n, m.k - 1) if _independent(i, m.bases))
+    # cover[I] is the union of the bases that hold the (k-1)-set I.
+    cover: dict[int, int] = {}
+    for b in m.bases:
+        for x in members_of(b):
+            i = b ^ 1 << (x - 1)
+            cover[i] = cover.get(i, 0) | b
+    full = (1 << m.n) - 1
+    return frozenset(i | full & ~union for i, union in cover.items())
 
 
 def circuit_hyperplanes(m: Matroid) -> frozenset[int]:

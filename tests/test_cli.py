@@ -12,14 +12,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from positroids import cli, decorated, le_diagram, necklace
+from positroids import census_text, cli, decorated, le_diagram, necklace
 from positroids import (
     Matroid,
+    NonAdjacentSet,
+    SparsePavingPositroid,
     cyclic_interval,
     enumerate_sparse_paving,
     le_from_removals,
     members_of,
     necklace_from_nonadjacent,
+    nonadjacent_mask_ok,
+    nonadjacent_subsets,
     sparse_paving_witness,
 )
 
@@ -51,6 +55,21 @@ def cli_env():
     path = os.pathsep.join(filter(None, [src,
                                          os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+# cli_env() passes on the caller's PYTHONUNBUFFERED; with it set, sys.stdout
+# writes each line through to the pipe, and without it, in blocks.
+STDOUT_MODES = {"unbuffered": "1", "buffered": None}
+
+
+def stdout_env(mode: str) -> dict:
+    """cli_env() with PYTHONUNBUFFERED set for mode "unbuffered" and unset
+    for mode "buffered"."""
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if STDOUT_MODES[mode] is not None:
+        env["PYTHONUNBUFFERED"] = STDOUT_MODES[mode]
+    return env
 
 
 def write_json(tmp_path, name, payload):
@@ -760,16 +779,21 @@ def assert_lines_are_views(out: str, k: int, n: int) -> list:
     entries = list(enumerate_sparse_paving(k, n))
     assert len(lines) == len(entries)
     for line, entry in zip(lines, entries):
-        views = {
-            "A": list(entry.nonadjacent.members),
-            "necklace": entry.necklace.to_dict(),
-            "perm": entry.perm.to_dict(),
-            "le": entry.diagram.to_dict(),
-            "bases": census_matroid(entry).to_dict(),
-        }
-        assert line == json.dumps(views, sort_keys=True,
-                                  separators=(",", ":"))
+        assert line == views_line(entry)
     return entries
+
+
+def views_line(entry) -> str:
+    """The census line of an entry, without its newline, as the sorted
+    compact JSON of its five to_dict views, the bases from census_matroid."""
+    views = {
+        "A": list(entry.nonadjacent.members),
+        "necklace": entry.necklace.to_dict(),
+        "perm": entry.perm.to_dict(),
+        "le": entry.diagram.to_dict(),
+        "bases": census_matroid(entry).to_dict(),
+    }
+    return json.dumps(views, sort_keys=True, separators=(",", ":"))
 
 
 class TestSharedEncoder:
@@ -801,6 +825,31 @@ class TestSharedEncoder:
         assert cli._dumps(loop) == "[1]"
         for obj in self.SAMPLES:
             assert cli._dumps(obj) == self.expected(obj)
+
+
+# Line count and stdout sha256 of the census of each type, keyed (n, k).
+GOLDEN_CENSUS = {
+    (8, 4): (47, "8de37483555c3912c51034ea7d1de2ca"
+                 "01d85fb5eb5c0edc4e48d1b0ced60da9"),
+    (9, 4): (76, "849c4f88227da211e428af7a01eee6b0"
+                 "9cb7e58f11793d2305182334df8799d8"),
+    (10, 5): (123, "625dc92ce69b35354040d156c14c36f5"
+                   "f0e68002193487773cf231c699dafe0f"),
+    (12, 6): (322, "e47dfb7bef9db75d9cbb8eb26e7d8193"
+                   "eaea2c4d30184c49b44247eaa1c7923b"),
+    (9, 2): (76, "8f93ada4605c4d37d2a357973d72854c"
+                 "2e2042c745bea135ace9268f828507a4"),
+    (9, 7): (76, "78c377fa99c4726ebcb40304c2979bf0"
+                 "66e91392ceaeb0072c76abb9e6a3e1ea"),
+    (14, 7): (843, "67cd39e583f693eccf60f96a64647836"
+                   "1e28d31d72d859fbbc470531c3b6ee51"),
+    # Past n = 15 with k <= 3, where A's list, the view fragments and the
+    # bases each read several windows of the witness mask.
+    (16, 3): (2207, "40394cf351cdc0dcf2735674682f1717"
+                    "d65bf6272c2fffe7a0031cf120bfb3ac"),
+    (17, 2): (3571, "0dae1a071dddb675cb57081d75d34d58"
+                    "28c8e6b5125124114c638a27af630607"),
+}
 
 
 class TestEnumerate:
@@ -851,33 +900,36 @@ class TestEnumerate:
                                     "2 <= k <= n-2, got k=1, n=5\n")
 
     def test_closed_stdout_exits_quietly(self):
-        proc = subprocess.Popen(
+        # In both stdout modes: the census fails its write on the first
+        # line after the close when unbuffered, on a later block otherwise.
+        for mode in STDOUT_MODES:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "positroids.cli",
+                 "enumerate", "--n", "10", "--k", "5"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=stdout_env(mode))
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+            assert json.loads(first)["A"] == [], mode
+            assert (proc.returncode, err) == (0, b""), mode
+
+    @pytest.mark.parametrize("mode", STDOUT_MODES)
+    def test_golden_census_bytes_through_a_pipe(self, mode):
+        """The (12,6) census that the benchmark times, written by a child
+        process to a pipe, with stdout unbuffered and buffered."""
+        proc = subprocess.run(
             [sys.executable, "-m", "positroids.cli",
-             "enumerate", "--n", "10", "--k", "5"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-        assert json.loads(first)["A"] == []
-        assert proc.returncode == 0
-        assert err == b""
+             "enumerate", "--n", "12", "--k", "6"],
+            capture_output=True, env=stdout_env(mode), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.count(b"\n") == 322
+        assert hashlib.sha256(proc.stdout).hexdigest() == \
+            GOLDEN_CENSUS[12, 6][1]
 
     @pytest.mark.parametrize("n,k,lines,digest", [
-        (8, 4, 47, "8de37483555c3912c51034ea7d1de2ca"
-                   "01d85fb5eb5c0edc4e48d1b0ced60da9"),
-        (9, 4, 76, "849c4f88227da211e428af7a01eee6b0"
-                   "9cb7e58f11793d2305182334df8799d8"),
-        (10, 5, 123, "625dc92ce69b35354040d156c14c36f5"
-                     "f0e68002193487773cf231c699dafe0f"),
-        (12, 6, 322, "e47dfb7bef9db75d9cbb8eb26e7d8193"
-                     "eaea2c4d30184c49b44247eaa1c7923b"),
-        (9, 2, 76, "8f93ada4605c4d37d2a357973d72854c"
-                   "2e2042c745bea135ace9268f828507a4"),
-        (9, 7, 76, "78c377fa99c4726ebcb40304c2979bf0"
-                   "66e91392ceaeb0072c76abb9e6a3e1ea"),
-        (14, 7, 843, "67cd39e583f693eccf60f96a64647836"
-                     "1e28d31d72d859fbbc470531c3b6ee51"),
-    ])
+        (n, k, lines, digest)
+        for (n, k), (lines, digest) in GOLDEN_CENSUS.items()])
     def test_golden_census_bytes(self, n, k, lines, digest, capsys):
         code, out, err = run(capsys, ["enumerate", "--n", str(n),
                                       "--k", str(k)])
@@ -981,6 +1033,84 @@ class TestEnumerate:
         code2, out2, _ = run(capsys, argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def census_text_lines(k: int, n: int, masks: list, caps=None) -> list:
+    """census_lines for the witnesses with these masks.  With caps, the
+    window caps (_VIEW_BITS, _BASES_BITS) are set to them for the call."""
+    entries = [SparsePavingPositroid(k, n, NonAdjacentSet(n, mask))
+               for mask in masks]
+    with pytest.MonkeyPatch.context() as patch:
+        if caps is not None:
+            patch.setattr(census_text, "_VIEW_BITS", caps[0])
+            patch.setattr(census_text, "_BASES_BITS", caps[1])
+        return list(census_text.census_lines(k, n, entries, cli._dumps))
+
+
+def line_units(k: int, n: int) -> tuple[list, list]:
+    """The pieces that census_lines merges into the bases' tables and into
+    the view fragments' tables, for the type (k, n)."""
+    witnesses = [SparsePavingPositroid(k, n, NonAdjacentSet(n, mask))
+                 for mask in [0] + [1 << i for i in range(n)]]
+    head, views = census_text._tail(witnesses, cli._dumps)
+    return census_text._bases(witnesses, head), views
+
+
+class TestCensusTables:
+    """census_lines merges runs of units, next to each other in the line,
+    into tables read through windows of up to _VIEW_BITS or _BASES_BITS
+    bits, some of which cross from bit n - 1 to bit n, the wrap copy of
+    position 1.  With both caps 0 every unit keeps a table and a window of
+    its own.  Both ways must print the same lines."""
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_merged_tables_print_what_single_units_print(self, n):
+        masks = [a.mask for a in nonadjacent_subsets(n)]
+        for k in range(2, n - 1):
+            assert census_text_lines(k, n, masks) == \
+                census_text_lines(k, n, masks, (0, 0)), (k, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(2, min(3, n - 2)),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))))
+    @example((40, 3, [1 | 1 << 38, 1 << 39, 1 << 39 | 1 << 1]))
+    @example((40, 2, [0, 1, 1 << 39]))
+    @example((31, 3, [(1 << 31) - 1]))
+    def test_merged_tables_past_the_wrap(self, case):
+        """Random witnesses up to n = 40 with k <= 3, where most tables
+        merge six units and several windows read bit n.  Each drawn mask
+        keeps the positions whose lower cyclic neighbour it lacks, so it
+        is non-adjacent."""
+        n, k, drawn = case
+        full = (1 << n) - 1
+        masks = [m & ~((m << 1 | m >> (n - 1)) & full) for m in drawn]
+        lines = census_text_lines(k, n, masks)
+        assert lines == census_text_lines(k, n, masks, (0, 0))
+        entries = [SparsePavingPositroid(k, n, NonAdjacentSet(n, mask))
+                   for mask in masks]
+        assert lines == [views_line(entry) + "\n" for entry in entries]
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 6), (6, 12), (7, 14),
+                                     (3, 40)])
+    def test_windows_merge_within_their_caps(self, k, n):
+        """Merging cuts the number of tables; every window holds at most
+        its cap of bits and fewer than n; some cross the wrap; exactly the
+        window values that no witness shows have no text."""
+        bases, views = line_units(k, n)
+        for pieces, cap in [(bases, census_text._BASES_BITS),
+                            (views, census_text._VIEW_BITS)]:
+            units = census_text._tables(pieces, cap, n)
+            assert len(units) < len(pieces) // 2
+            assert all(mask.bit_length() <= min(cap, n - 1)
+                       for _, mask, _ in units)
+            assert any(lo + mask.bit_length() > n for lo, mask, _ in units)
+            for lo, mask, table in units:
+                assert len(table) == mask + 1
+                shown = [nonadjacent_mask_ok(sum(
+                    1 << (lo + j) % n for j in range(mask.bit_length())
+                    if value >> j & 1), n) for value in range(mask + 1)]
+                assert [text is not None for text in table] == shown
 
 
 class TestOracle:

@@ -524,7 +524,7 @@ class TestFusedWalk:
     necklace with n <= 8.  Here the carried verdict is checked against
     the kernel's full scan and is_sparse_paving; TestSchubertKernel checks
     it against all three definitions of checked_sparse_paving up to n = 7,
-    since at n = 8 their circuit-hyperplane scans would add about 90 s."""
+    since at n = 8 their circuit-hyperplane scans would add about 19 s."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_type(self, n):
