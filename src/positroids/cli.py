@@ -22,7 +22,6 @@ from .decorated import (
 from .enumeration import (
     count_sparse_paving,
     enumerate_sparse_paving,
-    nonadjacent_subsets,
 )
 from .le_diagram import (
     LeDiagram,
@@ -231,18 +230,17 @@ def cmd_oracle(args) -> int:
         raise CliError(f"n={n} exceeds the oracle budget {args.budget}; pass "
                        f"a larger --budget to run it anyway")
     _check_classification(k, n)
-    # The walk carries, level by level, the Schubert intersection's
-    # nonbases and the matroid-level verdict on them, the
-    # symmetric-difference definition, tested on each nonbasis at the
-    # level that adds it.  The necklace-level verdict is the paper's
-    # classification: membership in the census, the necklaces
-    # necklace_from_nonadjacent builds for the non-adjacent sets.  A
-    # necklace record is built, and validated, only for a discrepancy.
-    census = {necklace_from_nonadjacent(a, k, n).entries
-              for a in nonadjacent_subsets(n)}
+    # The walk carries two verdicts down its levels and yields both.  The
+    # matroid-level one is the symmetric-difference definition on the
+    # Schubert intersection's nonbases, tested on each nonbasis at the
+    # level that adds it.  The necklace-level one is the paper's
+    # classification, a census state per level: each entry the cyclic or
+    # the bumped interval at its index, no two bumped ones neighbours.
+    # Below a node where both have fallen the walk only lists necklaces.
+    # A necklace record is built, and validated, only for a discrepancy.
     total = found = discrepancies = 0
-    for entries, _, by_matroid in all_necklaces(SchubertKernel(k, n)):
-        by_necklace = entries in census
+    for entries, by_matroid, by_necklace in all_necklaces(
+            SchubertKernel(k, n)):
         total += 1
         if by_matroid:
             found += 1

@@ -189,11 +189,15 @@ class SchubertKernel:
     Schubert matroid of I at t rejects, read off gale_bounds, so the
     nonbases of a necklace's positroid are the OR of the n rows its entries
     pick (Oh, JCTA 118 (2011)).  It also keeps, for each k-subset, the
-    family of k-subsets at symmetric difference two.  all_necklaces
+    family of k-subsets at symmetric difference two, and, for each index
+    i, the census marks: 1 for the cyclic interval at i and 2 for the
+    bumped interval, in the ranks 2 <= k <= n-2 only.  all_necklaces
     carries the OR down its walk, one row per level, and tests each
-    nonbasis a row adds against that level's OR through the second table:
-    the oracle's matroid-level verdict.  The two tables hold
-    n * C(n, k) + C(n, k) ints.
+    nonbasis a row adds against that level's OR through the second table,
+    the oracle's matroid-level verdict; it reads each entry's census mark,
+    the necklace-level verdict.  It reads a row only while the flag is up,
+    so most rows go unread.  The tables hold n * C(n, k) + C(n, k) ints
+    and n dicts of at most two entries.
     """
 
     def __init__(self, k: int, n: int):
@@ -212,6 +216,9 @@ class SchubertKernel:
                 for out in members_of(mask)
                 for into in members_of(full ^ mask))
             for mask in masks)
+        self._census = tuple(
+            {_interval_mask(k, n, i): 1, _bumped_mask(k, n, i): 2}
+            if 2 <= k <= n - 2 else {} for i in range(1, n + 1))
 
 
 def positroid_necklace(m: Matroid) -> GrassmannNecklace:
@@ -293,13 +300,13 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
 
 
 def all_necklaces(kernel: SchubertKernel
-                  ) -> Iterator[tuple[tuple[int, ...], int, bool]]:
+                  ) -> Iterator[tuple[tuple[int, ...], bool, bool]]:
     """Depth-first enumeration of every necklace of the kernel's type
     (k, n), in lexicographic order of the entries ranked by lex_subsets,
-    each yielded as (entries, nonbases, sparse_paving): its entry masks,
-    the k-subsets that its positroid misses, as a bitset over the kernel's
-    index, and whether those are pairwise at symmetric difference >= 4,
-    the sparse paving condition of is_sparse_paving.
+    each yielded as (entries, by_matroid, by_necklace): its entry masks,
+    whether its positroid's nonbases are pairwise at symmetric difference
+    >= 4, the sparse paving condition of is_sparse_paving, and whether it
+    is in the census, the paper's classification.
 
     Every necklace has I_1 containing I_{i+1} minus {i+1, ..., n}: the
     steps i+1, ..., n that lead back to I_1 only remove those elements.  So
@@ -313,53 +320,71 @@ def all_necklaces(kernel: SchubertKernel
     I_{i+1}: base[i] is I_i minus {i} and free[i] the replacements not yet
     tried, ascending, which is also the lex_subsets order of base[i] plus
     each; a level where i is absent from I_i copies the entry and keeps no
-    choice.  acc[i] is acc[i-1] OR the kernel's row for I_{i+1} at
-    t = i + 1, so nonbases is the OR of all n rows (Oh, JCTA 118 (2011)).
-    The OR only grows, so once two nonbases are at symmetric difference
-    two no completion is sparse paving: sparse[i] says that acc[i] holds
-    no such pair, and a level tests only the nonbases its row adds, each
-    against acc[i] through the kernel's near table.  A level that adds
-    none, or whose parent's flag is already down, inherits the flag, and a
-    level the walk resumes at starts again from its parent's acc and flag.
+    choice.  Each level carries two verdicts on its prefix.  acc[i] is
+    acc[i-1] OR the kernel's row for I_{i+1} at t = i + 1, so the
+    nonbases are the OR of all n rows (Oh, JCTA 118 (2011)); the OR only
+    grows, so once two nonbases are at symmetric difference two no
+    completion is sparse paving: sparse[i] says that acc[i] holds no such
+    pair, a level tests only the nonbases its row adds, each against
+    acc[i] through the kernel's near table, and a level below a fallen
+    flag reads no row.  census[i] is 0 when the prefix is no census
+    prefix, else the kernel's census mark of I_{i+1}, 1 for its cyclic
+    interval and 2 for its bumped interval; two bumped neighbours, I_n and
+    I_1 among them, make it 0.  Both verdicts only fall.  A node where
+    both are down is dead: every leaf below it is (entries, False, False),
+    so the walk finishes its subtree as a bare enumeration, with no kernel
+    row, no census mark and no stores.  A level the walk resumes at above
+    the dead node starts again from its parent's acc, flag and census
+    state.
     """
-    n, k, rejected, near = kernel.n, kernel.k, kernel._rejected, kernel._near
+    n, rejected, near, marks = (kernel.n, kernel._rejected, kernel._near,
+                                kernel._census)
     full = (1 << n) - 1
+    bits = [0] + [1 << i for i in range(n - 1)]  # bits[i] is element i
     entries = [0] * n
     base = [0] * n
     free = [1] + [0] * (n - 1)  # free[0] stops the backtracking scan
     acc = [0] * n
     sparse = [True] * n
-    for first, _ in lex_subsets(n, k):
-        cur, i, nonbases, ok = first, 0, 0, True
+    census = [0] * n
+    for first, _ in lex_subsets(n, kernel.k):
+        pools = [first | full >> i << i for i in range(n)]
+        cur, i, dead, nonbases, ok, state = first, 0, n, 0, True, 1
         while True:
             while True:
                 entries[i] = cur
-                row = rejected[i][cur]
-                if ok:
-                    new = row & ~nonbases
-                    nonbases |= row
-                    while new:
-                        low = new & -new
-                        if near[low.bit_length() - 1] & nonbases:
-                            ok = False
-                            break
-                        new ^= low
-                else:
-                    nonbases |= row
-                acc[i], sparse[i] = nonbases, ok
+                if i < dead:
+                    if ok:
+                        row = rejected[i][cur]
+                        new = row & ~nonbases
+                        nonbases |= row
+                        while new:
+                            low = new & -new
+                            if near[low.bit_length() - 1] & nonbases:
+                                ok = False
+                                break
+                            new ^= low
+                    if state:
+                        mark = marks[i].get(cur, 0)
+                        state = 0 if state + mark == 4 else mark
+                    if ok or state:
+                        acc[i], sparse[i], census[i] = nonbases, ok, state
+                    else:
+                        dead = i
                 i += 1
                 if i == n:
                     break
-                bit = 1 << (i - 1)
+                bit = bits[i]
                 if cur & bit:
                     stripped = cur ^ bit
-                    rest = (first | full >> i << i) & ~stripped
+                    rest = pools[i] & ~stripped
                     low = rest & -rest
                     base[i], free[i] = stripped, rest ^ low
                     cur = stripped | low
                 else:
                     free[i] = 0
-            yield tuple(entries), nonbases, ok
+            # The wrap: bumped at I_n and at I_1 sums to 4 as well.
+            yield tuple(entries), ok, 0 < state < 4 - census[0]
             i = n - 1
             while not free[i]:
                 i -= 1
@@ -369,4 +394,6 @@ def all_necklaces(kernel: SchubertKernel
             low = rest & -rest
             free[i] = rest ^ low
             cur = base[i] | low
-            nonbases, ok = acc[i - 1], sparse[i - 1]
+            if i <= dead:
+                dead = n
+                nonbases, ok, state = acc[i - 1], sparse[i - 1], census[i - 1]

@@ -40,9 +40,8 @@ entries pick, in one pass per necklace, the reference for the OR that
 all_necklaces carries down its walk, and reference_kernel_verdict scans a
 whole nonbasis bitset through the kernel's near table, the reference for
 the sparse paving flag that the walk carries beside the OR, testing only
-the nonbases each level adds.  Those two are all the walk carries: the
-oracle's necklace-level verdict is membership in the census, which
-tests/test_necklace.py pins against sparse_paving_witness.
+the nonbases each level adds.  The walk's other verdict, its census state,
+has sparse_paving_witness as its reference.
 """
 
 from itertools import chain, combinations, permutations, product

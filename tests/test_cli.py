@@ -24,7 +24,6 @@ from positroids import (
     necklace_from_nonadjacent,
     nonadjacent_mask_ok,
     nonadjacent_subsets,
-    sparse_paving_witness,
 )
 
 from oracles import (
@@ -1137,11 +1136,11 @@ class TestOracle:
             0, "necklaces: 44929\nsparse paving found: 47\n"
                "discrepancies: 0\n", "")
 
-    @pytest.mark.skipif(not os.environ.get("POSITROIDS_FULL_SCAN"),
-                        reason="opt-in: set POSITROIDS_FULL_SCAN=1")
     @pytest.mark.parametrize("n,k,necklaces,found", [
         (9, 4, 344551, 76),
-        (10, 5, 3730251, 123),
+        pytest.param(10, 5, 3730251, 123, marks=pytest.mark.skipif(
+            not os.environ.get("POSITROIDS_FULL_SCAN"),
+            reason="opt-in: set POSITROIDS_FULL_SCAN=1")),
     ])
     def test_full_scan(self, n, k, necklaces, found, capsys):
         assert run(capsys, ["oracle", "--n", str(n), "--k", str(k),
@@ -1157,38 +1156,37 @@ class TestOracle:
     def test_discrepancy_replays_through_check_sp(self, monkeypatch,
                                                   tmp_path, capsys):
         """A discrepant necklace goes to stderr as one JSON line that
-        check-sp reads unchanged; stdout keeps the matroid-level count."""
-        real = cli.nonadjacent_subsets
-        flipped = []
+        check-sp reads unchanged; stdout keeps the matroid-level count.
+        The kernel here marks one wrong cyclic interval at index 1, {2, 4},
+        which lets exactly one necklace outside the census through: the
+        census necklace of A = {2, 5} with I_1 = {2, 4}."""
+        class WrongInterval(necklace.SchubertKernel):
+            def __init__(self, k, n):
+                super().__init__(k, n)
+                self._census = (
+                    {**self._census[0], 0b01010: 1},) + self._census[1:]
 
-        def drop_empty(n):
-            # Without A = {} the uniform necklace leaves the census, so
-            # the necklace-level verdict flips there and nowhere else.
-            sets = real(n)
-            empty = next(sets)
-            assert empty.mask == 0
-            flipped.append(necklace_from_nonadjacent(empty, 2, n))
-            yield from sets
-
-        monkeypatch.setattr(cli, "nonadjacent_subsets", drop_empty)
+        monkeypatch.setattr(cli, "SchubertKernel", WrongInterval)
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])
         assert (code, out) == (2, "necklaces: 131\nsparse paving found: 11\n"
                                   "discrepancies: 1\n")
-        assert err == json.dumps(flipped[0].to_dict(), sort_keys=True,
+        entries = necklace_from_nonadjacent({2, 5}, 2, 5).entries
+        flipped = necklace.GrassmannNecklace(5, 2, (0b01010,) + entries[1:])
+        assert err == json.dumps(flipped.to_dict(), sort_keys=True,
                                  separators=(",", ":")) + "\n"
         path = tmp_path / "discrepancy.json"
         path.write_text(err)
-        code, out, _ = run(capsys, ["check-sp", "--kind", "necklace",
-                                    str(path)])
-        assert code == (0 if sparse_paving_witness(flipped[0]) is not None
-                        else 2)
+        assert run(capsys, ["check-sp", "--kind", "necklace",
+                            str(path)])[0] == 2
 
     def test_matroid_side_discrepancies_replay_through_check_sp(
             self, monkeypatch, tmp_path, capsys):
         """With the kernel's near table emptied, no two nonbases are ever
         neighbours, so every necklace passes the matroid side and each one
         outside the census is a discrepancy: a stderr line that check-sp
-        reads unchanged and calls not sparse paving."""
+        reads unchanged and calls not sparse paving.  The census state
+        falls on all 120 of them while their flag stays up, so the walk
+        must not prune on the census state alone."""
         class NoNeighbours(necklace.SchubertKernel):
             def __init__(self, k, n):
                 super().__init__(k, n)
@@ -1206,6 +1204,33 @@ class TestOracle:
             path.write_text(line + "\n")
             assert run(capsys, ["check-sp", "--kind", "necklace",
                                 str(path)])[0] == 2, line
+
+    def test_census_side_discrepancies_replay_through_check_sp(
+            self, monkeypatch, tmp_path, capsys):
+        """With every k-subset in the kernel's near table of every other,
+        the matroid-level flag falls at the first nonbasis, so only the
+        uniform necklace passes the matroid side and the 10 other census
+        necklaces are discrepancies, each a stderr line that check-sp
+        calls sparse paving.  Their flag falls while the census state
+        stays up, so the walk must not prune on the flag alone."""
+        class EveryNeighbour(necklace.SchubertKernel):
+            def __init__(self, k, n):
+                super().__init__(k, n)
+                self._near = (-1,) * len(self._near)
+
+        monkeypatch.setattr(cli, "SchubertKernel", EveryNeighbour)
+        code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])
+        assert (code, out) == (2, "necklaces: 131\n"
+                                  "sparse paving found: 1\n"
+                                  "discrepancies: 10\n")
+        census = {cli._dumps(necklace_from_nonadjacent(a, 2, 5).to_dict())
+                  for a in nonadjacent_subsets(5) if a.mask}
+        assert set(err.splitlines()) == census
+        path = tmp_path / "discrepancy.json"
+        for line in census:
+            path.write_text(line + "\n")
+            assert run(capsys, ["check-sp", "--kind", "necklace",
+                                str(path)])[0] == 0, line
 
     def test_budget_override(self, capsys):
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "3",

@@ -57,8 +57,8 @@ from oracles import (
 
 
 def walk(k, n):
-    """The (entries, nonbases, sparse_paving) items of all_necklaces at type
-    (k, n)."""
+    """The (entries, by_matroid, by_necklace) items of all_necklaces at
+    type (k, n)."""
     return all_necklaces(SchubertKernel(k, n))
 
 
@@ -108,7 +108,7 @@ def entry_sets(neck):
 
 def assert_conversions_match_oracles(neck, nonbases=None):
     """Both necklace <-> positroid conversions against the brute-force
-    Gale-order oracles, and, when the walk's nonbases of the necklace are
+    Gale-order oracles, and, when the kernel's nonbases of the necklace are
     given, those against the k-sets the brute-force positroid misses."""
     n = neck.n
     expected = brute_positroid(n, neck.k, entry_sets(neck))
@@ -308,10 +308,13 @@ class TestConversionsAgainstOracles:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_necklace(self, n):
         for k in range(0, n + 1):
-            for neck, (entries, nonbases, _) in zip(
-                    reference_necklaces(k, n), walk(k, n), strict=True):
+            kernel = SchubertKernel(k, n)
+            for neck, (entries, _, _) in zip(
+                    reference_necklaces(k, n), all_necklaces(kernel),
+                    strict=True):
                 assert entries == neck.entries
-                assert_conversions_match_oracles(neck, nonbases)
+                assert_conversions_match_oracles(
+                    neck, reference_nonbases(kernel, neck))
 
     @given(decperm_necklaces(8, 10))
     @settings(max_examples=100, deadline=None)
@@ -496,9 +499,10 @@ class TestFromNonAdjacent:
 
 class TestSchubertKernel:
     """The oracle's bitset kernel, through the sparse paving verdict that
-    the walk carries with it; the nonbases that the walk carries are
-    checked against brute_positroid in TestConversionsAgainstOracles and
-    against reference_nonbases in TestFusedWalk."""
+    the walk carries with it; its nonbases are checked against
+    brute_positroid in TestConversionsAgainstOracles and against
+    necklace_to_positroid in TestFusedWalk, both through
+    reference_nonbases."""
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_verdict_every_necklace(self, n):
@@ -506,8 +510,8 @@ class TestSchubertKernel:
             kernel = SchubertKernel(k, n)
             pairs = zip(reference_necklaces(k, n), all_necklaces(kernel),
                         strict=True)
-            for neck, (_, _, sparse_paving) in pairs:
-                assert sparse_paving == \
+            for neck, (_, by_matroid, _) in pairs:
+                assert by_matroid == \
                     checked_sparse_paving(necklace_to_positroid(neck)), neck
 
     @pytest.mark.parametrize("k,n", [(0, 0), (1, 0), (-1, 3), (4, 3)])
@@ -517,14 +521,44 @@ class TestSchubertKernel:
         with pytest.raises(ValueError):
             SchubertKernel(k, n)
 
+    @pytest.mark.parametrize("k,n,necklaces,read,rows", [
+        (3, 7, 5111, 83, 245),
+        (4, 8, 44929, 127, 560),
+    ])
+    def test_walk_reads_few_rows(self, k, n, necklaces, read, rows):
+        """The walk reads a kernel row only while the matroid-level flag
+        is up, and none below a dead node, so it reads a third of the
+        rows or fewer; a walk that read every row again would fail."""
+        seen = set()
+
+        class Row(dict):
+            def __init__(self, t, row):
+                super().__init__(row)
+                self.t = t
+
+            def __getitem__(self, entry):
+                seen.add((self.t, entry))
+                return super().__getitem__(entry)
+
+        class Counting(SchubertKernel):
+            def __init__(self, k, n):
+                super().__init__(k, n)
+                self._rejected = tuple(
+                    Row(t, row) for t, row in enumerate(self._rejected, 1))
+
+        kernel = Counting(k, n)
+        assert sum(1 for _ in all_necklaces(kernel)) == necklaces
+        assert (len(seen), sum(map(len, kernel._rejected))) == (read, rows)
+
 
 class TestFusedWalk:
     """all_necklaces against the recursive walk and the per-necklace
-    references, and the census against sparse_paving_witness, on every
-    necklace with n <= 8.  Here the carried verdict is checked against
-    the kernel's full scan and is_sparse_paving; TestSchubertKernel checks
-    it against all three definitions of checked_sparse_paving up to n = 7,
-    since at n = 8 their circuit-hyperplane scans would add about 19 s."""
+    references on every necklace with n <= 8 and 0 <= k <= n.  Here the
+    matroid-level verdict is checked against the kernel's full scan and
+    is_sparse_paving, and the necklace-level verdict against
+    sparse_paving_witness; TestSchubertKernel checks the first against all
+    three definitions of checked_sparse_paving up to n = 7, since at n = 8
+    their circuit-hyperplane scans would add about 19 s."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_type(self, n):
@@ -536,16 +570,20 @@ class TestFusedWalk:
                 [neck.entries for neck in records], (k, n)
             index = {mask: j for j, (mask, _) in enumerate(lex_subsets(n, k))}
             every = (1 << len(index)) - 1
-            for neck, (_, nonbases, sparse_paving) in zip(records, walked):
-                assert nonbases == reference_nonbases(kernel, neck)
+            middle = 2 <= k <= n - 2
+            for neck, (_, by_matroid, by_necklace) in zip(records, walked):
+                nonbases = reference_nonbases(kernel, neck)
                 m = necklace_to_positroid(neck)
                 assert nonbases == every ^ sum(1 << index[b] for b in m.bases)
-                assert sparse_paving == reference_kernel_verdict(
+                assert by_matroid == reference_kernel_verdict(
                     kernel, nonbases) == is_sparse_paving(m), neck
+                assert by_necklace == (middle and sparse_paving_witness(
+                    neck) is not None), neck
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_census_is_the_witness_verdict(self, n):
-        # The oracle's necklace-level verdict is membership in this set.
+        # The census, the necklaces necklace_from_nonadjacent builds, is
+        # the set the witness accepts.
         for k in range(2, n - 1):
             census = {necklace_from_nonadjacent(a, k, n).entries
                       for a in nonadjacent_subsets(n)}
@@ -553,6 +591,29 @@ class TestFusedWalk:
             for neck in reference_necklaces(k, n):
                 assert (neck.entries in census) == \
                     (sparse_paving_witness(neck) is not None), neck
+
+    @pytest.mark.parametrize("bumped,neighbours", [
+        ({1, 3}, False), ({1, 2}, True), ({4, 5}, True), ({1, 5}, True)],
+        ids=["1-3", "1-2", "4-5", "5-1"])
+    def test_census_state_rejects_bumped_neighbours(self, bumped,
+                                                    neighbours):
+        """No necklace has two bumped neighbours: after the bumped
+        interval at i, the next entry holds i + k, which the bumped
+        interval at i + 1 lacks.  So this kernel marks every k-subset, as
+        bumped at the indices given and as the cyclic interval elsewhere,
+        and the walk must still refuse every necklace when two bumped
+        indices are cyclic neighbours, n and 1 among them."""
+        class Marked(SchubertKernel):
+            def __init__(self, k, n):
+                super().__init__(k, n)
+                self._census = tuple(
+                    {mask: 2 if i in bumped else 1
+                     for mask, _ in lex_subsets(n, k)}
+                    for i in range(1, n + 1))
+
+        verdicts = {by_necklace for _, _, by_necklace in
+                    all_necklaces(Marked(2, 5))}
+        assert verdicts == {not neighbours}
 
 
 class TestEnumeration:
@@ -566,10 +627,13 @@ class TestEnumeration:
             assert [entries for entries, _, _ in walk(k, n)] == expected, k
 
     def test_counts_match_census(self):
-        assert sum(1 for _ in walk(2, 4)) == 33
-        sp = [entries for entries, _, _ in walk(2, 4) if sparse_paving_witness(
+        walked = list(walk(2, 4))
+        assert len(walked) == 33
+        sp = [entries for entries, _, _ in walked if sparse_paving_witness(
             GrassmannNecklace(4, 2, entries)) is not None]
         assert len(sp) == 7
+        assert [entries for entries, by_matroid, by_necklace in walked
+                if by_matroid and by_necklace] == sp
 
     def test_degenerate_ranks(self):
         assert sum(1 for _ in walk(0, 3)) == 1

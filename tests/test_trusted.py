@@ -8,7 +8,8 @@ records with Record._trusted, which sets the fields without running
 __post_init__.  Whatever they build must pass the validating constructor
 unchanged, type(x)(*x._values()) == x: exhaustively at small n, and on
 hypothesis draws up to n = 12.  The entry tuples that all_necklaces
-yields must pass the validating GrassmannNecklace constructor too.
+yields must pass the validating GrassmannNecklace constructor too, and on
+the drawn runs its necklace-level verdict must be sparse_paving_witness's.
 """
 
 import ast
@@ -109,9 +110,11 @@ class TestAllNecklaces:
                             st.integers(0, 3000))))
     def test_drawn_runs_revalidate(self, args):
         n, k, start = args
-        for entries in itertools.islice(walk_entries(k, n), start,
-                                        start + 40):
-            GrassmannNecklace(n, k, entries)
+        for entries, _, by_necklace in itertools.islice(
+                all_necklaces(kernel(k, n)), start, start + 40):
+            neck = GrassmannNecklace(n, k, entries)
+            assert by_necklace == (2 <= k <= n - 2 and
+                                   sparse_paving_witness(neck) is not None)
 
 
 class TestDecpermToNecklace:
