@@ -236,7 +236,9 @@ def cmd_oracle(args) -> int:
     # level that adds it.  The necklace-level one is the paper's
     # classification, a census state per level: each entry the cyclic or
     # the bumped interval at its index, no two bumped ones neighbours.
-    # Below a node where both have fallen the walk only lists necklaces.
+    # Below a node where both have fallen every necklace gets two negative
+    # verdicts, and the walk replays its last three levels there from a
+    # memo of completions kept per first entry, not walking them again.
     # A necklace record is built, and validated, only for a discrepancy.
     total = found = discrepancies = 0
     for entries, by_matroid, by_necklace in all_necklaces(

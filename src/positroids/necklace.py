@@ -299,6 +299,34 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
         else _interval_mask(k, n, i) for i in range(1, n + 1)))
 
 
+_TAIL = 3  # the levels all_necklaces replays below a dead node
+
+
+def _tails(pools: Sequence[int], bits: Sequence[int], cut: int,
+           cur: int) -> list[tuple[int, ...]]:
+    """Every completion of the entry cur at level cut of all_necklaces, as
+    the tuple of its entries at levels cut + 1, ..., n - 1, in walk order:
+    each level replaces its element from the pool the walk reads, in
+    ascending order, or repeats the entry when the element is absent."""
+    tails = [(cur,)]
+    for i in range(cut + 1, len(pools)):
+        bit, pool = bits[i], pools[i]
+        grown = []
+        for tail in tails:
+            last = tail[-1]
+            if last & bit:
+                stripped = last ^ bit
+                rest = pool & ~stripped
+                while rest:
+                    low = rest & -rest
+                    grown.append(tail + (stripped | low,))
+                    rest ^= low
+            else:
+                grown.append(tail + (last,))
+        tails = grown
+    return [tail[1:] for tail in tails]
+
+
 def all_necklaces(kernel: SchubertKernel
                   ) -> Iterator[tuple[tuple[int, ...], bool, bool]]:
     """Depth-first enumeration of every necklace of the kernel's type
@@ -336,11 +364,21 @@ def all_necklaces(kernel: SchubertKernel
     row, no census mark and no stores.  A level the walk resumes at above
     the dead node starts again from its parent's acc, flag and census
     state.
+
+    The last _TAIL levels below a dead node are replayed, not walked.  The
+    choices at level i read only the entry before it and the pool
+    I_1 | {i+1, ..., n}, and a dead node carries no verdict, so the
+    completions of a node depend on nothing but I_1 and its entry.  A dead
+    node at the cut level n - _TAIL - 1 looks its entry up in a memo kept
+    for the current first entry, filled by _tails on a miss, yields its
+    prefix followed by each completion, and the walk backtracks from the
+    cut level.  A live node there walks on to its leaves.
     """
     n, rejected, near, marks = (kernel.n, kernel._rejected, kernel._near,
                                 kernel._census)
     full = (1 << n) - 1
     bits = [0] + [1 << i for i in range(n - 1)]  # bits[i] is element i
+    cut = n - _TAIL - 1
     entries = [0] * n
     base = [0] * n
     free = [1] + [0] * (n - 1)  # free[0] stops the backtracking scan
@@ -349,6 +387,7 @@ def all_necklaces(kernel: SchubertKernel
     census = [0] * n
     for first, _ in lex_subsets(n, kernel.k):
         pools = [first | full >> i << i for i in range(n)]
+        memo = {}
         cur, i, dead, nonbases, ok, state = first, 0, n, 0, True, 1
         while True:
             while True:
@@ -371,6 +410,8 @@ def all_necklaces(kernel: SchubertKernel
                         acc[i], sparse[i], census[i] = nonbases, ok, state
                     else:
                         dead = i
+                if i == cut and dead <= i:
+                    break
                 i += 1
                 if i == n:
                     break
@@ -383,9 +424,17 @@ def all_necklaces(kernel: SchubertKernel
                     cur = stripped | low
                 else:
                     free[i] = 0
-            # The wrap: bumped at I_n and at I_1 sums to 4 as well.
-            yield tuple(entries), ok, 0 < state < 4 - census[0]
-            i = n - 1
+            if i == n:
+                # The wrap: bumped at I_n and at I_1 sums to 4 as well.
+                yield tuple(entries), ok, 0 < state < 4 - census[0]
+                i = n - 1
+            else:
+                tails = memo.get(cur)
+                if tails is None:
+                    tails = memo[cur] = _tails(pools, bits, i, cur)
+                head = tuple(entries[:i + 1])
+                for tail in tails:
+                    yield head + tail, False, False
             while not free[i]:
                 i -= 1
             if not i:

@@ -1138,7 +1138,8 @@ class TestOracle:
 
     @pytest.mark.parametrize("n,k,necklaces,found", [
         (9, 4, 344551, 76),
-        pytest.param(10, 5, 3730251, 123, marks=pytest.mark.skipif(
+        (10, 5, 3730251, 123),
+        pytest.param(11, 5, 35739419, 199, marks=pytest.mark.skipif(
             not os.environ.get("POSITROIDS_FULL_SCAN"),
             reason="opt-in: set POSITROIDS_FULL_SCAN=1")),
     ])

@@ -34,6 +34,7 @@ from positroids.necklace import (
     SchubertKernel,
     _bumped_mask,
     _dominating,
+    _tails,
     gale_bounds,
 )
 
@@ -549,6 +550,35 @@ class TestSchubertKernel:
         kernel = Counting(k, n)
         assert sum(1 for _ in all_necklaces(kernel)) == necklaces
         assert (len(seen), sum(map(len, kernel._rejected))) == (read, rows)
+
+    @pytest.mark.parametrize("k,n,necklaces,builds,replayed", [
+        (3, 7, 5111, 213, 4937),
+        (4, 8, 44929, 639, 44617),
+    ])
+    def test_walk_replays_dead_subtrees(self, k, n, necklaces, builds,
+                                        replayed, monkeypatch):
+        """Below a dead node at the cut level the walk replays the last
+        three levels from its memo for the first entry: it builds the
+        completions of each entry there once per first entry and yields
+        all but a few per cent of the necklaces from them.  A walk that
+        stopped replaying, or rebuilt on every visit, would fail."""
+        built, replays = [], []
+
+        class Replayed(list):
+            def __iter__(self):
+                for tail in super().__iter__():
+                    replays.append(tail)
+                    yield tail
+
+        def counting(pools, bits, cut, cur):
+            built.append(cur)
+            return Replayed(_tails(pools, bits, cut, cur))
+
+        monkeypatch.setattr("positroids.necklace._tails", counting)
+        assert sum(1 for _ in all_necklaces(SchubertKernel(k, n))) == \
+            necklaces
+        assert len(built) == builds
+        assert len(replays) == replayed
 
 
 class TestFusedWalk:
