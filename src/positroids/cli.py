@@ -237,8 +237,9 @@ def cmd_oracle(args) -> int:
     # classification, a census state per level: each entry the cyclic or
     # the bumped interval at its index, no two bumped ones neighbours.
     # Below a node where both have fallen every necklace gets two negative
-    # verdicts, and the walk replays its last three levels there from a
-    # memo of completions kept per first entry, not walking them again.
+    # verdicts, so the walk stops there, at any level, and replays the
+    # subtree from a memo kept per first entry; the kernel builds only
+    # the rows the walk reads.
     # A necklace record is built, and validated, only for a discrepancy.
     total = found = discrepancies = 0
     for entries, by_matroid, by_necklace in all_necklaces(

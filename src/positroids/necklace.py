@@ -17,6 +17,7 @@ the library; only a NonAdjacentSet carries its ground set.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .matroid import (
@@ -179,46 +180,79 @@ def necklace_to_positroid(neck: GrassmannNecklace) -> Matroid:
     return Matroid._trusted(n, k, frozenset(_dominating(masks, bounds)))
 
 
+class _Filled(dict):
+    """A dict that fills a missed key with fill(key), so a hit stays a
+    plain dict lookup."""
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self._fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self._fill(key)
+        return value
+
+
 class SchubertKernel:
     """The positroids of every necklace of one type (k, n), as index bitsets.
 
     The k-subsets of [n] are numbered by their position in
     lex_subsets(n, k), the order in which `convert --to bases` prints them,
     and a family of them is an int with bit j set for subset j.  For each t
-    and each k-subset I the kernel keeps the family that the shifted
-    Schubert matroid of I at t rejects, read off gale_bounds, so the
-    nonbases of a necklace's positroid are the OR of the n rows its entries
-    pick (Oh, JCTA 118 (2011)).  It also keeps, for each k-subset, the
-    family of k-subsets at symmetric difference two, and, for each index
-    i, the census marks: 1 for the cyclic interval at i and 2 for the
-    bumped interval, in the ranks 2 <= k <= n-2 only.  all_necklaces
-    carries the OR down its walk, one row per level, and tests each
-    nonbasis a row adds against that level's OR through the second table,
-    the oracle's matroid-level verdict; it reads each entry's census mark,
-    the necklace-level verdict.  It reads a row only while the flag is up,
-    so most rows go unread.  The tables hold n * C(n, k) + C(n, k) ints
-    and n dicts of at most two entries.
+    and each k-subset I, _rejected[t - 1][I] is the family that the
+    shifted Schubert matroid of I at t rejects, so the nonbases of a
+    necklace's positroid are the OR of the n rows its entries pick (Oh,
+    JCTA 118 (2011)).  A row is the OR, over the (P, b) pairs of
+    gale_bounds, of the family {J : |J & P| > b}, which one pass over the
+    k-subsets per prefix P gives for every b at once.  _near[j] is the
+    family of k-subsets at symmetric difference two from subset j.
+    _census[i - 1] holds the census marks at index i: 1 for the cyclic
+    interval and 2 for the bumped interval, in the ranks 2 <= k <= n-2
+    only.  all_necklaces carries the OR down its walk, one row per level,
+    and tests each nonbasis a row adds against that level's OR through
+    _near, the oracle's matroid-level verdict; it reads each entry's
+    census mark, the necklace-level verdict.  Rows, near entries and
+    prefix tables are built on first read: the walk reads a row only
+    while the flag is up, so most rows are never built.
     """
 
     def __init__(self, k: int, n: int):
-        masks = [mask for mask, _ in lex_subsets(n, k)]
-        index = {mask: j for j, mask in enumerate(masks)}
-        every = (1 << len(masks)) - 1
         self.n, self.k = n, k
-        self._rejected = tuple(
-            {entry: every ^ sum(1 << index[kept] for kept in _dominating(
-                masks, gale_bounds(n, t, entry)))
-             for entry in masks}
-            for t in range(1, n + 1))
-        full = (1 << n) - 1
-        self._near = tuple(
-            sum(1 << index[mask ^ (1 << (out - 1)) ^ (1 << (into - 1))]
-                for out in members_of(mask)
-                for into in members_of(full ^ mask))
-            for mask in masks)
+        self._masks = [mask for mask, _ in lex_subsets(n, k)]
+        self._index = {mask: j for j, mask in enumerate(self._masks)}
+        self._over = _Filled(self._over_row)
+        self._rejected = tuple(_Filled(partial(self._row, t))
+                               for t in range(1, n + 1))
+        self._near = _Filled(self._near_row)
         self._census = tuple(
             {_interval_mask(k, n, i): 1, _bumped_mask(k, n, i): 2}
             if 2 <= k <= n - 2 else {} for i in range(1, n + 1))
+
+    def _row(self, t: int, entry: int) -> int:
+        row = 0
+        for prefix, bound in gale_bounds(self.n, t, entry):
+            row |= self._over[prefix][bound]
+        return row
+
+    def _over_row(self, prefix: int) -> list[int]:
+        """over[b] for 0 <= b <= k, the family {J : |J & prefix| > b}: by[c]
+        is the family meeting prefix in c elements, and over[b] the OR of
+        by[c] over c > b."""
+        by = [0] * (self.k + 1)
+        for j, mask in enumerate(self._masks):
+            by[(mask & prefix).bit_count()] |= 1 << j
+        over = [0] * (self.k + 1)
+        for b in range(self.k - 1, -1, -1):
+            over[b] = over[b + 1] | by[b + 1]
+        return over
+
+    def _near_row(self, j: int) -> int:
+        mask, index = self._masks[j], self._index
+        return sum(1 << index[mask ^ (1 << (out - 1)) ^ (1 << (into - 1))]
+                   for out in members_of(mask)
+                   for into in members_of(((1 << self.n) - 1) ^ mask))
 
 
 def positroid_necklace(m: Matroid) -> GrassmannNecklace:
@@ -299,32 +333,53 @@ def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
         else _interval_mask(k, n, i) for i in range(1, n + 1)))
 
 
-_TAIL = 3  # the levels all_necklaces replays below a dead node
+_TAIL = 3  # the levels below the cut, which a memo value lists flat
 
 
-def _tails(pools: Sequence[int], bits: Sequence[int], cut: int,
+def _choices(pool: int, bit: int, cur: int) -> list[int]:
+    """The entries that may follow cur at the walk's level whose element has
+    the given bit, ascending: cur with that element replaced from pool, or
+    cur itself when the element is absent."""
+    if not cur & bit:
+        return [cur]
+    stripped = cur ^ bit
+    rest = pool & ~stripped
+    out = []
+    while rest:
+        low = rest & -rest
+        out.append(stripped | low)
+        rest ^= low
+    return out
+
+
+def _tails(pools: Sequence[int], bits: Sequence[int], level: int,
            cur: int) -> list[tuple[int, ...]]:
-    """Every completion of the entry cur at level cut of all_necklaces, as
-    the tuple of its entries at levels cut + 1, ..., n - 1, in walk order:
-    each level replaces its element from the pool the walk reads, in
-    ascending order, or repeats the entry when the element is absent."""
+    """Every completion of the entry cur at the given level of
+    all_necklaces, as the tuple of its entries at the levels below, in walk
+    order."""
     tails = [(cur,)]
-    for i in range(cut + 1, len(pools)):
-        bit, pool = bits[i], pools[i]
-        grown = []
-        for tail in tails:
-            last = tail[-1]
-            if last & bit:
-                stripped = last ^ bit
-                rest = pool & ~stripped
-                while rest:
-                    low = rest & -rest
-                    grown.append(tail + (stripped | low,))
-                    rest ^= low
-            else:
-                grown.append(tail + (last,))
-        tails = grown
+    for i in range(level + 1, len(pools)):
+        tails = [tail + (nxt,) for tail in tails
+                 for nxt in _choices(pools[i], bits[i], tail[-1])]
     return [tail[1:] for tail in tails]
+
+
+def _subtree(memo: dict, pools: Sequence[int], bits: Sequence[int],
+             cut: int, level: int, cur: int) -> list:
+    """The memo value of the dead node with entry cur at the given level of
+    all_necklaces: at or below the cut, its completions from _tails; above
+    it, its (child entry, child's memo value) pairs in ascending order, each
+    child's value taken from memo, or built and stored there on a miss."""
+    if level >= cut:
+        return _tails(pools, bits, level, cur)
+    node, below = [], level + 1
+    for child in _choices(pools[below], bits[below], cur):
+        value = memo.get((below, child))
+        if value is None:
+            value = memo[below, child] = _subtree(memo, pools, bits, cut,
+                                                  below, child)
+        node.append((child, value))
+    return node
 
 
 def all_necklaces(kernel: SchubertKernel
@@ -358,21 +413,23 @@ def all_necklaces(kernel: SchubertKernel
     flag reads no row.  census[i] is 0 when the prefix is no census
     prefix, else the kernel's census mark of I_{i+1}, 1 for its cyclic
     interval and 2 for its bumped interval; two bumped neighbours, I_n and
-    I_1 among them, make it 0.  Both verdicts only fall.  A node where
-    both are down is dead: every leaf below it is (entries, False, False),
-    so the walk finishes its subtree as a bare enumeration, with no kernel
-    row, no census mark and no stores.  A level the walk resumes at above
-    the dead node starts again from its parent's acc, flag and census
+    I_1 among them, make it 0.  Both verdicts only fall, and a level the
+    walk resumes at starts again from its parent's acc, flag and census
     state.
 
-    The last _TAIL levels below a dead node are replayed, not walked.  The
-    choices at level i read only the entry before it and the pool
-    I_1 | {i+1, ..., n}, and a dead node carries no verdict, so the
-    completions of a node depend on nothing but I_1 and its entry.  A dead
-    node at the cut level n - _TAIL - 1 looks its entry up in a memo kept
-    for the current first entry, filled by _tails on a miss, yields its
-    prefix followed by each completion, and the walk backtracks from the
-    cut level.  A live node there walks on to its leaves.
+    A node where both are down is dead: every leaf below it is (entries,
+    False, False), so the walk stops there, at any level, and replays the
+    subtree.  The choices at level i read only the entry before it and the
+    pool I_1 | {i+1, ..., n}, and a dead node carries no verdict, so the
+    completions of a dead node depend on nothing but I_1, its level and
+    its entry.  They come from a memo kept for the current first entry and
+    keyed by (level, entry), filled by _subtree on a miss.  At or below
+    the cut level n - _TAIL - 1 a value is the flat list of completions;
+    above it, the node's children each with its own value, so each
+    (level, entry) is built once per first entry and shared subtrees are
+    stored once.  The walk replays a value with a stack, children in
+    ascending order, yields its prefix followed by each completion, and
+    backtracks from the dead node.
     """
     n, rejected, near, marks = (kernel.n, kernel._rejected, kernel._near,
                                 kernel._census)
@@ -388,30 +445,26 @@ def all_necklaces(kernel: SchubertKernel
     for first, _ in lex_subsets(n, kernel.k):
         pools = [first | full >> i << i for i in range(n)]
         memo = {}
-        cur, i, dead, nonbases, ok, state = first, 0, n, 0, True, 1
+        cur, i, nonbases, ok, state = first, 0, 0, True, 1
         while True:
             while True:
                 entries[i] = cur
-                if i < dead:
-                    if ok:
-                        row = rejected[i][cur]
-                        new = row & ~nonbases
-                        nonbases |= row
-                        while new:
-                            low = new & -new
-                            if near[low.bit_length() - 1] & nonbases:
-                                ok = False
-                                break
-                            new ^= low
-                    if state:
-                        mark = marks[i].get(cur, 0)
-                        state = 0 if state + mark == 4 else mark
-                    if ok or state:
-                        acc[i], sparse[i], census[i] = nonbases, ok, state
-                    else:
-                        dead = i
-                if i == cut and dead <= i:
+                if ok:
+                    row = rejected[i][cur]
+                    new = row & ~nonbases
+                    nonbases |= row
+                    while new:
+                        low = new & -new
+                        if near[low.bit_length() - 1] & nonbases:
+                            ok = False
+                            break
+                        new ^= low
+                if state:
+                    mark = marks[i].get(cur, 0)
+                    state = 0 if state + mark == 4 else mark
+                if not (ok or state):
                     break
+                acc[i], sparse[i], census[i] = nonbases, ok, state
                 i += 1
                 if i == n:
                     break
@@ -429,12 +482,20 @@ def all_necklaces(kernel: SchubertKernel
                 yield tuple(entries), ok, 0 < state < 4 - census[0]
                 i = n - 1
             else:
-                tails = memo.get(cur)
-                if tails is None:
-                    tails = memo[cur] = _tails(pools, bits, i, cur)
-                head = tuple(entries[:i + 1])
-                for tail in tails:
-                    yield head + tail, False, False
+                value = memo.get((i, cur))
+                if value is None:
+                    value = memo[i, cur] = _subtree(memo, pools, bits, cut,
+                                                    i, cur)
+                stack = [(i, tuple(entries[:i + 1]), value)]
+                while stack:
+                    level, head, value = stack.pop()
+                    if level >= cut:
+                        for tail in value:
+                            yield head + tail, False, False
+                    else:
+                        level += 1
+                        stack.extend((level, head + (child,), sub)
+                                     for child, sub in reversed(value))
             while not free[i]:
                 i -= 1
             if not i:
@@ -443,6 +504,4 @@ def all_necklaces(kernel: SchubertKernel
             low = rest & -rest
             free[i] = rest ^ low
             cur = base[i] | low
-            if i <= dead:
-                dead = n
-                nonbases, ok, state = acc[i - 1], sparse[i - 1], census[i - 1]
+            nonbases, ok, state = acc[i - 1], sparse[i - 1], census[i - 1]

@@ -27,7 +27,7 @@ elimination in bareiss_det: two routes to the bases independent of the
 pipes that the library reads them off.  brute_det, the Leibniz expansion,
 checks bareiss_det, and count_path_systems counts, by backtracking over
 the network's edges, the path systems the minors stand for.
-Five helpers deliberately drive the package.  reference_necklaces builds
+Four helpers deliberately drive the package.  reference_necklaces builds
 each necklace of reference_all_necklaces with the validating
 GrassmannNecklace constructor, for tests that read necklaces without
 testing the walk.  matroid_of builds a Matroid from element collections,
@@ -35,15 +35,21 @@ for tests that write families out by hand, and census_matroid builds a
 census entry's basis family, every k-subset but the entry's nonbases.
 checked_sparse_paving pins the classical equivalence of the three sparse
 paving definitions on the package's own circuit-hyperplane and relaxation
-code.  reference_nonbases ORs the n SchubertKernel rows a necklace's
-entries pick, in one pass per necklace, the reference for the OR that
-all_necklaces carries down its walk, and reference_kernel_verdict scans a
-whole nonbasis bitset through the kernel's near table, the reference for
-the sparse paving flag that the walk carries beside the OR, testing only
-the nonbases each level adds.  The walk's other verdict, its census state,
+code.  reference_kernel_rows and reference_kernel_near build every
+SchubertKernel row and near entry eagerly, one per (t, k-subset) by
+brute_gale_le and one per k-subset by frozenset differences, the
+references for the tables the kernel fills on demand; reference_kernel_row
+and reference_kernel_near_entry give one of each at larger n.
+reference_nonbases ORs the n reference rows a necklace's entries pick, in
+one pass per necklace, the reference for the OR that all_necklaces
+carries down its walk, and reference_kernel_verdict scans a whole
+nonbasis bitset through the reference near table, the reference for the
+sparse paving flag that the walk carries beside the OR, testing only the
+nonbases each level adds.  The walk's other verdict, its census state,
 has sparse_paving_witness as its reference.
 """
 
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 
 from positroids import (
@@ -445,26 +451,62 @@ def census_matroid(entry):
     return Matroid(n, k, everything - entry.nonbases)
 
 
-def reference_nonbases(kernel, neck):
+def reference_kernel_row(k, n, t, entry):
+    """The family that the shifted Schubert matroid of the k-subset entry,
+    a mask, rejects at t, as a bitset over lex_subsets(n, k): subset j is in
+    it when brute_gale_le does not put entry below it."""
+    low = members_of(entry)
+    return sum(1 << j for j, (_, members) in enumerate(lex_subsets(n, k))
+               if not brute_gale_le(t, low, members, n))
+
+
+def reference_kernel_near_entry(k, n, j):
+    """The k-subsets at symmetric difference two from the j-th one of
+    lex_subsets(n, k), as a bitset over the same numbering."""
+    subsets = [frozenset(members) for _, members in lex_subsets(n, k)]
+    return sum(1 << i for i, other in enumerate(subsets)
+               if len(subsets[j] ^ other) == 2)
+
+
+@lru_cache(maxsize=None)
+def reference_kernel_rows(k, n):
+    """Every row of SchubertKernel(k, n), built eagerly: one dict per t from
+    each k-subset mask to its reference_kernel_row."""
+    return tuple({mask: reference_kernel_row(k, n, t, mask)
+                  for mask, _ in lex_subsets(n, k)}
+                 for t in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def reference_kernel_near(k, n):
+    """Every near entry of SchubertKernel(k, n), built eagerly, indexed as
+    lex_subsets(n, k)."""
+    return tuple(reference_kernel_near_entry(k, n, j)
+                 for j in range(len(lex_subsets(n, k))))
+
+
+def reference_nonbases(neck):
     """The k-subsets that the positroid of neck misses, as a bitset over
-    the kernel's index of k-subsets: the OR of the row each entry I_t
-    picks at t."""
+    lex_subsets(n, k): the OR of the reference row each entry I_t picks at
+    t."""
     out = 0
-    for row, entry in zip(kernel._rejected, neck.entries):
+    for row, entry in zip(reference_kernel_rows(neck.k, neck.n),
+                          neck.entries):
         out |= row[entry]
     return out
 
 
-def reference_kernel_verdict(kernel, nonbases):
-    """Whether the k-subsets in the bitset nonbases, over the kernel's
-    index, are pairwise at symmetric difference >= 4, the sparse paving
-    condition of is_sparse_paving: no one of them has another among its
-    neighbours at symmetric difference two, read off the kernel's near
-    table for each in turn."""
+def reference_kernel_verdict(k, n, nonbases):
+    """Whether the k-subsets in the bitset nonbases, over lex_subsets(n, k),
+    are pairwise at symmetric difference >= 4, the sparse paving condition
+    of is_sparse_paving: no one of them has another among its neighbours
+    at symmetric difference two, read off reference_kernel_near for each
+    in turn."""
+    near = reference_kernel_near(k, n)
     rest = nonbases
     while rest:
         low = rest & -rest
-        if kernel._near[low.bit_length() - 1] & nonbases:
+        if near[low.bit_length() - 1] & nonbases:
             return False
         rest ^= low
     return True

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -1182,16 +1183,16 @@ class TestOracle:
 
     def test_matroid_side_discrepancies_replay_through_check_sp(
             self, monkeypatch, tmp_path, capsys):
-        """With the kernel's near table emptied, no two nonbases are ever
-        neighbours, so every necklace passes the matroid side and each one
-        outside the census is a discrepancy: a stderr line that check-sp
-        reads unchanged and calls not sparse paving.  The census state
-        falls on all 120 of them while their flag stays up, so the walk
-        must not prune on the census state alone."""
+        """With a near table that answers 0 for every k-subset, no two
+        nonbases are ever neighbours, so every necklace passes the matroid
+        side and each one outside the census is a discrepancy: a stderr
+        line that check-sp reads unchanged and calls not sparse paving.
+        The census state falls on all 120 of them while their flag stays
+        up, so the walk must not prune on the census state alone."""
         class NoNeighbours(necklace.SchubertKernel):
             def __init__(self, k, n):
                 super().__init__(k, n)
-                self._near = (0,) * len(self._near)
+                self._near = defaultdict(int)
 
         monkeypatch.setattr(cli, "SchubertKernel", NoNeighbours)
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])
@@ -1208,7 +1209,7 @@ class TestOracle:
 
     def test_census_side_discrepancies_replay_through_check_sp(
             self, monkeypatch, tmp_path, capsys):
-        """With every k-subset in the kernel's near table of every other,
+        """With a near table that answers every k-subset for every other,
         the matroid-level flag falls at the first nonbasis, so only the
         uniform necklace passes the matroid side and the 10 other census
         necklaces are discrepancies, each a stderr line that check-sp
@@ -1217,7 +1218,7 @@ class TestOracle:
         class EveryNeighbour(necklace.SchubertKernel):
             def __init__(self, k, n):
                 super().__init__(k, n)
-                self._near = (-1,) * len(self._near)
+                self._near = defaultdict(lambda: -1)
 
         monkeypatch.setattr(cli, "SchubertKernel", EveryNeighbour)
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])

@@ -29,12 +29,12 @@ from positroids import (
     positroid_necklace,
     sparse_paving_witness,
 )
+from positroids import necklace as necklace_module
 from positroids.matroid import _exchange_masks
 from positroids.necklace import (
     SchubertKernel,
     _bumped_mask,
     _dominating,
-    _tails,
     gale_bounds,
 )
 
@@ -50,6 +50,10 @@ from oracles import (
     matroid_of,
     mod1,
     reference_gale_bounds,
+    reference_kernel_near,
+    reference_kernel_near_entry,
+    reference_kernel_row,
+    reference_kernel_rows,
     reference_kernel_verdict,
     reference_necklaces,
     reference_nonbases,
@@ -315,7 +319,7 @@ class TestConversionsAgainstOracles:
                     strict=True):
                 assert entries == neck.entries
                 assert_conversions_match_oracles(
-                    neck, reference_nonbases(kernel, neck))
+                    neck, reference_nonbases(neck))
 
     @given(decperm_necklaces(8, 10))
     @settings(max_examples=100, deadline=None)
@@ -499,11 +503,41 @@ class TestFromNonAdjacent:
 
 
 class TestSchubertKernel:
-    """The oracle's bitset kernel, through the sparse paving verdict that
-    the walk carries with it; its nonbases are checked against
-    brute_positroid in TestConversionsAgainstOracles and against
+    """The oracle's bitset kernel: its rows and near entries, built on
+    demand, against the eager references, and the sparse paving verdict
+    that the walk carries with it; the nonbases it leads to are checked
+    against brute_positroid in TestConversionsAgainstOracles and against
     necklace_to_positroid in TestFusedWalk, both through
     reference_nonbases."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_and_near_entries_match_the_eager_build(self, n):
+        for k in range(0, n + 1):
+            kernel = SchubertKernel(k, n)
+            for row, expected in zip(kernel._rejected,
+                                     reference_kernel_rows(k, n),
+                                     strict=True):
+                assert {entry: row[entry] for entry in expected} == \
+                    expected, (k, n)
+            near = reference_kernel_near(k, n)
+            assert [kernel._near[j] for j in range(len(near))] == \
+                list(near), (k, n)
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n), st.integers(1, n),
+        st.integers(0, 10 ** 6))))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_row_and_near_entry(self, args):
+        """One row and one near entry of a fresh kernel at a time, so each
+        is built from an empty kernel, against the reference for that
+        entry alone."""
+        n, k, t, draw = args
+        masks = [mask for mask, _ in lex_subsets(n, k)]
+        j = draw % len(masks)
+        kernel = SchubertKernel(k, n)
+        assert kernel._rejected[t - 1][masks[j]] == \
+            reference_kernel_row(k, n, t, masks[j])
+        assert kernel._near[j] == reference_kernel_near_entry(k, n, j)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_verdict_every_necklace(self, n):
@@ -528,18 +562,20 @@ class TestSchubertKernel:
     ])
     def test_walk_reads_few_rows(self, k, n, necklaces, read, rows):
         """The walk reads a kernel row only while the matroid-level flag
-        is up, and none below a dead node, so it reads a third of the
-        rows or fewer; a walk that read every row again would fail."""
+        is up, and none below a dead node, and the kernel builds a row
+        only when it is first read: of the n * C(n, k) rows it builds the
+        ones read and no others, a third or fewer.  A walk that read every
+        row again, or a kernel that built rows it was not asked for, would
+        fail."""
         seen = set()
 
-        class Row(dict):
+        class Row:
             def __init__(self, t, row):
-                super().__init__(row)
-                self.t = t
+                self.t, self.row = t, row
 
             def __getitem__(self, entry):
                 seen.add((self.t, entry))
-                return super().__getitem__(entry)
+                return self.row[entry]
 
         class Counting(SchubertKernel):
             def __init__(self, k, n):
@@ -549,20 +585,23 @@ class TestSchubertKernel:
 
         kernel = Counting(k, n)
         assert sum(1 for _ in all_necklaces(kernel)) == necklaces
-        assert (len(seen), sum(map(len, kernel._rejected))) == (read, rows)
+        built = sum(len(row.row) for row in kernel._rejected)
+        assert (len(seen), built, n * comb(n, k)) == (read, read, rows)
 
-    @pytest.mark.parametrize("k,n,necklaces,builds,replayed", [
-        (3, 7, 5111, 213, 4937),
-        (4, 8, 44929, 639, 44617),
+    @pytest.mark.parametrize("k,n,necklaces,nodes,replayed", [
+        (3, 7, 5111, 521, 5082),
+        (4, 8, 44929, 1902, 44882),
     ])
-    def test_walk_replays_dead_subtrees(self, k, n, necklaces, builds,
+    def test_walk_replays_dead_subtrees(self, k, n, necklaces, nodes,
                                         replayed, monkeypatch):
-        """Below a dead node at the cut level the walk replays the last
-        three levels from its memo for the first entry: it builds the
-        completions of each entry there once per first entry and yields
-        all but a few per cent of the necklaces from them.  A walk that
-        stopped replaying, or rebuilt on every visit, would fail."""
+        """A dead node, at any level, replays its subtree from the memo
+        for the first entry: each (first entry, level, entry) of the DAG
+        is built once, and all but 29 and 47 of the necklaces come from
+        the completion lists at its foot.  A walk that stopped
+        replaying, walked below a dead node, or rebuilt a node would
+        fail."""
         built, replays = [], []
+        cut = n - 4
 
         class Replayed(list):
             def __iter__(self):
@@ -570,14 +609,18 @@ class TestSchubertKernel:
                     replays.append(tail)
                     yield tail
 
-        def counting(pools, bits, cut, cur):
-            built.append(cur)
-            return Replayed(_tails(pools, bits, cut, cur))
+        def counting(memo, pools, bits, cut_level, level, cur):
+            # The pools stand for the first entry: pools[i] is
+            # I_1 | {i+1, ..., n}, so two first entries give two pools.
+            built.append((tuple(pools), level, cur))
+            value = subtree(memo, pools, bits, cut_level, level, cur)
+            return Replayed(value) if level >= cut else value
 
-        monkeypatch.setattr("positroids.necklace._tails", counting)
+        subtree = necklace_module._subtree
+        monkeypatch.setattr(necklace_module, "_subtree", counting)
         assert sum(1 for _ in all_necklaces(SchubertKernel(k, n))) == \
             necklaces
-        assert len(built) == builds
+        assert len(set(built)) == len(built) == nodes
         assert len(replays) == replayed
 
 
@@ -602,11 +645,11 @@ class TestFusedWalk:
             every = (1 << len(index)) - 1
             middle = 2 <= k <= n - 2
             for neck, (_, by_matroid, by_necklace) in zip(records, walked):
-                nonbases = reference_nonbases(kernel, neck)
+                nonbases = reference_nonbases(neck)
                 m = necklace_to_positroid(neck)
                 assert nonbases == every ^ sum(1 << index[b] for b in m.bases)
                 assert by_matroid == reference_kernel_verdict(
-                    kernel, nonbases) == is_sparse_paving(m), neck
+                    k, n, nonbases) == is_sparse_paving(m), neck
                 assert by_necklace == (middle and sparse_paving_witness(
                     neck) is not None), neck
 
