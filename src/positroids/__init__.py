@@ -4,57 +4,80 @@ A matroid kernel over explicit basis families, the three classic positroid
 representations (Grassmann necklaces, decorated permutations, Le-diagrams),
 conversions between them, sparse paving classifiers with witnesses, and the
 Lucas-number census of sparse paving positroids.
+
+`import positroids` loads no submodule: each public name is read from its
+defining module when it is first asked for (PEP 562), so a process that
+uses part of the package compiles only that part.
 """
 
-from .matroid import (
-    Matroid,
-    NonAdjacentSet,
-    circuit_hyperplanes,
-    circuits,
-    hyperplanes,
-    is_sparse_paving,
-    lex_subsets,
-    mask_of,
-    members_of,
-    nonadjacent_mask_ok,
-    relax,
-)
-from .necklace import (
-    GrassmannNecklace,
-    all_necklaces,
-    cyclic_interval,
-    is_positroid,
-    necklace_from_nonadjacent,
-    necklace_to_positroid,
-    positroid_necklace,
-    sparse_paving_witness,
-)
-from .decorated import (
-    DecoratedPermutation,
-    decperm_to_necklace,
-    necklace_to_decperm,
-)
-from .le_diagram import (
-    LeDiagram,
-    boundary_labels,
-    build_network,
-    cell_numbering,
-    le_from_removals,
-    le_to_decperm,
-    realizable_sets,
-    render_le,
-)
-from .enumeration import (
-    SparsePavingPositroid,
-    count_nonadjacent,
-    count_sparse_paving,
-    enumerate_sparse_paving,
-    lucas,
-    nonadjacent_subsets,
-)
+import sys as _sys
 
-import types as _types
+# Each public name, by the module that defines it.
+_PUBLIC = {
+    "matroid": (
+        "Matroid",
+        "NonAdjacentSet",
+        "circuit_hyperplanes",
+        "circuits",
+        "hyperplanes",
+        "is_sparse_paving",
+        "lex_subsets",
+        "mask_of",
+        "members_of",
+        "nonadjacent_mask_ok",
+        "relax",
+    ),
+    "necklace": (
+        "GrassmannNecklace",
+        "all_necklaces",
+        "cyclic_interval",
+        "is_positroid",
+        "necklace_from_nonadjacent",
+        "necklace_to_positroid",
+        "positroid_necklace",
+        "sparse_paving_witness",
+    ),
+    "decorated": (
+        "DecoratedPermutation",
+        "decperm_to_necklace",
+        "necklace_to_decperm",
+    ),
+    "le_diagram": (
+        "LeDiagram",
+        "boundary_labels",
+        "build_network",
+        "cell_numbering",
+        "le_from_removals",
+        "le_to_decperm",
+        "realizable_sets",
+        "render_le",
+    ),
+    "enumeration": (
+        "SparsePavingPositroid",
+        "enumerate_sparse_paving",
+        "nonadjacent_subsets",
+    ),
+    "counting": (
+        "count_nonadjacent",
+        "count_sparse_paving",
+        "lucas",
+    ),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = [name for name in dir()
-           if not name.startswith("_")
-           and not isinstance(globals()[name], _types.ModuleType)]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # Read from the defining module on every access and never cached here,
+    # so a rebinding in that module (a profiler's, a test's) shows through.
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    module = f"{__name__}.{_HOME[name]}"
+    __import__(module)
+    return getattr(_sys.modules[module], name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

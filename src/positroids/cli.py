@@ -5,48 +5,77 @@ usage problems, 2 for a negative mathematical verdict (not a positroid, not
 sparse paving, oracle discrepancy), so scripts can tell the cases apart.
 When the reader closes stdout early (`positroids enumerate ... | head -1`),
 the command stops quietly with status 0 and nothing on stderr.
+
+A process imports, and so compiles, only the modules its command runs:
+`enumerate --count-only` loads `counting` alone, `oracle` loads `matroid`
+and `necklace`, and the payload commands load those their kinds need (see
+`_ROWS`) and `json`.  Before a command calls into the library it binds the
+names it calls into this module's globals (`_need`), and the functions
+here read those names at call time.  Each `_need` reads a name afresh from
+its defining module, unless code outside set the name on this module after
+`_need` last bound it; so a wrapper set here (the benchmark child's stamps,
+a test's monkeypatch) or in the defining module (the benchmark tracer's
+rebinding) is the one called.  Reading a library name as an attribute of
+this module binds it as well (PEP 562).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .decorated import (
-    DecoratedPermutation,
-    decperm_to_necklace,
-    necklace_to_decperm,
-)
-from .enumeration import (
-    count_sparse_paving,
-    enumerate_sparse_paving,
-)
-from .le_diagram import (
-    LeDiagram,
-    le_from_removals,
-    le_to_decperm,
-    render_le,
-)
-from .matroid import (
-    Matroid,
-    NonAdjacentSet,
-    _exchange_masks,
-    _violating_pair,
-    members_of,
-)
-from .necklace import (
-    GrassmannNecklace,
-    SchubertKernel,
-    all_necklaces,
-    _check_classification,
-    cyclic_interval,
-    is_positroid,
-    necklace_from_nonadjacent,
-    necklace_to_positroid,
-    sparse_paving_witness,
-)
+# The library names the commands call, by the module that defines them.
+_IMPORTS = {
+    "census_text": ("census_lines",),
+    "counting": ("count_sparse_paving",),
+    "decorated": ("DecoratedPermutation", "decperm_to_necklace",
+                  "necklace_to_decperm"),
+    "enumeration": ("enumerate_sparse_paving",),
+    "le_diagram": ("LeDiagram", "le_from_removals", "le_to_decperm",
+                   "render_le"),
+    "matroid": ("Matroid", "NonAdjacentSet", "_exchange_masks",
+                "_violating_pair", "members_of"),
+    "necklace": ("GrassmannNecklace", "SchubertKernel", "all_necklaces",
+                 "_check_classification", "cyclic_interval", "is_positroid",
+                 "necklace_from_nonadjacent", "necklace_to_positroid",
+                 "sparse_paving_witness"),
+}
+_HOME = {name: module for module, names in _IMPORTS.items()
+         for name in names} | {"_dumps": "json"}
+_bound: dict = {}  # each name's value as `_need` last bound it
+
+
+def _need(*modules: str) -> None:
+    """Import each of `modules` and bind the names `_IMPORTS` lists for it,
+    or `json` and `_dumps` for "json".  A name whose value here is no longer
+    the one `_need` bound last was set from outside, and stays."""
+    scope = globals()
+    for module in modules:
+        if module == "json":
+            if "json" not in scope:
+                import json
+                scope["json"] = json
+                # json.dumps with options builds a new encoder per call;
+                # share one.
+                scope["_dumps"] = json.JSONEncoder(
+                    sort_keys=True, separators=(",", ":")).encode
+            continue
+        full = f"{__package__}.{module}"
+        __import__(full)
+        source = sys.modules[full]
+        for name in _IMPORTS[module]:
+            if scope.get(name) is _bound.get(name):
+                scope[name] = _bound[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    _need(_HOME[name])
+    return globals()[name]
+
 
 # `enumerate --count-only` prints the count in decimal, and CPython converts
 # at most 4300 digits by default (sys.get_int_max_str_digits); the count at
@@ -67,10 +96,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# json.dumps with options builds a new encoder per call; share one.
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def _unique_keys(pairs: list) -> dict:
     """A JSON object; a repeated key is an error, never a silent overwrite."""
     obj = {}
@@ -82,6 +107,7 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def _read_json(path: str | None):
+    _need("json")
     try:
         if path is None or path == "-":
             text = sys.stdin.read()
@@ -129,26 +155,31 @@ def _witness(neck: GrassmannNecklace) -> NonAdjacentSet:
 
 
 # One row per payload kind: loader, route to the necklace given k, route
-# from a necklace.  Library functions are module globals read at call
-# time, so a profiler can rebind them.
+# from a necklace, and the modules whose names the three call.  Library
+# functions are module globals read at call time, so a profiler can rebind
+# them.
 _ROWS = {
     "necklace": (lambda d: GrassmannNecklace.from_dict(d), _necklace,
-                 lambda neck: neck),
+                 lambda neck: neck, ("matroid", "necklace")),
     "decperm": (lambda d: DecoratedPermutation.from_dict(d),
                 lambda perm, k: decperm_to_necklace(perm, k),
-                lambda neck: necklace_to_decperm(neck)),
+                lambda neck: necklace_to_decperm(neck), ("decorated",)),
     "le": (lambda d: LeDiagram.from_dict(d),
            lambda diag, k: decperm_to_necklace(le_to_decperm(diag), k),
-           lambda neck: le_from_removals(_witness(neck), neck.k, neck.n)),
-    "bases": (_bases, _necklace, lambda neck: necklace_to_positroid(neck)),
+           lambda neck: le_from_removals(_witness(neck), neck.k, neck.n),
+           ("decorated", "le_diagram", "necklace")),
+    "bases": (_bases, _necklace, lambda neck: necklace_to_positroid(neck),
+              ("matroid", "necklace")),
     "nonadjacent": (lambda d: NonAdjacentSet.from_dict(d),
                     lambda a, k: necklace_from_nonadjacent(a, k, a.n),
-                    _witness),
+                    _witness, ("matroid", "necklace")),
 }
 KINDS = tuple(_ROWS)
 
 
 def _load(kind: str, data) -> object:
+    """The payload of `kind`, with the names of its row bound."""
+    _need(*_ROWS[kind][3])
     try:
         return _ROWS[kind][0](data)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -186,6 +217,7 @@ def cmd_convert(args) -> int:
         raise CliError("--format ascii needs --to le")
     obj = _load(args.src, _read_json(args.input))
     _, k = _dims(args.src, obj, args.k)
+    _need(*_ROWS[args.dst][3])
     _print(_ROWS[args.dst][2](_ROWS[args.src][1](obj, k)), args.format)
     return 0
 
@@ -193,6 +225,7 @@ def cmd_convert(args) -> int:
 def cmd_check_sp(args) -> int:
     obj = _load(args.kind, _read_json(args.input))
     n, k = _dims(args.kind, obj, args.k)
+    _need("matroid", "necklace")
     _check_classification(k, n)
     neck = _ROWS[args.kind][1](obj, k)
     witness = sparse_paving_witness(neck)
@@ -213,10 +246,10 @@ def cmd_enumerate(args) -> int:
         if args.n > _COUNT_BUDGET:
             raise CliError(f"n={args.n} exceeds the count budget "
                            f"{_COUNT_BUDGET}")
+        _need("counting")
         print(count_sparse_paving(args.k, args.n))
         return 0
-    # Imported here, so that no other command loads or compiles it.
-    from .census_text import census_lines
+    _need("enumeration", "census_text", "json")
     n, k = args.n, args.k
     write = sys.stdout.write
     for line in census_lines(k, n, enumerate_sparse_paving(k, n), _dumps):
@@ -229,6 +262,7 @@ def cmd_oracle(args) -> int:
     if n > args.budget:
         raise CliError(f"n={n} exceeds the oracle budget {args.budget}; pass "
                        f"a larger --budget to run it anyway")
+    _need("necklace")
     _check_classification(k, n)
     # The walk carries two verdicts down its levels and yields both.  The
     # matroid-level one is the symmetric-difference definition on the
@@ -249,6 +283,7 @@ def cmd_oracle(args) -> int:
             found += 1
         if by_matroid != by_necklace:
             discrepancies += 1
+            _need("json")
             print(_dumps(GrassmannNecklace(n, k, entries).to_dict()),
                   file=sys.stderr)
     print(f"necklaces: {total}")
@@ -297,8 +332,8 @@ def _build_parser() -> _Parser:
                        "the matroid-level and necklace-level classifiers")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=9,
-                   help="largest n the oracle will attempt (default 9)")
+    p.add_argument("--budget", type=int, default=10,
+                   help="largest n the oracle will attempt (default 10)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("render-le", help="ASCII picture of a Le-diagram")

@@ -797,8 +797,9 @@ def views_line(entry) -> str:
 
 
 class TestSharedEncoder:
-    """cli._dumps is one encoder built at import and shared by every
-    command; it must print what json.dumps with the same options prints."""
+    """cli._dumps is one encoder, built when a command first needs JSON and
+    shared by every command; it must print what json.dumps with the same
+    options prints."""
 
     SAMPLES = [
         {"z": {"b": [1, {"y": None, "x": True}], "a": []}, "a": [[[]], {}],
@@ -1123,8 +1124,8 @@ class TestOracle:
         assert "discrepancies: 0" in lines[2]
 
     def test_budget_refusal(self, capsys):
-        assert run(capsys, ["oracle", "--n", "10", "--k", "2"]) == (
-            1, "", "invalid: n=10 exceeds the oracle budget 9; pass a "
+        assert run(capsys, ["oracle", "--n", "11", "--k", "2"]) == (
+            1, "", "invalid: n=11 exceeds the oracle budget 10; pass a "
                    "larger --budget to run it anyway\n")
         assert run(capsys, ["oracle", "--n", "7", "--k", "3",
                             "--budget", "-1"]) == (

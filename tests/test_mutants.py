@@ -1,4 +1,5 @@
-"""Checked-in mutants of the oracle walk and its kernel.
+"""Checked-in mutants of the oracle walk, its kernel, the necklace and
+decorated permutation rules, and the CLI's on-demand binding.
 
 Each row of MUTANTS names a file under src/positroids, a piece of its text
 that occurs there exactly once, the text that replaces it, and the tests
@@ -6,7 +7,7 @@ that must catch the change.  The row copies src/, tests/ and
 pyproject.toml to a temporary directory, applies the edit there, runs the
 named tests in a subprocess and passes when every one of them fails.  A
 test that stops catching its mutant, or an edit whose text no longer
-occurs once, fails the row.  The rows are opt-in and take about 15 s
+occurs once, fails the row.  The rows are opt-in and take about 20 s
 on 2 CPUs:
 
     POSITROIDS_MUTANTS=1 python -m pytest -q tests/test_mutants.py
@@ -90,6 +91,35 @@ MUTANTS = [
         [KERNEL + "test_rows_and_near_entries_match_the_eager_build[5]",
          KERNEL + "test_drawn_row_and_near_entry"],
         id="near-row-missing-a-swap"),
+    pytest.param(
+        "necklace.py",
+        "yield tuple(entries), ok, 0 < state < 4 - census[0]\n",
+        "yield tuple(entries), ok, 0 < state\n",
+        [NECKLACE + "TestFusedWalk::"
+         "test_census_state_rejects_bumped_neighbours[5-1]"],
+        id="census-wrap-unchecked"),
+    pytest.param(
+        "necklace.py",
+        "        return not (cur ^ bit) & ~nxt\n",
+        "        return cur == nxt\n",
+        ["tests/test_cli.py::TestValidate::test_valid_necklace",
+         "tests/test_acceptance.py::"
+         "test_c4_cross_representation_consistency"],
+        id="necklace-step-always-equal"),
+    pytest.param(
+        "decorated.py",
+        "for i, c in dp.colors if c == -1))",
+        "for i, c in dp.colors if c == 1))",
+        ["tests/test_decorated.py::TestDecpermToNecklace::test_loop_example",
+         "tests/test_cli.py::TestByteReplay::test_digest"],
+        id="fixed-point-mark-flipped"),
+    pytest.param(
+        "cli.py",
+        "            if scope.get(name) is _bound.get(name):\n",
+        "            if name not in scope:\n",
+        ["tests/test_perfbench_hooks.py::"
+         "test_cli_reads_a_name_from_its_module_unless_set_on_cli"],
+        id="cli-keeps-a-stale-binding"),
 ]
 
 

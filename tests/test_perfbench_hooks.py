@@ -71,6 +71,35 @@ def test_cli_draws_items_from_the_stamped_generators(monkeypatch, capsys):
     assert handed == {"enumerate_sparse_paving": 18, "all_necklaces": every}
 
 
+def test_cli_reads_a_name_from_its_module_unless_set_on_cli(
+        monkeypatch, tmp_path, capsys):
+    # The CLI imports the library on demand and binds each name it calls
+    # into its own globals.  A rebinding in the defining module, and its
+    # undoing, reach the next command; a name set on cli itself, as
+    # child.py sets its stamped generators, stays.
+    path = tmp_path / "a.json"
+    path.write_text('{"members":[2],"n":5}')
+    argv = ["check-sp", "--kind", "nonadjacent", "--k", "2", str(path)]
+    calls = []
+
+    def counting(neck, _real=necklace.sparse_paving_witness):
+        calls.append(neck)
+        return _real(neck)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(necklace, "sparse_paving_witness", counting)
+        assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert cli.sparse_paving_witness is necklace.sparse_paving_witness
+    monkeypatch.setattr(cli, "sparse_paving_witness", counting)
+    assert cli.main(argv) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == 3 * (
+        "sparse-paving A={2}\ncircuit-hyperplanes: [[2,3]]\n")
+
+
 def count_rebound_calls(monkeypatch, layers) -> dict:
     """Rebind each traced function, named as in the tracer's LAYERS
     ("module.attr" or "module.Class.method"), the way the tracer does: the
