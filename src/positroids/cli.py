@@ -264,16 +264,9 @@ def cmd_oracle(args) -> int:
                        f"a larger --budget to run it anyway")
     _need("necklace")
     _check_classification(k, n)
-    # The walk carries two verdicts down its levels and yields both.  The
-    # matroid-level one is the symmetric-difference definition on the
-    # Schubert intersection's nonbases, tested on each nonbasis at the
-    # level that adds it.  The necklace-level one is the paper's
-    # classification, a census state per level: each entry the cyclic or
-    # the bumped interval at its index, no two bumped ones neighbours.
-    # Below a node where both have fallen every necklace gets two negative
-    # verdicts, so the walk stops there, at any level, and replays the
-    # subtree from a memo kept per first entry; the kernel builds only
-    # the rows the walk reads.
+    # Both verdicts only fall down the walk, so below a node where both
+    # have fallen every necklace gets two negative verdicts: the walk
+    # stops there and replays the subtree instead of testing it.
     # A necklace record is built, and validated, only for a discrepancy.
     total = found = discrepancies = 0
     for entries, by_matroid, by_necklace in all_necklaces(

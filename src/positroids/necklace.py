@@ -29,7 +29,6 @@ from .matroid import (
     json_list,
     lex_subsets,
     members_of,
-    nonadjacent_mask_ok,
 )
 
 
@@ -208,12 +207,12 @@ class SchubertKernel:
     gale_bounds, of the family {J : |J & P| > b}, which one pass over the
     k-subsets per prefix P gives for every b at once.  _near[j] is the
     family of k-subsets at symmetric difference two from subset j.
-    _census[i - 1] holds the census marks at index i: 1 for the cyclic
-    interval and 2 for the bumped interval, in the ranks 2 <= k <= n-2
-    only.  all_necklaces carries the OR down its walk, one row per level,
-    and tests each nonbasis a row adds against that level's OR through
-    _near, the oracle's matroid-level verdict; it reads each entry's
-    census mark, the necklace-level verdict.  Rows, near entries and
+    _census[i - 1] is the set of the cyclic and the bumped interval at
+    index i in the ranks 2 <= k <= n-2, and empty in the others.
+    all_necklaces carries the OR down its walk, one row per level, and
+    tests each nonbasis a row adds against that level's OR through _near,
+    the oracle's matroid-level verdict; it looks each entry up in its
+    index's _census set, the necklace-level verdict.  Rows, near entries and
     prefix tables are built on first read: the walk reads a row only
     while the flag is up, so most rows are never built.
     """
@@ -227,8 +226,8 @@ class SchubertKernel:
                                for t in range(1, n + 1))
         self._near = _Filled(self._near_row)
         self._census = tuple(
-            {_interval_mask(k, n, i): 1, _bumped_mask(k, n, i): 2}
-            if 2 <= k <= n - 2 else {} for i in range(1, n + 1))
+            frozenset((_interval_mask(k, n, i), _bumped_mask(k, n, i)))
+            if 2 <= k <= n - 2 else frozenset() for i in range(1, n + 1))
 
     def _row(self, t: int, entry: int) -> int:
         row = 0
@@ -304,8 +303,10 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
     are cyclic neighbours.  Returns the deviation set, which indexes the
     circuit-hyperplanes, or None when the test fails.  Each entry is
     compared with its two intervals as the scan reaches it, and the scan
-    stops at the first entry that matches neither.  The set is built with
-    Record._trusted: nonadjacent_mask_ok has just passed on it.
+    stops at the first entry that matches neither.  The necklace axiom
+    forces the second condition: after the bumped interval at i the next
+    entry holds i + k, which the bumped interval at i + 1 lacks.  So the
+    set is built with Record._trusted, unchecked.
     """
     n, k = neck.n, neck.k
     _check_classification(k, n)
@@ -315,8 +316,6 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
             if entry != _bumped_mask(k, n, i):
                 return None
             deviating |= 1 << (i - 1)
-    if not nonadjacent_mask_ok(deviating, n):
-        return None
     return NonAdjacentSet._trusted(n, deviating)
 
 
@@ -400,22 +399,22 @@ def all_necklaces(kernel: SchubertKernel
     needs no check.
 
     The walk is one loop over the levels i = 0, ..., n-1 of the entry
-    I_{i+1}: base[i] is I_i minus {i} and free[i] the replacements not yet
-    tried, ascending, which is also the lex_subsets order of base[i] plus
-    each; a level where i is absent from I_i copies the entry and keeps no
-    choice.  Each level carries two verdicts on its prefix.  acc[i] is
-    acc[i-1] OR the kernel's row for I_{i+1} at t = i + 1, so the
-    nonbases are the OR of all n rows (Oh, JCTA 118 (2011)); the OR only
-    grows, so once two nonbases are at symmetric difference two no
-    completion is sparse paving: sparse[i] says that acc[i] holds no such
-    pair, a level tests only the nonbases its row adds, each against
-    acc[i] through the kernel's near table, and a level below a fallen
-    flag reads no row.  census[i] is 0 when the prefix is no census
-    prefix, else the kernel's census mark of I_{i+1}, 1 for its cyclic
-    interval and 2 for its bumped interval; two bumped neighbours, I_n and
-    I_1 among them, make it 0.  Both verdicts only fall, and a level the
-    walk resumes at starts again from its parent's acc, flag and census
-    state.
+    I_{i+1}: todo[i] holds the entries of level i not yet tried, drawn by
+    _choices, the rule the replay uses too, and stored in reverse so that
+    the next one in lex_subsets order pops off its end.  Each level carries
+    two verdicts on its prefix.  acc[i] is acc[i-1] OR the kernel's row
+    for I_{i+1} at t = i + 1, so the nonbases are the OR of all n rows (Oh,
+    JCTA 118 (2011)); the OR only grows, so once two nonbases are at
+    symmetric difference two no completion is sparse paving: sparse[i] says
+    that acc[i] holds no such pair, a level tests only the nonbases its row
+    adds, each against acc[i] through the kernel's near table, and a level
+    below a fallen flag reads no row.  census[i] says that every entry of
+    the prefix is the cyclic or the bumped interval at its index, the
+    kernel's _census set.  That is the paper's classification: its other
+    condition, no two bumped indices cyclic neighbours, holds on every
+    necklace (see sparse_paving_witness).  Both verdicts only fall, and a
+    level the walk resumes at starts again from its parent's acc, flag and
+    census state.
 
     A node where both are down is dead: every leaf below it is (entries,
     False, False), so the walk stops there, at any level, and replays the
@@ -437,15 +436,14 @@ def all_necklaces(kernel: SchubertKernel
     bits = [0] + [1 << i for i in range(n - 1)]  # bits[i] is element i
     cut = n - _TAIL - 1
     entries = [0] * n
-    base = [0] * n
-    free = [1] + [0] * (n - 1)  # free[0] stops the backtracking scan
+    todo = [[0]] + [[] for _ in range(n - 1)]  # todo[0] stops the scan
     acc = [0] * n
     sparse = [True] * n
-    census = [0] * n
+    census = [True] * n
     for first, _ in lex_subsets(n, kernel.k):
         pools = [first | full >> i << i for i in range(n)]
         memo = {}
-        cur, i, nonbases, ok, state = first, 0, 0, True, 1
+        cur, i, nonbases, ok, state = first, 0, 0, True, True
         while True:
             while True:
                 entries[i] = cur
@@ -459,27 +457,17 @@ def all_necklaces(kernel: SchubertKernel
                             ok = False
                             break
                         new ^= low
-                if state:
-                    mark = marks[i].get(cur, 0)
-                    state = 0 if state + mark == 4 else mark
+                state = state and cur in marks[i]
                 if not (ok or state):
                     break
                 acc[i], sparse[i], census[i] = nonbases, ok, state
                 i += 1
                 if i == n:
                     break
-                bit = bits[i]
-                if cur & bit:
-                    stripped = cur ^ bit
-                    rest = pools[i] & ~stripped
-                    low = rest & -rest
-                    base[i], free[i] = stripped, rest ^ low
-                    cur = stripped | low
-                else:
-                    free[i] = 0
+                todo[i] = _choices(pools[i], bits[i], cur)[::-1]
+                cur = todo[i].pop()
             if i == n:
-                # The wrap: bumped at I_n and at I_1 sums to 4 as well.
-                yield tuple(entries), ok, 0 < state < 4 - census[0]
+                yield tuple(entries), ok, state
                 i = n - 1
             else:
                 value = memo.get((i, cur))
@@ -496,12 +484,9 @@ def all_necklaces(kernel: SchubertKernel
                         level += 1
                         stack.extend((level, head + (child,), sub)
                                      for child, sub in reversed(value))
-            while not free[i]:
+            while not todo[i]:
                 i -= 1
             if not i:
                 break
-            rest = free[i]
-            low = rest & -rest
-            free[i] = rest ^ low
-            cur = base[i] | low
+            cur = todo[i].pop()
             nonbases, ok, state = acc[i - 1], sparse[i - 1], census[i - 1]

@@ -19,7 +19,8 @@ reference for decperm_to_necklace's step rule.  reference_le_from_removals
 builds the census's Le-diagram through the validating constructor, the
 reference for le_from_removals.  reference_all_necklaces is
 the recursive depth-first walk, one generator frame per entry, that
-all_necklaces replaced with a flat loop.
+all_necklaces replaced with a flat loop, and williams is the closed form
+for the number of necklaces it walks.
 flow_realizable_sets runs unit-capacity max-flow over
 reference_network_edges, and minor_bases keeps the k-subsets with a
 nonzero maximal minor of a boundary-measurement matrix, by the Bareiss
@@ -51,6 +52,7 @@ has sparse_paving_witness as its reference.
 
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
+from math import comb
 
 from positroids import (
     DecoratedPermutation,
@@ -219,6 +221,18 @@ def brute_necklaces(n, k):
     subsets = [frozenset(c) for c in combinations(range(1, n + 1), k)]
     return [seq for seq in product(subsets, repeat=n)
             if brute_is_necklace(n, seq)]
+
+
+def williams(k, n):
+    """Williams' count of the positroid cells of type (k, n), one per
+    necklace ("Enumeration of totally positive Grassmann cells", Adv. Math.
+    190 (2005)); the closed form gives 0 at k = 0, where the count is 1."""
+    if k == 0:
+        return 1
+    return sum((-1) ** i * comb(n, i)
+               * ((k - i) ** i * (k - i + 1) ** (n - i)
+                  - (k - i - 1) ** i * (k - i) ** (n - i))
+               for i in range(k))
 
 
 def reference_all_necklaces(k, n):

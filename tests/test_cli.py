@@ -18,6 +18,7 @@ from positroids import (
     Matroid,
     NonAdjacentSet,
     SparsePavingPositroid,
+    count_sparse_paving,
     cyclic_interval,
     enumerate_sparse_paving,
     le_from_removals,
@@ -35,6 +36,7 @@ from oracles import (
     census_matroid,
     determined_rank,
     uniform,
+    williams,
 )
 
 
@@ -1146,6 +1148,8 @@ class TestOracle:
             reason="opt-in: set POSITROIDS_FULL_SCAN=1")),
     ])
     def test_full_scan(self, n, k, necklaces, found, capsys):
+        assert (necklaces, found) == (williams(k, n),
+                                      count_sparse_paving(k, n))
         assert run(capsys, ["oracle", "--n", str(n), "--k", str(k),
                             "--budget", str(n)]) == (
             0, f"necklaces: {necklaces}\nsparse paving found: {found}\n"
@@ -1160,14 +1164,15 @@ class TestOracle:
                                                   tmp_path, capsys):
         """A discrepant necklace goes to stderr as one JSON line that
         check-sp reads unchanged; stdout keeps the matroid-level count.
-        The kernel here marks one wrong cyclic interval at index 1, {2, 4},
-        which lets exactly one necklace outside the census through: the
-        census necklace of A = {2, 5} with I_1 = {2, 4}."""
+        The kernel here adds one wrong interval at index 1, {2, 4}, to its
+        census set there, which lets exactly one necklace outside the
+        census through: the census necklace of A = {2, 5} with
+        I_1 = {2, 4}."""
         class WrongInterval(necklace.SchubertKernel):
             def __init__(self, k, n):
                 super().__init__(k, n)
                 self._census = (
-                    {**self._census[0], 0b01010: 1},) + self._census[1:]
+                    self._census[0] | {0b01010},) + self._census[1:]
 
         monkeypatch.setattr(cli, "SchubertKernel", WrongInterval)
         code, out, err = run(capsys, ["oracle", "--n", "5", "--k", "2"])

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from positroids import (
+    DecoratedPermutation,
     GrassmannNecklace,
     circuit_hyperplanes,
     count_nonadjacent,
@@ -12,6 +13,7 @@ from positroids import (
     is_positroid,
     le_to_decperm,
     lucas,
+    mask_of,
     members_of,
     necklace_to_positroid,
     nonadjacent_mask_ok,
@@ -24,6 +26,7 @@ from oracles import (
     brute_nonadjacent,
     census_matroid,
     checked_sparse_paving,
+    mod1,
     reference_necklaces,
     reference_recurrence_case,
     reference_sparse_paving_perm,
@@ -175,6 +178,29 @@ class TestCensus:
             for entry in enumerate_sparse_paving(k, n):
                 assert census_matroid(entry) == \
                     necklace_to_positroid(entry.necklace)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_dual_entry_is_the_witness_shifted_by_k(self, n):
+        """Matroid duality on the census: the entries (k, A) and
+        (n - k, A + k mod n) have complementary bases, from the Schubert
+        intersection of their necklaces, complementary nonbases and
+        inverse permutations."""
+        full = (1 << n) - 1
+        for k in range(2, n - 1):
+            duals = {e.nonadjacent.mask: e
+                     for e in enumerate_sparse_paving(n - k, n)}
+            for entry in enumerate_sparse_paving(k, n):
+                dual = duals[mask_of({mod1(i + k, n)
+                                      for i in entry.nonadjacent}, n)]
+                assert necklace_to_positroid(dual.necklace).bases == {
+                    full ^ b
+                    for b in necklace_to_positroid(entry.necklace).bases}
+                assert dual.nonbases == {full ^ b for b in entry.nonbases}
+                inverse = [0] * n
+                for i, j in enumerate(entry.perm.perm, 1):
+                    inverse[j - 1] = i
+                assert dual.perm == DecoratedPermutation.make(inverse), \
+                    (k, n, entry.nonadjacent)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_circuit_hyperplanes_are_the_intervals_at_a(self, n):

@@ -1,5 +1,6 @@
-"""Checked-in mutants of the oracle walk, its kernel, the necklace and
-decorated permutation rules, and the CLI's on-demand binding.
+"""Checked-in mutants of the oracle walk, its kernel, the Gale bounds, the
+necklace, decorated permutation and Le-diagram pipe rules, and the CLI's
+on-demand binding and oracle exit code.
 
 Each row of MUTANTS names a file under src/positroids, a piece of its text
 that occurs there exactly once, the text that replaces it, and the tests
@@ -67,8 +68,7 @@ MUTANTS = [
         "                if not (ok or state):\n",
         "                if not ok:\n",
         [ORACLE + "test_census_side_discrepancies_replay_through_check_sp",
-         NECKLACE + "TestFusedWalk::"
-         "test_census_state_rejects_bumped_neighbours[1-3]"],
+         ORACLE + "test_discrepancy_replays_through_check_sp"],
         id="prune-on-the-flag-alone"),
     pytest.param(
         "necklace.py",
@@ -93,11 +93,19 @@ MUTANTS = [
         id="near-row-missing-a-swap"),
     pytest.param(
         "necklace.py",
-        "yield tuple(entries), ok, 0 < state < 4 - census[0]\n",
-        "yield tuple(entries), ok, 0 < state\n",
-        [NECKLACE + "TestFusedWalk::"
-         "test_census_state_rejects_bumped_neighbours[5-1]"],
-        id="census-wrap-unchecked"),
+        "                state = state and cur in marks[i]\n",
+        "                state = cur in marks[i]\n",
+        [NECKLACE + "TestFusedWalk::test_census_state_alone[6]",
+         ORACLE + "test_matroid_side_discrepancies_replay_through_check_sp"],
+        id="census-state-forgets-the-prefix"),
+    pytest.param(
+        "necklace.py",
+        "        if count < m:\n",
+        "        if count < m - 1:\n",
+        [NECKLACE + "TestGaleOrder::test_matches_brute_force[4]",
+         NECKLACE + "TestGaleOrder::test_bounds_of_intervals",
+         KERNEL + "test_rows_and_near_entries_match_the_eager_build[5]"],
+        id="gale-bounds-drop-the-last-full-prefix"),
     pytest.param(
         "necklace.py",
         "        return not (cur ^ bit) & ~nxt\n",
@@ -113,6 +121,22 @@ MUTANTS = [
         ["tests/test_decorated.py::TestDecpermToNecklace::test_loop_example",
          "tests/test_cli.py::TestByteReplay::test_digest"],
         id="fixed-point-mark-flipped"),
+    pytest.param(
+        "le_diagram.py",
+        "                row[r], col[c] = col[c], row[r]\n",
+        "                row[r] = col[c]\n",
+        ["tests/test_le_diagram.py::TestPipes::test_full_box_is_the_shift",
+         "tests/test_le_diagram.py::TestPipes::test_every_diagram[5]",
+         "tests/test_enumeration.py::TestCensus::"
+         "test_pipes_give_the_census_permutation[6]"],
+        id="le-pipes-copy-instead-of-swap"),
+    pytest.param(
+        "cli.py",
+        "    return 0 if discrepancies == 0 else 2\n",
+        "    return 0\n",
+        [ORACLE + "test_discrepancy_replays_through_check_sp",
+         ORACLE + "test_matroid_side_discrepancies_replay_through_check_sp"],
+        id="oracle-exits-0-on-a-discrepancy"),
     pytest.param(
         "cli.py",
         "            if scope.get(name) is _bound.get(name):\n",

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import defaultdict
 from math import comb
 
 import pytest
@@ -58,6 +59,7 @@ from oracles import (
     reference_necklaces,
     reference_nonbases,
     uniform,
+    williams,
 )
 
 
@@ -105,6 +107,21 @@ def decperm_necklaces(draw, min_n, max_n):
              for i in range(1, n + 1) if perm[i - 1] == i}
     dp = DecoratedPermutation.make(perm, marks)
     return decperm_to_necklace(dp, determined_rank(dp))
+
+
+def bumped_intervals(k, n):
+    """The bumped interval at each index i of [n], {i, ..., i + k - 2,
+    i + k} taken cyclically, as masks in index order."""
+    return [mask_of({mod1(i + j, n) for j in range(k - 1)}
+                    | {mod1(i + k, n)}, n) for i in range(1, n + 1)]
+
+
+def bumped_neighbours(entries, bumped):
+    """The indices i at which the entries at i and i + 1 are both their
+    index's bumped interval, taken cyclically."""
+    n = len(entries)
+    return [i for i in range(1, n + 1) if entries[i - 1] == bumped[i - 1]
+            and entries[i % n] == bumped[i % n]]
 
 
 def entry_sets(neck):
@@ -654,6 +671,28 @@ class TestFusedWalk:
                     neck) is not None), neck
 
     @pytest.mark.parametrize("n", range(4, 9))
+    def test_census_state_alone(self, n):
+        """With a near table that answers 0 for every k-subset the flag
+        never falls, so the walk prunes nothing and each necklace's
+        necklace-level verdict comes from the census state alone: it must
+        still be the witness verdict.  With the real kernel a census state
+        that read only the last entry gives the same stream for every
+        n <= 9, the flag having fallen wherever it would go wrong, so
+        test_every_type cannot see that fault."""
+        class NoNeighbours(SchubertKernel):
+            def __init__(self, k, n):
+                super().__init__(k, n)
+                self._near = defaultdict(int)
+
+        for k in range(2, n - 1):
+            pairs = zip(reference_necklaces(k, n),
+                        all_necklaces(NoNeighbours(k, n)), strict=True)
+            for neck, (entries, by_matroid, by_necklace) in pairs:
+                assert entries == neck.entries and by_matroid
+                assert by_necklace == \
+                    (sparse_paving_witness(neck) is not None), neck
+
+    @pytest.mark.parametrize("n", range(4, 9))
     def test_census_is_the_witness_verdict(self, n):
         # The census, the necklaces necklace_from_nonadjacent builds, is
         # the set the witness accepts.
@@ -665,28 +704,24 @@ class TestFusedWalk:
                 assert (neck.entries in census) == \
                     (sparse_paving_witness(neck) is not None), neck
 
-    @pytest.mark.parametrize("bumped,neighbours", [
-        ({1, 3}, False), ({1, 2}, True), ({4, 5}, True), ({1, 5}, True)],
-        ids=["1-3", "1-2", "4-5", "5-1"])
-    def test_census_state_rejects_bumped_neighbours(self, bumped,
-                                                    neighbours):
-        """No necklace has two bumped neighbours: after the bumped
-        interval at i, the next entry holds i + k, which the bumped
-        interval at i + 1 lacks.  So this kernel marks every k-subset, as
-        bumped at the indices given and as the cyclic interval elsewhere,
-        and the walk must still refuse every necklace when two bumped
-        indices are cyclic neighbours, n and 1 among them."""
-        class Marked(SchubertKernel):
-            def __init__(self, k, n):
-                super().__init__(k, n)
-                self._census = tuple(
-                    {mask: 2 if i in bumped else 1
-                     for mask, _ in lex_subsets(n, k)}
-                    for i in range(1, n + 1))
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_no_necklace_has_bumped_neighbours(self, n):
+        """The classification's second condition, no two bumped indices
+        cyclic neighbours, holds on every necklace: after the bumped
+        interval at i the next entry holds i + k, which the bumped interval
+        at i + 1 lacks.  The census state and sparse_paving_witness test
+        only the first condition and rely on this."""
+        for k in range(1, n):
+            bumped = bumped_intervals(k, n)
+            for entries, _, _ in walk(k, n):
+                assert not bumped_neighbours(entries, bumped), (k, entries)
 
-        verdicts = {by_necklace for _, _, by_necklace in
-                    all_necklaces(Marked(2, 5))}
-        assert verdicts == {not neighbours}
+    @given(decperm_necklaces(2, 14))
+    @settings(max_examples=200, deadline=None)
+    def test_decperm_necklace_has_no_bumped_neighbours(self, neck):
+        if 1 <= neck.k <= neck.n - 1:
+            bumped = bumped_intervals(neck.k, neck.n)
+            assert not bumped_neighbours(neck.entries, bumped), neck
 
 
 class TestEnumeration:
@@ -714,17 +749,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_counts_match_williams_closed_form(self, n):
-        """Williams' count of the positroid cells of type (k, n)
-        ("Enumeration of totally positive Grassmann cells", Adv. Math. 190
-        (2005)), one per necklace; the count is 1 at k = 0."""
-        assert sum(1 for _ in walk(0, n)) == 1
-        for k in range(1, n + 1):
-            expected = sum(
-                (-1) ** i * comb(n, i)
-                * ((k - i) ** i * (k - i + 1) ** (n - i)
-                   - (k - i - 1) ** i * (k - i) ** (n - i))
-                for i in range(k))
-            assert sum(1 for _ in walk(k, n)) == expected, (k, n)
+        for k in range(0, n + 1):
+            assert sum(1 for _ in walk(k, n)) == williams(k, n), (k, n)
 
 
 class TestMaskRepresentation:
