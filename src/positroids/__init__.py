@@ -14,25 +14,27 @@ import sys as _sys
 
 # Each public name, by the module that defines it.
 _PUBLIC = {
+    "records": (
+        "GrassmannNecklace",
+        "NonAdjacentSet",
+        "cyclic_interval",
+        "lex_subsets",
+        "mask_of",
+        "members_of",
+        "necklace_from_nonadjacent",
+        "nonadjacent_mask_ok",
+    ),
     "matroid": (
         "Matroid",
-        "NonAdjacentSet",
         "circuit_hyperplanes",
         "circuits",
         "hyperplanes",
         "is_sparse_paving",
-        "lex_subsets",
-        "mask_of",
-        "members_of",
-        "nonadjacent_mask_ok",
         "relax",
     ),
     "necklace": (
-        "GrassmannNecklace",
         "all_necklaces",
-        "cyclic_interval",
         "is_positroid",
-        "necklace_from_nonadjacent",
         "necklace_to_positroid",
         "positroid_necklace",
         "sparse_paving_witness",

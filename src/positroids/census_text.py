@@ -9,7 +9,10 @@ unit's text is table[wide >> lo & mask].  The tables are built once per
 type (k, n) from the views of the empty witness and the n singletons; no
 view is built per line, and a line is one join of its units' texts.  Only
 the census imports this module, which keeps its compile out of every other
-command's start-up and memory peak.
+command's start-up and memory peak.  It reads the witnesses, the k-subset
+table and the type check from `records`, so the census, which builds its
+views from the paper's closed forms, compiles neither `matroid` nor
+`necklace`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 from .decorated import necklace_to_decperm
 from .enumeration import SparsePavingPositroid
-from .matroid import NonAdjacentSet, lex_subsets
-from .necklace import _check_classification
+from .records import NonAdjacentSet, _check_classification, lex_subsets
 
 # A part of a line that differs between witnesses is encoded as
 # [_MARK, part, _MARK], and re.split on _MARKED cuts it out again.

@@ -7,16 +7,17 @@ When the reader closes stdout early (`positroids enumerate ... | head -1`),
 the command stops quietly with status 0 and nothing on stderr.
 
 A process imports, and so compiles, only the modules its command runs:
-`enumerate --count-only` loads `counting` alone, `oracle` loads `matroid`
-and `necklace`, and the payload commands load those their kinds need (see
-`_ROWS`) and `json`.  Before a command calls into the library it binds the
-names it calls into this module's globals (`_need`), and the functions
-here read those names at call time.  Each `_need` reads a name afresh from
-its defining module, unless code outside set the name on this module after
-`_need` last bound it; so a wrapper set here (the benchmark child's stamps,
-a test's monkeypatch) or in the defining module (the benchmark tracer's
-rebinding) is the one called.  Reading a library name as an attribute of
-this module binds it as well (PEP 562).
+`enumerate --count-only` loads `counting` alone, the census loads `records`
+and the modules that build its lines but neither `matroid` nor `necklace`,
+`oracle` loads `matroid`, `necklace` and `records`, and the payload commands
+load those their kinds need (see `_ROWS`) and `json`.  Before a command calls
+into the library it binds the names it calls into this module's globals
+(`_need`), and the functions here read those names at call time.  Each `_need`
+reads a name afresh from its defining module, unless code outside set the name
+on this module after `_need` last bound it; so a wrapper set here (the
+benchmark child's stamps, a test's monkeypatch) or in the defining module (the
+benchmark tracer's rebinding) is the one called.  Reading a library name as an
+attribute of this module binds it as well (PEP 562).
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ _IMPORTS = {
     "enumeration": ("enumerate_sparse_paving",),
     "le_diagram": ("LeDiagram", "le_from_removals", "le_to_decperm",
                    "render_le"),
-    "matroid": ("Matroid", "NonAdjacentSet", "_exchange_masks",
-                "_violating_pair", "members_of"),
-    "necklace": ("GrassmannNecklace", "SchubertKernel", "all_necklaces",
-                 "_check_classification", "cyclic_interval", "is_positroid",
-                 "necklace_from_nonadjacent", "necklace_to_positroid",
-                 "sparse_paving_witness"),
+    "matroid": ("Matroid", "_exchange_masks", "_violating_pair"),
+    "necklace": ("SchubertKernel", "all_necklaces", "is_positroid",
+                 "necklace_to_positroid", "sparse_paving_witness"),
+    "records": ("GrassmannNecklace", "NonAdjacentSet",
+                "_check_classification", "cyclic_interval", "members_of",
+                "necklace_from_nonadjacent"),
 }
 _HOME = {name: module for module, names in _IMPORTS.items()
          for name in names} | {"_dumps": "json"}
@@ -160,7 +161,7 @@ def _witness(neck: GrassmannNecklace) -> NonAdjacentSet:
 # them.
 _ROWS = {
     "necklace": (lambda d: GrassmannNecklace.from_dict(d), _necklace,
-                 lambda neck: neck, ("matroid", "necklace")),
+                 lambda neck: neck, ("records", "matroid")),
     "decperm": (lambda d: DecoratedPermutation.from_dict(d),
                 lambda perm, k: decperm_to_necklace(perm, k),
                 lambda neck: necklace_to_decperm(neck), ("decorated",)),
@@ -172,7 +173,7 @@ _ROWS = {
               ("matroid", "necklace")),
     "nonadjacent": (lambda d: NonAdjacentSet.from_dict(d),
                     lambda a, k: necklace_from_nonadjacent(a, k, a.n),
-                    _witness, ("matroid", "necklace")),
+                    _witness, ("records", "necklace")),
 }
 KINDS = tuple(_ROWS)
 
@@ -225,7 +226,7 @@ def cmd_convert(args) -> int:
 def cmd_check_sp(args) -> int:
     obj = _load(args.kind, _read_json(args.input))
     n, k = _dims(args.kind, obj, args.k)
-    _need("matroid", "necklace")
+    _need("records", "matroid", "necklace")
     _check_classification(k, n)
     neck = _ROWS[args.kind][1](obj, k)
     witness = sparse_paving_witness(neck)
@@ -262,7 +263,7 @@ def cmd_oracle(args) -> int:
     if n > args.budget:
         raise CliError(f"n={n} exceeds the oracle budget {args.budget}; pass "
                        f"a larger --budget to run it anyway")
-    _need("necklace")
+    _need("records", "necklace")
     _check_classification(k, n)
     # Both verdicts only fall down the walk, so below a node where both
     # have fallen every necklace gets two negative verdicts: the walk

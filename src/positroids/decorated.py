@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .matroid import Record, json_int, json_list
-from .necklace import GrassmannNecklace
+from .records import GrassmannNecklace, Record, json_int, json_list
 
 
 class DecoratedPermutation(Record):

@@ -11,9 +11,10 @@ from typing import Iterator
 
 from .decorated import DecoratedPermutation, necklace_to_decperm
 from .le_diagram import LeDiagram, le_from_removals
-from .matroid import NonAdjacentSet, Record
-from .necklace import (
+from .records import (
     GrassmannNecklace,
+    NonAdjacentSet,
+    Record,
     _check_classification,
     _interval_mask,
     necklace_from_nonadjacent,

@@ -20,11 +20,10 @@ are exactly the bases.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .decorated import DecoratedPermutation, decperm_to_necklace
-from .matroid import (
-    Matroid,
+from .records import (
     Record,
     as_mask,
     json_int,
@@ -33,7 +32,9 @@ from .matroid import (
     mask_of,
     members_of,
 )
-from .necklace import necklace_to_positroid
+
+if TYPE_CHECKING:
+    from .matroid import Matroid
 
 
 class LeDiagram(Record):
@@ -213,6 +214,7 @@ def realizable_sets(diag: LeDiagram) -> Matroid:
     """Matroid on [n] whose bases are the k-subsets the diagram realizes:
     its decorated permutation by the pipes, then the necklace and the Gale
     intersection of necklace_to_positroid."""
+    from .necklace import necklace_to_positroid
     return necklace_to_positroid(
         decperm_to_necklace(le_to_decperm(diag), diag.k))
 

@@ -11,22 +11,23 @@ is the intersection of the n shifted Schubert matroids {J : I_t <=_t J}
 (Oh, "Positroids and Schubert matroids", JCTA 118 (2011)), so both
 conversions between necklaces and positroids reduce to these counts.
 
-Necklace entries and intervals are bare int masks, like every subset inside
-the library; only a NonAdjacentSet carries its ground set.
+The GrassmannNecklace record, its axiom and the cyclic and bumped intervals
+live in `records`, which the census shares; this module holds the
+algorithms on them, and the census imports none of it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .matroid import (
-    Matroid,
+from .matroid import Matroid
+from .records import (
+    GrassmannNecklace,
     NonAdjacentSet,
-    Record,
-    as_mask,
-    json_int,
-    json_list,
+    _bumped_mask,
+    _check_classification,
+    _interval_mask,
     lex_subsets,
     members_of,
 )
@@ -63,107 +64,6 @@ def _dominating(masks, bounds) -> list[int]:
     for prefix, bound in bounds:
         keep = [m for m in keep if (m & prefix).bit_count() <= bound]
     return keep
-
-
-def _check_classification(k: int, n: int) -> None:
-    if not 2 <= k <= n - 2:
-        raise ValueError(
-            f"classification needs 2 <= k <= n-2, got k={k}, n={n}")
-
-
-def _check_interval(k: int, n: int, i: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"interval length {k} outside [1, {n}]")
-    if not 1 <= i <= n:
-        raise ValueError(f"interval start {i} outside [1, {n}]")
-
-
-def cyclic_interval(k: int, n: int, i: int) -> int:
-    """Mask of the k consecutive elements i, i+1, ... taken cyclically in [n];
-    this is the smallest k-subset for the rotation starting at i."""
-    _check_interval(k, n, i)
-    return _interval_mask(k, n, i)
-
-
-def _interval_mask(k: int, n: int, i: int) -> int:
-    """Mask of the cyclic interval of length 0 <= k <= n at 1 <= i <= n: the
-    k low bits rotated by i - 1 within n bits, with no argument checks."""
-    low = (1 << k) - 1
-    shift = i - 1
-    return ((low << shift) | (low >> (n - shift))) & ((1 << n) - 1)
-
-
-def _bumped_mask(k: int, n: int, i: int) -> int:
-    """Mask of the bumped interval at i, with no argument checks: the
-    elements i, ..., i + k - 2 and then i + k, skipping i + k - 1."""
-    return _interval_mask(k - 1, n, i) | (1 << ((i + k - 1) % n))
-
-
-def _step_ok(bit: int, cur: int, nxt: int) -> bool:
-    """The necklace condition from entry cur to the next entry nxt at the
-    index whose bit is given."""
-    if cur & bit:
-        return not (cur ^ bit) & ~nxt
-    return cur == nxt
-
-
-def _axiom_problem(entries: Sequence[int]) -> str | None:
-    n = len(entries)
-    for i in range(1, n + 1):
-        cur = entries[i - 1]
-        bit = 1 << (i - 1)
-        if _step_ok(bit, cur, entries[i % n]):
-            continue
-        if cur & bit:
-            return (f"necklace axiom fails at i={i}: the next entry must "
-                    f"contain the current one minus {{{i}}}")
-        return (f"necklace axiom fails at i={i}: {i} is absent so the "
-                f"next entry must repeat")
-    return None
-
-
-class GrassmannNecklace(Record):
-    """Cyclic sequence (I_1, ..., I_n) of k-subsets of [n], as masks, obeying
-    the necklace condition.  Public construction validates it; the library
-    builders whose necklaces are valid by construction
-    (necklace_from_nonadjacent, decperm_to_necklace) use Record._trusted."""
-
-    __slots__ = ("n", "k", "entries")
-    n: int
-    k: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        n, k = self.n, self.k
-        if len(self.entries) != n:
-            raise ValueError("entry count must equal the ground size")
-        if any(e < 0 or e >> n for e in self.entries):
-            raise ValueError("entry holds elements outside the ground set")
-        if any(e.bit_count() != k for e in self.entries):
-            raise ValueError("entry size differs from k")
-        problem = _axiom_problem(self.entries)
-        if problem is not None:
-            raise ValueError(problem)
-
-    @classmethod
-    def of(cls, n: int, sets: Iterable[Iterable[int]]) -> "GrassmannNecklace":
-        entries = tuple(as_mask(s, n) for s in sets)
-        if not entries:
-            raise ValueError("no entries")
-        return cls(n, entries[0].bit_count(), entries)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "k": self.k,
-                "entries": [list(members_of(e)) for e in self.entries]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GrassmannNecklace":
-        n = json_int(data["n"], "n")
-        neck = cls.of(n, (json_list(e, "entry")
-                          for e in json_list(data["entries"], "entries")))
-        if neck.k != json_int(data["k"], "k"):
-            raise ValueError("declared k differs from the entry size")
-        return neck
 
 
 def necklace_to_positroid(neck: GrassmannNecklace) -> Matroid:
@@ -317,19 +217,6 @@ def sparse_paving_witness(neck: GrassmannNecklace) -> NonAdjacentSet | None:
                 return None
             deviating |= 1 << (i - 1)
     return NonAdjacentSet._trusted(n, deviating)
-
-
-def necklace_from_nonadjacent(a, k: int, n: int) -> GrassmannNecklace:
-    """Necklace of the sparse paving positroid indexed by a non-adjacent set:
-    bumped intervals at the chosen indices, cyclic intervals elsewhere.
-    A NonAdjacentSet on [n] is taken as it is; any other set is checked."""
-    _check_classification(k, n)
-    mask = as_mask(a, n)
-    if not isinstance(a, NonAdjacentSet):
-        NonAdjacentSet(n, mask)
-    return GrassmannNecklace._trusted(n, k, tuple(
-        _bumped_mask(k, n, i) if mask >> (i - 1) & 1
-        else _interval_mask(k, n, i) for i in range(1, n + 1)))
 
 
 _TAIL = 3  # the levels below the cut, which a memo value lists flat

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from positroids import census_text, cli, decorated, le_diagram, necklace
+from positroids import (census_text, cli, decorated, le_diagram, necklace,
+                        records)
 from positroids import (
     Matroid,
     NonAdjacentSet,
@@ -579,7 +580,8 @@ class TestCheckSp:
             }
             outputs = set()
             for kind, payload in payloads.items():
-                path = write_json(tmp_path, f"{kind}.json", payload)
+                name = f"{entry.nonadjacent.mask}-{kind}.json"
+                path = write_json(tmp_path, name, payload)
                 argv = ["check-sp", "--kind", kind, path]
                 if kind == "decperm":
                     argv += ["--k", "2"]
@@ -980,7 +982,7 @@ class TestEnumerate:
         encoder run at most n + 1 = 10 times, wherever a positroids module
         holds them."""
         real = {
-            "necklace_from_nonadjacent": necklace.necklace_from_nonadjacent,
+            "necklace_from_nonadjacent": records.necklace_from_nonadjacent,
             "necklace_to_decperm": decorated.necklace_to_decperm,
             "le_from_removals": le_diagram.le_from_removals,
             "_dumps": cli._dumps,
@@ -1179,7 +1181,7 @@ class TestOracle:
         assert (code, out) == (2, "necklaces: 131\nsparse paving found: 11\n"
                                   "discrepancies: 1\n")
         entries = necklace_from_nonadjacent({2, 5}, 2, 5).entries
-        flipped = necklace.GrassmannNecklace(5, 2, (0b01010,) + entries[1:])
+        flipped = records.GrassmannNecklace(5, 2, (0b01010,) + entries[1:])
         assert err == json.dumps(flipped.to_dict(), sort_keys=True,
                                  separators=(",", ":")) + "\n"
         path = tmp_path / "discrepancy.json"
@@ -1207,8 +1209,8 @@ class TestOracle:
                                   "discrepancies: 120\n")
         lines = err.splitlines()
         assert len(set(lines)) == len(lines) == 120
-        path = tmp_path / "discrepancy.json"
-        for line in lines:
+        for index, line in enumerate(lines):
+            path = tmp_path / f"discrepancy-{index}.json"
             path.write_text(line + "\n")
             assert run(capsys, ["check-sp", "--kind", "necklace",
                                 str(path)])[0] == 2, line
@@ -1234,8 +1236,8 @@ class TestOracle:
         census = {cli._dumps(necklace_from_nonadjacent(a, 2, 5).to_dict())
                   for a in nonadjacent_subsets(5) if a.mask}
         assert set(err.splitlines()) == census
-        path = tmp_path / "discrepancy.json"
-        for line in census:
+        for index, line in enumerate(census):
+            path = tmp_path / f"discrepancy-{index}.json"
             path.write_text(line + "\n")
             assert run(capsys, ["check-sp", "--kind", "necklace",
                                 str(path)])[0] == 0, line
@@ -1328,13 +1330,15 @@ class TestConversionClosure:
                     "le": entry.diagram.to_dict(),
                     "bases": census_matroid(entry).to_dict(),
                 }
-                for src, dst in itertools.product(kinds, repeat=2):
-                    path = write_json(tmp_path, "payload.json", payloads[src])
-                    argv = ["convert", "--from", src, "--to", dst,
-                            "--k", str(k), path]
-                    code, out, err = run(capsys, argv)
-                    assert code == 0, (src, dst, err)
-                    assert json.loads(out) == payloads[dst], (src, dst)
+                for src in kinds:
+                    name = f"{k}-{entry.nonadjacent.mask}-{src}.json"
+                    path = write_json(tmp_path, name, payloads[src])
+                    for dst in kinds:
+                        argv = ["convert", "--from", src, "--to", dst,
+                                "--k", str(k), path]
+                        code, out, err = run(capsys, argv)
+                        assert code == 0, (src, dst, err)
+                        assert json.loads(out) == payloads[dst], (src, dst)
 
 
 def replay_requests(top):

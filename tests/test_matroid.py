@@ -84,6 +84,15 @@ class TestMasks:
         assert len(lex_subsets(6, 3)) == 20
         assert lex_subsets(3, 0) == ((0, ()),)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_lex_subsets_match_combinations(self, n):
+        """Every k-subset of [n] in the order itertools.combinations lists
+        it, each with the mask mask_of packs."""
+        for k in range(n + 1):
+            assert lex_subsets(n, k) == tuple(
+                (mask_of(combo, n), combo)
+                for combo in itertools.combinations(range(1, n + 1), k))
+
 
 class TestEncoding:
     @given(st.integers(1, 9), st.data())

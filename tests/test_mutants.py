@@ -107,7 +107,7 @@ MUTANTS = [
          KERNEL + "test_rows_and_near_entries_match_the_eager_build[5]"],
         id="gale-bounds-drop-the-last-full-prefix"),
     pytest.param(
-        "necklace.py",
+        "records.py",
         "        return not (cur ^ bit) & ~nxt\n",
         "        return cur == nxt\n",
         ["tests/test_cli.py::TestValidate::test_valid_necklace",

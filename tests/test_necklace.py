@@ -32,12 +32,8 @@ from positroids import (
 )
 from positroids import necklace as necklace_module
 from positroids.matroid import _exchange_masks
-from positroids.necklace import (
-    SchubertKernel,
-    _bumped_mask,
-    _dominating,
-    gale_bounds,
-)
+from positroids.necklace import SchubertKernel, _dominating, gale_bounds
+from positroids.records import _bumped_mask
 
 from oracles import (
     all_basis_families,

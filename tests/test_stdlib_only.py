@@ -34,7 +34,7 @@ def test_absolute_imports_are_stdlib(path):
                 f"{path.name}:{node.lineno} imports {name}"
             assert top != "dataclasses", \
                 f"{path.name}:{node.lineno} imports dataclasses; derive " \
-                f"value types from matroid.Record, which keeps the import " \
+                f"value types from records.Record, which keeps the import " \
                 f"and its start-up cost out of every CLI process"
 
 
@@ -76,10 +76,10 @@ LE = '{"filling":[[1,1,0],[1,1,1]],"k":2,"n":5,"shape":[3,3]}'
     (["enumerate", "--n", "4", "--k", "2", "--count-only"], "", "7\n",
      WATCHED - {"positroids.cli", "positroids.counting"}),
     (["enumerate", "--n", "4", "--k", "2"], "", None,
-     {"positroids.counting"}),
+     {"positroids.counting", "positroids.matroid", "positroids.necklace"}),
     (["oracle", "--n", "5", "--k", "2"], "", None,
      WATCHED - {"positroids.cli", "positroids.matroid",
-                "positroids.necklace"}),
+                "positroids.necklace", "positroids.records"}),
     (["convert", "--from", "bases", "--to", "necklace"], BASES,
      '{"entries":[[1,2],[2,3],[3,4],[1,4]],"k":2,"n":4}\n',
      {"positroids.census_text", "positroids.counting",

@@ -58,9 +58,9 @@ TRUSTED_BUILDERS = {
     ("enumeration.py", "nonadjacent_subsets"),
     ("le_diagram.py", "le_from_removals"),
     ("le_diagram.py", "le_to_decperm"),
-    ("necklace.py", "necklace_from_nonadjacent"),
     ("necklace.py", "necklace_to_positroid"),
     ("necklace.py", "sparse_paving_witness"),
+    ("records.py", "necklace_from_nonadjacent"),
 }
 
 
@@ -79,7 +79,7 @@ def test_only_the_listed_builders_trust():
             if any(isinstance(sub, ast.Attribute) and sub.attr == "_trusted"
                    for sub in ast.walk(node)):
                 named.add((path.name, getattr(node, "name", None)))
-    assert named == TRUSTED_BUILDERS | {("matroid.py", "Record")}
+    assert named == TRUSTED_BUILDERS | {("records.py", "Record")}
 
 
 @lru_cache(maxsize=None)
